@@ -9,8 +9,8 @@ adaptivity (R4).  This package contains:
   variational state;
 * :mod:`repro.core.expectations` — the Appendix-B expectation identities;
 * :mod:`repro.core.inference` — batch coordinate-ascent VI (Alg. 1) + ELBO;
-* :mod:`repro.core.svi` — stochastic variational inference (Alg. 2);
-* :mod:`repro.core.mapreduce` — the parallel engine (Alg. 3);
+* :mod:`repro.core.svi` — stochastic variational inference (Alg. 2), whose
+  MAP phase fans out over an executor (Alg. 3);
 * :mod:`repro.core.consensus` — cluster-consensus estimation (DESIGN.md §4.2);
 * :mod:`repro.core.prediction` — greedy / exhaustive MAP label sets (§3.4);
 * :mod:`repro.core.model` — the high-level :class:`CPAModel` API;

@@ -214,14 +214,29 @@ def truncate_rows(probs: np.ndarray, limits: np.ndarray) -> np.ndarray:
 
 
 def unique_patterns(indicators: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Deduplicate indicator rows into ``(patterns, index)``.
+    """Deduplicate 0/1 indicator rows into ``(patterns, index)``.
 
     ``patterns`` is the ``(P, C)`` table of distinct label-set rows (in
     lexicographic order) and ``index`` the ``(N,)`` map from answers to
     pattern rows, so ``patterns[index]`` reconstructs ``indicators``.
+
+    Rows are sorted as packed bits (``np.packbits``, label 0 in the most
+    significant bit), which orders them exactly like the float rows; with
+    ``C ≤ 64`` each row packs into one big-endian 64-bit word, so the
+    dedup is a 1-D integer sort.
     """
-    patterns, index = np.unique(indicators, axis=0, return_inverse=True)
-    return patterns, np.asarray(index, dtype=np.int64).reshape(-1)
+    indicators = np.asarray(indicators)
+    packed = np.packbits(indicators != 0, axis=1)
+    if packed.shape[1] <= 8:
+        words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        keys = words.view(">u8").reshape(-1)
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, index = np.unique(
+            packed, axis=0, return_index=True, return_inverse=True
+        )
+    return indicators[first], np.asarray(index, dtype=np.int64).reshape(-1)
 
 
 def balanced_bounds(offsets: np.ndarray, total: int, parts: int) -> np.ndarray:

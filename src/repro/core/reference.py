@@ -2,11 +2,14 @@
 
 These classes preserve, verbatim, the pre-kernel-layer code paths: dense
 per-answer likelihood evaluation repeated for every consumer, and
-``np.add.at`` scatter accumulation.  They exist for two reasons only:
+``np.add.at`` scatter accumulation.  The prediction functions at the end
+preserve the per-answer, per-item loops that preceded the vectorised
+prediction path.  They exist for two reasons only:
 
 * **parity testing** — the fused kernels of :mod:`repro.core.kernels`
   must reproduce these trajectories within tight tolerances
-  (``tests/test_kernels.py``);
+  (``tests/test_kernels.py``), and :mod:`repro.core.prediction` must
+  reproduce these label sets (``tests/test_prediction_oracle.py``);
 * **benchmarking** — ``benchmarks/bench_kernels.py`` measures the fused
   layer's speedup against this baseline and records it in
   ``BENCH_core.json``.
@@ -17,15 +20,20 @@ value is being a faithful snapshot of the seed implementation.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.expectations import answer_log_likelihood
+from repro.core.config import CPAConfig
+from repro.core.consensus import ClusterConsensus
+from repro.core.expectations import answer_log_likelihood, map_estimate_dirichlet
 from repro.core.inference import VariationalInference
+from repro.core.prediction import PredictionDetail, exhaustive_map_labels
+from repro.core.state import CPAState
 from repro.core.svi import StochasticInference, _BatchData
-from repro.errors import InferenceError
-from repro.utils.math import log_normalize_rows
+from repro.data.answers import AnswerMatrix
+from repro.errors import InferenceError, PredictionError
+from repro.utils.math import log_normalize_rows, logsumexp, safe_log
 from repro.utils.parallel import split_chunks
 
 #: the seed's chunk size for (chunk, T, M) intermediates.
@@ -279,3 +287,159 @@ class ReferenceStochasticInference(StochasticInference):
         joint = phi_rows[:, :, None] * kappa_rows[:, None, :]  # (N_b, T, M)
         counts = np.einsum("ntm,nc->tmc", joint, data.indicators)
         return counts, joint.sum(axis=0)
+
+
+# ------------------------------------------------------------- prediction
+#
+# The per-item prediction loops, frozen when the vectorised path replaced
+# them: one ``AnswerMatrix.get`` and one ``logsumexp`` per answer, and one
+# greedy search per item.
+
+
+def item_cluster_log_weights(
+    state: CPAState,
+    consensus: ClusterConsensus,
+    answers: AnswerMatrix,
+    items: Sequence[int],
+    *,
+    use_phi: bool = True,
+) -> np.ndarray:
+    """``ln w_it`` (unnormalised) for each requested item; shape ``(len, T)``."""
+    psi_map = map_estimate_dirichlet(state.lam)  # (T, M, C)
+    log_psi = safe_log(psi_map)
+    prior = safe_log(consensus.cluster_weights)
+
+    out = np.empty((len(items), state.n_clusters))
+    for row, item in enumerate(items):
+        if use_phi and 0 <= item < state.n_items:
+            base = safe_log(state.phi[item])
+        else:
+            base = prior.copy()
+        scores = base.copy()
+        for worker in answers.workers_for_item(item):
+            labels = answers.get(item, worker)
+            if not labels:
+                continue
+            idx = sorted(labels)
+            # ln p(x | ψ_tm) = Σ_{c in x} ln ψ_tmc   (multinomial, constant
+            # coefficient dropped — it cancels in the normalisation).
+            log_like = log_psi[:, :, idx].sum(axis=2)  # (T, M)
+            mix = logsumexp(log_like + safe_log(state.kappa[worker])[None, :], axis=1)
+            scores += mix
+        out[row] = scores
+    return out
+
+
+def item_evidence(
+    state: CPAState,
+    consensus: ClusterConsensus,
+    answers: AnswerMatrix,
+    items: Sequence[int],
+) -> np.ndarray:
+    """Per-item, per-label log-likelihood-ratio evidence; shape ``(len, C)``."""
+    out = np.zeros((len(items), state.n_labels))
+    rates = consensus.label_rates
+    if rates is None:
+        return out
+    for row, item in enumerate(items):
+        for worker in answers.workers_for_item(item):
+            labels = answers.get(item, worker)
+            if not labels:
+                continue
+            kappa_u = state.kappa[worker]  # (M,)
+            sens = kappa_u @ rates.sensitivity  # (C,) mix probabilities first
+            false = kappa_u @ rates.false_rate
+            x = np.zeros(state.n_labels)
+            x[sorted(labels)] = 1.0
+            present = x * (safe_log(sens) - safe_log(false))
+            absent = (1.0 - x) * (safe_log(1.0 - sens) - safe_log(1.0 - false))
+            out[row] += present + absent
+    return out
+
+
+def greedy_map_labels(
+    log_weights: np.ndarray,
+    inclusion: np.ndarray,
+    *,
+    evidence: Optional[np.ndarray] = None,
+    max_labels: int = 0,
+    min_gain: float = 1e-9,
+) -> PredictionDetail:
+    """Greedy MAP search for one item (paper §3.4's approximation)."""
+    n_clusters, n_labels = inclusion.shape
+    if log_weights.shape != (n_clusters,):
+        raise PredictionError("log_weights shape disagrees with inclusion matrix")
+    cap = max_labels if max_labels > 0 else n_labels
+
+    log_incl = safe_log(inclusion)
+    log_excl = safe_log(1.0 - inclusion)
+    log_odds = log_incl - log_excl  # (T, C)
+    if evidence is not None:
+        log_odds = log_odds + np.asarray(evidence)[None, :]
+
+    log_g = log_excl.sum(axis=1)  # ln G_t(∅)
+    current = float(logsumexp(log_weights + log_g))
+    chosen: List[int] = []
+    available = np.ones(n_labels, dtype=bool)
+
+    while len(chosen) < cap and available.any():
+        # Candidate objective for every still-available label in one shot:
+        # obj_c = logsumexp_t( ln w_t + ln G_t + log_odds_tc ).
+        cand = logsumexp(
+            (log_weights + log_g)[:, None] + log_odds, axis=0
+        )  # (C,)
+        cand[~available] = -np.inf
+        best = int(np.argmax(cand))
+        if cand[best] <= current + min_gain:
+            break
+        chosen.append(best)
+        available[best] = False
+        log_g = log_g + log_odds[:, best]
+        current = float(cand[best])
+
+    posterior = np.exp(log_weights + log_g - logsumexp(log_weights + log_g))
+    return PredictionDetail(
+        labels=frozenset(chosen),
+        log_objective=current,
+        cluster_weights=posterior,
+    )
+
+
+def predict_items(
+    state: CPAState,
+    consensus: ClusterConsensus,
+    answers: AnswerMatrix,
+    config: CPAConfig,
+    items: Optional[Sequence[int]] = None,
+    *,
+    exhaustive: bool = False,
+) -> Dict[int, PredictionDetail]:
+    """Predict label sets for ``items`` (default: every item with answers)."""
+    if items is None:
+        items = answers.answered_items()
+    items = [int(i) for i in items]
+    log_weights = item_cluster_log_weights(state, consensus, answers, items)
+    if config.use_item_evidence and consensus.label_rates is not None:
+        evidence = config.evidence_weight * item_evidence(
+            state, consensus, answers, items
+        )
+    else:
+        evidence = np.zeros((len(items), state.n_labels))
+
+    results: Dict[int, PredictionDetail] = {}
+    for row, item in enumerate(items):
+        if exhaustive:
+            results[item] = exhaustive_map_labels(
+                log_weights[row],
+                consensus.inclusion,
+                evidence=evidence[row],
+                limit=config.exhaustive_label_limit,
+            )
+        else:
+            results[item] = greedy_map_labels(
+                log_weights[row],
+                consensus.inclusion,
+                evidence=evidence[row],
+                max_labels=config.max_predicted_labels,
+            )
+    return results

@@ -8,9 +8,7 @@ shape: MV cheapest; online ≪ offline (the paper reports up to 32×);
 parallel online fastest of the model-based methods, with speedup bounded
 by the machine's core count (Amdahl).
 
-This machine's core count caps real parallel gains; the analytical model
-of §4.3 (:func:`repro.core.mapreduce.speedup_model`) is reported alongside
-so measured vs expected scaling can be compared.
+The host's core count caps real parallel gains.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ import numpy as np
 from repro.core.checkpoint import payload_meta
 from repro.core.config import CPAConfig
 from repro.core.consensus import ClusterConsensus, estimate_consensus
-from repro.core.prediction import label_probabilities, predict_items
+from repro.core.prediction import label_probabilities, predict_items, requested_items
 from repro.core.svi import StochasticInference
 from repro.data.answers import AnswerMatrix
 from repro.data.streams import AnswerBatch, split_batch
@@ -234,9 +234,7 @@ class ConsensusEngine:
         """Per-label inclusion probabilities; returns ``(items, rows)``."""
         with self._lock:
             started = time.perf_counter()
-            if items is None:
-                items = self.answers.answered_items()
-            items = [int(i) for i in items]
+            items = requested_items(self.answers, items)
             probs = label_probabilities(
                 self.engine.state,
                 self.consensus(),

@@ -1,15 +1,9 @@
-"""Tests for stochastic inference, the MapReduce engine, and CPAModel."""
+"""Tests for stochastic inference and CPAModel."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import CPAConfig
-from repro.core.mapreduce import (
-    close_engine,
-    parallel_inference,
-    parallel_predict,
-    speedup_model,
-)
 from repro.core.model import CPAModel
 from repro.core.natural_gradients import interpolate, learning_rate, stick_targets
 from repro.core.svi import StochasticInference, stream_from_matrix
@@ -114,55 +108,6 @@ class TestStochasticInference:
             stream_from_matrix(
                 tiny_dataset.answers, answers_per_batch=10, workers_per_batch=5
             )
-
-
-class TestMapReduceHelpers:
-    def test_parallel_inference_runs(self, tiny_dataset):
-        engine = parallel_inference(
-            CPAConfig(seed=0, svi_iterations=1),
-            tiny_dataset.n_items,
-            tiny_dataset.n_workers,
-            tiny_dataset.n_labels,
-            degree=2,
-            backend="thread",
-        )
-        batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=60, seed=5)
-        engine.fit_stream(batches)
-        engine.state.validate()
-        close_engine(engine)
-
-    def test_parallel_predict_matches_serial(self, tiny_model, tiny_dataset):
-        with ThreadExecutor(2) as executor:
-            parallel = parallel_predict(
-                tiny_model.state_,
-                tiny_model.consensus_,
-                tiny_dataset.answers,
-                tiny_model.config,
-                executor=executor,
-            )
-        serial = tiny_model.predict()
-        # Evidence is part of predict() but not parallel_predict's greedy-only
-        # path; compare against an evidence-free serial run instead.
-        from repro.core.prediction import predict_items
-        from dataclasses import replace
-
-        bare = replace(tiny_model.consensus_, label_rates=None)
-        expected = {
-            item: detail.labels
-            for item, detail in predict_items(
-                tiny_model.state_, bare, tiny_dataset.answers, tiny_model.config
-            ).items()
-        }
-        assert parallel == expected
-        assert set(parallel) == set(serial)
-
-    def test_speedup_model_shapes(self):
-        offline, online = speedup_model(
-            10.0, 1.0, n_batches=10, degree=4, iterations_offline=20
-        )
-        assert offline > online
-        with pytest.raises(ValidationError):
-            speedup_model(-1.0, 1.0, n_batches=1, degree=1, iterations_offline=1)
 
 
 class TestCPAModel:

@@ -346,6 +346,22 @@ class TestConsensusServer:
         finally:
             server.close()
 
+    def test_bad_query_items_raise_typed_errors(self):
+        """Regression: negative items from the wire used to come back as
+        an empty prediction instead of an error."""
+        matrix = _serving_matrix()
+        server = _daemon(matrix)
+        try:
+            with ServeClient(server.address, timeout=30) as client:
+                with pytest.raises(ValidationError, match="non-negative"):
+                    client.predict([-1])
+                with pytest.raises(ValidationError, match="non-negative"):
+                    client.label_probabilities([0, -2])
+                assert client.status()["queries"] == 0
+                client.shutdown()
+        finally:
+            server.close()
+
     def test_chunk_delta_shipping_refreshes_replica(self):
         # wide item space: one 40-answer step touches ≤40 of 4000 ϕ/µ
         # rows, so most snapshot chunks dedup on the second ship
