@@ -39,7 +39,7 @@ from repro.core.expectations import (
     expected_log_tau,
 )
 from repro.core.kernels import mask_cluster_scores, segment_sum, truncate_rows
-from repro.core.sharding import build_sweep_kernel
+from repro.core.sharding import ShardedSweepKernel, build_sweep_kernel
 from repro.core.state import CPAState, initialize_state
 from repro.data.answers import AnswerMatrix
 from repro.data.dataset import GroundTruth
@@ -270,8 +270,7 @@ class VariationalInference:
         degree = getattr(self.executor, "degree", 1)
         if n_shards is None:
             n_shards = self.config.resolve_shards(degree, self.n_items)
-        if hasattr(self.kernel, "evict"):
-            self.kernel.evict()
+        self.kernel.evict()
         self.kernel = build_sweep_kernel(
             self.config,
             self.items,
@@ -297,7 +296,7 @@ class VariationalInference:
         """
         if self.config.n_shards != 0:
             return
-        if not hasattr(self.kernel, "evict"):
+        if not isinstance(self.kernel, ShardedSweepKernel):
             return  # fused kernel: nothing to re-plan
         degree = getattr(self.executor, "degree", 1)
         if degree != self._planned_degree:

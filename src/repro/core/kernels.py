@@ -24,8 +24,8 @@ Scatters (``np.add.at``) are replaced by sorted CSR-style layouts
 ``np.add.reduceat`` segment reductions.  Chunked accumulations are
 expressed as task lists executed by a
 :class:`~repro.utils.parallel.Executor`, so the same code path runs the
-serial fused sweep and the parallel batch-VI sweep (Alg. 3's MAP/REDUCE
-shape applied to Alg. 1).
+serial fused sweep and the parallel sweep of both engines: batch VI over
+the whole matrix, SVI over each batch (Alg. 3's MAP/REDUCE shape).
 """
 
 from __future__ import annotations
@@ -281,8 +281,7 @@ class SegmentLayout:
 
     Sorting the answer axis by a segment key (worker, item, or pattern)
     once makes every later reduction a gather into contiguous runs plus a
-    single ``np.add.reduceat`` — the CSR trick of
-    :class:`repro.core.svi._BatchData` generalised to any key.
+    single ``np.add.reduceat`` — a CSR layout over any key.
     """
 
     def __init__(self, index: np.ndarray, n_segments: int) -> None:
@@ -515,6 +514,7 @@ class SweepKernel:
             self.x_by_worker = self.indicators[self.by_worker.order]
             self.x_by_item = self.indicators[self.by_item.order]
 
+        self._sweep_arg: Optional[np.ndarray] = None
         self._e_log_psi: Optional[np.ndarray] = None
         self._pattern_like: Optional[np.ndarray] = None
         # (phi, kappa, pattern-space joint mass) of the latest cell pass —
@@ -532,6 +532,13 @@ class SweepKernel:
         """
         return None
 
+    def evict(self) -> None:
+        """No-op: a fused kernel holds no lane-resident state.
+
+        Mirrors :meth:`repro.core.sharding.ShardedSweepKernel.evict` so
+        engines can retire any kernel through one seam.
+        """
+
     # ---------------------------------------------------------------- sweep
 
     def begin_sweep(self, e_log_psi: np.ndarray) -> None:
@@ -539,11 +546,17 @@ class SweepKernel:
 
         Every subsequent :meth:`add_worker_scores` / :meth:`add_item_scores`
         call contracts against the shared ``(P, T, M)`` tensor instead of
-        re-running the ``(N, C) @ (C, T·M)`` matmul.
+        re-running the ``(N, C) @ (C, T·M)`` matmul.  Passing the same
+        array object as the previous call returns at once (the SVI local
+        passes of one batch share one ``E[ln ψ]``), so callers must pass a
+        fresh array whenever the tensor's values change.
         """
+        if e_log_psi is self._sweep_arg:
+            return
         self._e_log_psi = np.ascontiguousarray(e_log_psi, dtype=self.dtype)
         if self.patterned:
             self._pattern_like = answer_log_likelihood(self.patterns, self._e_log_psi)
+        self._sweep_arg = e_log_psi
 
     def _pattern_ranges(self, executor: Executor) -> List[Tuple[int, int]]:
         """Pattern-aligned ranges with roughly balanced answer counts."""

@@ -131,13 +131,10 @@ class ShardPlan:
         n_shards: int,
         dtype: np.dtype = np.float64,
         patterned: Optional[bool] = None,
-        patterns: Optional[np.ndarray] = None,
-        pattern_index: Optional[np.ndarray] = None,
         shard_truncation=None,
     ) -> None:
-        """``patterns`` / ``pattern_index`` optionally reuse a dedup the
-        caller already computed over these exact rows (the SVI batch path
-        dedups once in ``_prepare_batch``) instead of re-sorting here.
+        """The rows are deduplicated once here, and each shard's kernel
+        receives its sub-table instead of sorting its rows again.
         ``shard_truncation(n_profiles, n_items) -> int`` (normally
         :meth:`repro.core.config.CPAConfig.shard_truncation`) enables
         shard-local truncation adaptation: each shard's ``t_limit`` is
@@ -158,13 +155,7 @@ class ShardPlan:
         # O(N·C log N) row sort only to discard the tables per shard.
         dedup = patterned is not False and self.n_answers > 0
         self.n_patterns = 0
-        if not dedup:
-            pattern_index = None
-        elif patterns is not None and pattern_index is not None:
-            patterns = np.ascontiguousarray(patterns, dtype=self.dtype)
-            pattern_index = np.asarray(pattern_index, dtype=np.int64).reshape(-1)
-            self.n_patterns = int(patterns.shape[0])
-        else:
+        if dedup:
             patterns, pattern_index = unique_patterns(indicators)
             self.n_patterns = int(patterns.shape[0])
         if dedup and patterned is None and not dedup_pays_off(
@@ -286,19 +277,15 @@ def merge_scores(
 # Module-level task functions (picklable for process pools).  Each task
 # carries the shard's SweepKernel plus only that shard's parameter rows;
 # process lanes receive a pickled copy, so every task re-establishes the
-# sweep tensor itself (identity-cached: with serial/thread executors the
-# shared kernel object evaluates it once per sweep).
-
-
-def _ensure_sweep(kernel: SweepKernel, e_log_psi: np.ndarray) -> None:
-    if kernel._e_log_psi is not e_log_psi:
-        kernel.begin_sweep(e_log_psi)
+# sweep tensor itself (``begin_sweep`` is identity-cached: with
+# serial/thread executors the shared kernel object evaluates it once per
+# sweep).
 
 
 def _shard_worker_scores_task(task) -> np.ndarray:
     """κ-update data term of one shard, over the shard's worker space."""
     kernel, e_log_psi, phi_rows = task
-    _ensure_sweep(kernel, e_log_psi)
+    kernel.begin_sweep(e_log_psi)
     out = np.zeros(
         (kernel.n_workers, e_log_psi.shape[1]),
         dtype=np.result_type(phi_rows, e_log_psi),
@@ -309,7 +296,7 @@ def _shard_worker_scores_task(task) -> np.ndarray:
 def _shard_item_scores_task(task) -> np.ndarray:
     """ϕ-update data term of one shard, over the shard's item space."""
     kernel, e_log_psi, kappa_rows = task
-    _ensure_sweep(kernel, e_log_psi)
+    kernel.begin_sweep(e_log_psi)
     out = np.zeros(
         (kernel.n_items, e_log_psi.shape[0]),
         dtype=np.result_type(kappa_rows, e_log_psi),
@@ -410,8 +397,6 @@ class ShardedSweepKernel:
         dtype: np.dtype = np.float64,
         n_shards: int = 1,
         patterned: Optional[bool] = None,
-        patterns: Optional[np.ndarray] = None,
-        pattern_index: Optional[np.ndarray] = None,
         resident: bool = True,
         shard_truncation=None,
     ) -> None:
@@ -436,8 +421,6 @@ class ShardedSweepKernel:
             n_shards=n_shards,
             dtype=self.dtype,
             patterned=patterned,
-            patterns=patterns,
-            pattern_index=pattern_index,
             shard_truncation=shard_truncation,
         )
         self.n_items = self.plan.n_items

@@ -176,6 +176,23 @@ class TestSweepKernel:
         kernel = SweepKernel(items, workers, x, 40, 25)
         assert kernel.patterned  # 12-pattern pool over 400 answers
 
+    def test_begin_sweep_is_identity_cached(self):
+        """The same tensor object re-entering begin_sweep (the SVI local
+        passes) reuses the pattern likelihood; a new object recomputes."""
+        items, workers, x, _, _, e_log_psi = _random_problem(10)
+        kernel = SweepKernel(items, workers, x, 40, 25, patterned=True)
+        kernel.begin_sweep(e_log_psi)
+        first = kernel._pattern_like
+        kernel.begin_sweep(e_log_psi)
+        assert kernel._pattern_like is first
+        shifted = e_log_psi - 1.0
+        kernel.begin_sweep(shifted)
+        assert kernel._pattern_like is not first
+        # L[p] = Σ_c x_pc E[ln ψ_c]: a shift of -1 lowers it by |p|
+        sizes = kernel.patterns.sum(axis=1)[:, None, None]
+        np.testing.assert_allclose(kernel._pattern_like, first - sizes, atol=1e-12)
+        kernel.evict()  # no lane-resident state: retiring is a no-op
+
 
 # ---------------------------------------------------------------- parity: VI
 
@@ -346,6 +363,21 @@ class TestProperties:
             engine.process_batch(batch)
         assert engine.state.lam.dtype == np.float32
         engine.state.validate()
+
+    @pytest.mark.parametrize("backend", ["fused", "sharded"])
+    def test_float32_svi_state_stays_float32(self, tiny_dataset, backend):
+        """Regression: the sharded MAP phase left κ in float64, so the
+        cell statistics — and with them λ and the cell mass — drifted to
+        float64 after the first batch.  (ρ/υ/ζ are float64 on every
+        backend by the seeding rule of ``checkpoint.state_from_payload``.)"""
+        batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=100, seed=1)
+        config = CPAConfig(seed=0, dtype="float32", backend=backend, n_shards=2)
+        engine = StochasticInference(
+            config, tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels
+        )
+        engine.fit_stream(batches)
+        for name in ("lam", "cell_mass", "kappa", "phi", "mu"):
+            assert getattr(engine.state, name).dtype == np.float32, name
 
     def test_invalid_dtype_rejected(self):
         from repro.errors import ValidationError

@@ -294,12 +294,13 @@ class TestEviction:
         kernels.SHARDED_MIN_ANSWERS = 1
         try:
             engine.process_batch(batches[0])
-            assert engine._batch_kernel_cache is not None
+            assert isinstance(engine._batch_kernel_cache[1], ShardedSweepKernel)
             assert len(pool._resident) == 1
         finally:
             kernels.SHARDED_MIN_ANSWERS = original
         engine.process_batch(batches[1])  # resolves fused at real thresholds
-        assert engine._batch_kernel_cache is None  # sharded plan retired...
+        # sharded plan retired...
+        assert not isinstance(engine._batch_kernel_cache[1], ShardedSweepKernel)
         assert pool._resident == {}  # ...and released from the lanes
 
     def test_abandoned_process_executor_cleans_its_scratch_dir(self):
@@ -424,5 +425,9 @@ class TestAutoBackend:
         ):
             fused_engine.process_batch(batch)
             auto_engine.process_batch(batch)
-        assert auto_engine._batch_kernel_cache is None  # never went sharded
+            # never went sharded, so nothing was broadcast to the lanes
+            assert not isinstance(
+                auto_engine._batch_kernel_cache[1], ShardedSweepKernel
+            )
+            assert auto_engine.executor._resident == {}
         _assert_states_close(fused_engine.state, auto_engine.state, dict(atol=0, rtol=0))

@@ -132,35 +132,6 @@ class TestShardPlan:
         with pytest.raises(ValidationError):
             ShardPlan(items, workers, x, n_items=40, n_workers=25, n_shards=0)
 
-    def test_precomputed_dedup_is_reused_not_recomputed(self, monkeypatch):
-        """Callers that already deduplicated (the SVI batch path) must not
-        pay the row sort again inside the plan."""
-        import repro.core.sharding as sharding
-        from repro.core.kernels import unique_patterns as real_unique
-
-        items, workers, x, *_ = _random_problem(14)
-        patterns, index = real_unique(x)
-        calls = []
-
-        def counting_unique(indicators):
-            calls.append(indicators.shape)
-            return real_unique(indicators)
-
-        monkeypatch.setattr(sharding, "unique_patterns", counting_unique)
-        plan = ShardPlan(
-            items, workers, x, n_items=40, n_workers=25, n_shards=3,
-            patterns=patterns, pattern_index=index,
-        )
-        assert calls == []  # reused, not re-derived
-        assert plan.n_patterns == patterns.shape[0]
-        # and the derived shard kernels behave identically to a fresh plan
-        fresh = ShardPlan(items, workers, x, n_items=40, n_workers=25, n_shards=3)
-        for a, b in zip(plan.shards, fresh.shards):
-            np.testing.assert_array_equal(a.kernel.patterns, b.kernel.patterns)
-            np.testing.assert_array_equal(
-                a.kernel.pattern_index, b.kernel.pattern_index
-            )
-
     def test_shards_inherit_global_pattern_order(self):
         """Shard tables are lexicographic sub-tables of the global dedup."""
         items, workers, x, plan = self._plan(n_shards=3)
@@ -302,6 +273,14 @@ class TestShardedKernelAlgebra:
             )
         assert kernel.n_shards == 3
 
+    def test_fused_engine_never_replans(self, tiny_dataset):
+        """A fused kernel has no plan to resize: lane-count drift must not
+        turn it sharded, although it now answers ``evict`` like one."""
+        engine = VariationalInference(CPAConfig(seed=0), tiny_dataset.answers)
+        engine._planned_degree = 4  # as if the executor had grown lanes
+        engine.sweep()
+        assert type(engine.kernel) is SweepKernel
+
     def test_config_rejects_unknown_backend(self):
         from repro.errors import ConfigurationError
 
@@ -399,6 +378,32 @@ class TestSVIShardParity:
                 fused.process_batch(batch)
                 sharded.process_batch(batch)
         _assert_states_close(fused.state, sharded.state)
+
+    @pytest.mark.parametrize("backend", ["fused", "sharded"])
+    def test_batch_dedups_rows_once(self, tiny_dataset, monkeypatch, backend):
+        """No SVI batch pays for the pattern row sort twice: the batch
+        kernel's dedup serves seeding, every local pass and the
+        post-damping statistics."""
+        import repro.core.kernels as kernels
+        import repro.core.sharding as sharding
+
+        real_unique = kernels.unique_patterns
+        calls = []
+
+        def counting_unique(indicators):
+            calls.append(indicators.shape[0])
+            return real_unique(indicators)
+
+        monkeypatch.setattr(kernels, "unique_patterns", counting_unique)
+        monkeypatch.setattr(sharding, "unique_patterns", counting_unique)
+        config = CPAConfig(seed=0, svi_iterations=3, backend=backend, n_shards=2)
+        sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
+        engine = StochasticInference(config, *sizes)
+        batches = self._stream(tiny_dataset)[:3]
+        for n, batch in enumerate(batches, start=1):
+            engine.process_batch(batch)
+            assert len(calls) == n
+        assert calls == [batch.matrix.to_arrays()[0].size for batch in batches]
 
     def test_truth_and_hint_parity(self, tiny_dataset):
         config = CPAConfig(seed=3, svi_iterations=1)
