@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.expectations import answer_log_likelihood
 from repro.errors import InferenceError
+from repro.utils.math import flush_subnormals
 from repro.utils.parallel import Executor, SerialExecutor
 
 #: answers per vectorised chunk on the non-deduplicated fallback path —
@@ -198,7 +199,7 @@ def truncate_rows(probs: np.ndarray, limits: np.ndarray) -> np.ndarray:
     row with no in-window mass at all becomes uniform over its window.
     Used to localise the *initial* responsibilities so every later
     restricted contraction is exact.  Returns a new array of the same
-    dtype.
+    dtype, free of subnormals like every κ/ϕ producer.
     """
     limits = np.asarray(limits)
     t = probs.shape[1]
@@ -210,7 +211,7 @@ def truncate_rows(probs: np.ndarray, limits: np.ndarray) -> np.ndarray:
         window = mask[empty]
         out[empty] = window / window.sum(axis=1, keepdims=True)
         totals = out.sum(axis=1, keepdims=True)
-    return out / totals
+    return flush_subnormals(out / totals)
 
 
 def unique_patterns(indicators: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -548,10 +549,16 @@ class SweepKernel:
         call contracts against the shared ``(P, T, M)`` tensor instead of
         re-running the ``(N, C) @ (C, T·M)`` matmul.  Passing the same
         array object as the previous call returns at once (the SVI local
-        passes of one batch share one ``E[ln ψ]``), so callers must pass a
-        fresh array whenever the tensor's values change.
+        passes of one batch share one ``E[ln ψ]``); so does an array equal
+        in value to the previous input (a lane-resident shard kernel
+        unpickles a fresh copy of the sweep's ``E[ln ψ]`` for each of its
+        score tasks).  The value check runs on the input, before any
+        dtype conversion.  The kernel keeps a reference to the input, so
+        callers must not change its values in place.
         """
         if e_log_psi is self._sweep_arg:
+            return
+        if self._sweep_arg is not None and np.array_equal(e_log_psi, self._sweep_arg):
             return
         self._e_log_psi = np.ascontiguousarray(e_log_psi, dtype=self.dtype)
         if self.patterned:

@@ -33,11 +33,30 @@ from repro.core.state import CPAState
 from repro.core.svi import StochasticInference, _BatchData
 from repro.data.answers import AnswerMatrix
 from repro.errors import InferenceError, PredictionError
-from repro.utils.math import log_normalize_rows, logsumexp, safe_log
+from repro.utils.math import logsumexp, safe_log
 from repro.utils.parallel import split_chunks
 
 #: the seed's chunk size for (chunk, T, M) intermediates.
 CHUNK = 8192
+
+
+def log_normalize_rows(log_weights: np.ndarray) -> np.ndarray:
+    """The seed's row normaliser, frozen before subnormals were flushed.
+
+    Production's :func:`repro.utils.math.log_normalize_rows` zeroes
+    entries below the dtype's smallest normal; this copy keeps them, so
+    the oracles below still run the unflushed seed math.
+    """
+    log_weights = np.asarray(log_weights)
+    if not np.issubdtype(log_weights.dtype, np.floating):
+        log_weights = log_weights.astype(np.float64)
+    norm = logsumexp(log_weights, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        probs = np.exp(log_weights - norm)
+    bad = ~np.isfinite(norm[..., 0])
+    if np.any(bad):
+        probs[bad] = 1.0 / log_weights.shape[-1]
+    return probs
 
 
 class ReferenceVariationalInference(VariationalInference):

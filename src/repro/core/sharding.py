@@ -275,11 +275,12 @@ def merge_scores(
 # ---------------------------------------------------------------------- tasks
 #
 # Module-level task functions (picklable for process pools).  Each task
-# carries the shard's SweepKernel plus only that shard's parameter rows;
-# process lanes receive a pickled copy, so every task re-establishes the
-# sweep tensor itself (``begin_sweep`` is identity-cached: with
-# serial/thread executors the shared kernel object evaluates it once per
-# sweep).
+# carries the shard's SweepKernel plus only that shard's parameter rows,
+# and every score task re-establishes the sweep tensor itself.
+# ``begin_sweep`` returns early on the same array object (serial/thread
+# executors share one kernel and one tensor) and on an equal-valued one
+# (a lane-resident kernel unpickles a fresh ``E[ln ψ]`` per task), so
+# each shard evaluates its pattern likelihood once per sweep either way.
 
 
 def _shard_worker_scores_task(task) -> np.ndarray:
@@ -576,8 +577,10 @@ class ShardedSweepKernel:
         """Pin the sweep's likelihood tensor; shards evaluate lazily.
 
         Each shard task establishes its pattern-space likelihood on first
-        use (identity-cached per sweep for in-process executors; process
-        lanes re-evaluate on their pickled copies).  Under binding
+        use, once per sweep: in-process executors hand every task the same
+        tensor object, and a lane-resident shard kernel recognises the
+        equal-valued copy it unpickles for its second score task
+        (:meth:`SweepKernel.begin_sweep`).  Under binding
         shard-local truncation each truncated shard is pinned to the
         contiguous prefix view ``e_log_psi[:T_s]`` for the whole sweep.
         """

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.config import CPAConfig
 from repro.errors import ValidationError
-from repro.utils.math import normalize_rows
+from repro.utils.math import flush_subnormals, normalize_rows
 from repro.utils.random import RandomState, Seed
 
 
@@ -186,7 +186,11 @@ class CPAState:
         self.mu = np.log(safe[:, :-1]) - np.log(safe[:, -1:])
 
     def sync_phi_from_mu(self) -> None:
-        """Recover ``ϕ`` from ``µ`` via the softmax transform (Eq. 16/17)."""
+        """Recover ``ϕ`` from ``µ`` via the softmax transform (Eq. 16/17).
+
+        Like every κ/ϕ producer, the result holds no subnormals
+        (:func:`repro.utils.math.flush_subnormals`).
+        """
         if self.mu is None:
             raise ValidationError("mu has not been initialised")
         padded = np.concatenate(
@@ -194,7 +198,7 @@ class CPAState:
         )
         padded -= padded.max(axis=1, keepdims=True)
         expd = np.exp(padded)
-        self.phi = expd / expd.sum(axis=1, keepdims=True)
+        self.phi = flush_subnormals(expd / expd.sum(axis=1, keepdims=True))
 
 
 def _farthest_point_responsibilities(

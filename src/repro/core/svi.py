@@ -54,7 +54,7 @@ from repro.core.state import CPAState, initialize_state
 from repro.data.dataset import GroundTruth
 from repro.data.streams import AnswerBatch
 from repro.errors import ValidationError
-from repro.utils.math import log_normalize_rows
+from repro.utils.math import flush_subnormals, log_normalize_rows
 from repro.utils.parallel import Executor
 from repro.utils.random import Seed
 
@@ -563,14 +563,17 @@ class StochasticInference:
         batch-local spaces.  ``begin_sweep`` is identity-cached, so the
         local passes sharing one ``e_log_psi`` evaluate the pattern
         likelihood once per batch.  κ is cast to the state dtype, which
-        keeps a float32 state float32 on every backend.
+        keeps a float32 state float32 on every backend, and flushed after
+        the cast: a float64 1e-40 is a float32 subnormal.
         """
         kernel, phi_batch = self._windowed_kernel(data, phi_batch)
         dtype = self.state.lam.dtype
         kernel.begin_sweep(e_log_psi)
         scores = np.tile(e_log_pi, (data.batch_workers.size, 1))
         kernel.add_worker_scores(scores, phi_batch, self.executor)
-        kappa_batch = log_normalize_rows(scores).astype(dtype, copy=False)
+        kappa_batch = flush_subnormals(
+            log_normalize_rows(scores).astype(dtype, copy=False)
+        )
         evidence = np.zeros((data.batch_items.size, self.state.n_clusters), dtype=dtype)
         kernel.add_item_scores(evidence, kappa_batch, self.executor)
         counts, mass = kernel.cell_statistics(phi_batch, kappa_batch, self.executor)

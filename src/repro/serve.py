@@ -290,6 +290,13 @@ class ConsensusEngine:
         """
         with self._lock:
             payload = self.engine.checkpoint()
+            # The checkpoint shares the state's arrays, and a fold writes
+            # κ and µ in place (the others it replaces); copy those two so
+            # a payload pickled after the lock is released cannot mix a
+            # later step's κ/µ with this step's ϕ/λ.
+            for name in ("kappa", "mu"):
+                if payload[name] is not None:
+                    payload[name] = payload[name].copy()
             payload["answers"] = {
                 "n_items": self.answers.n_items,
                 "n_workers": self.answers.n_workers,

@@ -48,12 +48,27 @@ def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarr
     return out
 
 
+def flush_subnormals(probs: np.ndarray) -> np.ndarray:
+    """Set entries of ``probs`` below its dtype's smallest normal to ``0.0``.
+
+    Works in place and returns ``probs``.  Meant for non-negative
+    probability arrays: a subnormal entry sits more than ~708 nats
+    (float64; ~87 nats for float32) below its row's normaliser, far below
+    the last bit of a row sum of one, so zeroing it changes no row sum —
+    yet every BLAS contraction that later reads a subnormal runs at the
+    CPU's slow subnormal speed (DESIGN.md §6 "Subnormal responsibilities").
+    """
+    probs[probs < np.finfo(probs.dtype).tiny] = 0.0
+    return probs
+
+
 def log_normalize_rows(log_weights: np.ndarray) -> np.ndarray:
     """Normalise un-normalised log weights row-wise into probabilities.
 
     Rows that are entirely ``-inf`` normalise to the uniform distribution —
     an explicit, documented fallback used when an item or worker carries no
-    evidence at all (e.g. an empty batch in online learning).
+    evidence at all (e.g. an empty batch in online learning).  The result
+    holds no subnormals (:func:`flush_subnormals`).
     """
     log_weights = _as_floating(log_weights)
     norm = logsumexp(log_weights, axis=-1, keepdims=True)
@@ -62,7 +77,7 @@ def log_normalize_rows(log_weights: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(norm[..., 0])
     if np.any(bad):
         probs[bad] = 1.0 / log_weights.shape[-1]
-    return probs
+    return flush_subnormals(probs)
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:

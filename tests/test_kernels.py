@@ -7,9 +7,12 @@ within ``1e-8`` on fixed seeds, for both the batch and the stochastic
 engine, and the ELBO must stay non-decreasing across sweeps.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core import kernels as kernels_module
 from repro.core.config import CPAConfig
 from repro.core.inference import VariationalInference
 from repro.core.kernels import (
@@ -192,6 +195,39 @@ class TestSweepKernel:
         sizes = kernel.patterns.sum(axis=1)[:, None, None]
         np.testing.assert_allclose(kernel._pattern_like, first - sizes, atol=1e-12)
         kernel.evict()  # no lane-resident state: retiring is a no-op
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_begin_sweep_reuses_on_equal_values(self, monkeypatch, dtype):
+        """A distinct array equal in value to the last input (what a
+        lane-resident shard kernel unpickles for each score task) reuses
+        the pattern likelihood; changed values re-evaluate it.  A float32
+        kernel compares its float64 inputs before converting them."""
+        calls = []
+        real = kernels_module.answer_log_likelihood
+
+        def counting(x, e_log_psi):
+            calls.append(e_log_psi.dtype)
+            return real(x, e_log_psi)
+
+        monkeypatch.setattr(kernels_module, "answer_log_likelihood", counting)
+        items, workers, x, phi, kappa, e_log_psi = _random_problem(11)
+        kernel = SweepKernel(items, workers, x, 40, 25, dtype=dtype, patterned=True)
+        kernel.begin_sweep(e_log_psi)
+        kernel.begin_sweep(pickle.loads(pickle.dumps(e_log_psi)))
+        kernel.begin_sweep(e_log_psi.copy())
+        assert calls == [np.dtype(dtype)]
+
+        changed = e_log_psi.copy()
+        changed[0, 0, 0] -= 0.5
+        kernel.begin_sweep(changed)
+        assert len(calls) == 2
+        scores = np.zeros((40, 5), dtype=dtype)
+        kernel.add_item_scores(scores, kappa.astype(dtype))
+        like = np.einsum("nc,tmc->ntm", x, changed)
+        expected = np.zeros((40, 5))
+        np.add.at(expected, items, np.einsum("nm,ntm->nt", kappa[workers], like))
+        tol = 1e-10 if dtype == np.float64 else 1e-4
+        np.testing.assert_allclose(scores, expected, rtol=tol, atol=tol)
 
 
 # ---------------------------------------------------------------- parity: VI

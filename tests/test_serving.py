@@ -191,6 +191,23 @@ class TestConsensusEngine:
         assert metrics["answers_seen"] == source.answers_seen
         assert metrics["answers_applied"] == source.answers_applied
 
+    def test_snapshot_is_not_torn_by_a_later_fold(self):
+        """Regression: a fold writes κ and µ in place, and the fleet
+        refresh and the ``snapshot`` op pickle the payload after the engine
+        lock is released.  The payload must still describe one step."""
+        matrix = _serving_matrix()
+        engine = _engine(matrix)
+        batches = _batches(matrix)
+        engine.ingest(batches[0])
+        engine.step()
+        payload = engine.snapshot_payload()
+        taken = pickle.loads(dumps(payload))
+        engine.ingest(batches[1])
+        engine.step()
+        assert engine.engine.state.batches_seen > taken["batches_seen"]
+        for name in ("rho", "ups", "lam", "zeta", "kappa", "phi", "cell_mass", "mu"):
+            np.testing.assert_array_equal(payload[name], taken[name], err_msg=name)
+
     def test_snapshot_pull_leaves_staleness_clock_alone(self):
         """Regression (ISSUE 9): a read-only snapshot pull (monitoring, a
         bootstrapping replica) must not make the writer look freshly

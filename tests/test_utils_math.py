@@ -71,13 +71,31 @@ class TestLogNormalizeRows:
         hnp.arrays(
             float,
             (3, 4),
-            elements=st.floats(-30, 30),
+            elements=st.floats(-2000, 30),
         )
     )
     def test_output_is_distribution(self, scores):
         out = log_normalize_rows(scores)
         assert np.all(out >= 0)
+        assert not np.any((out != 0) & (out < np.finfo(out.dtype).tiny))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_subnormals_flush_to_exact_zero(self):
+        """720 nats under the normaliser is subnormal (2.03e-313) in
+        float64; the normaliser returns exact zeros there instead."""
+        out = log_normalize_rows(np.array([[0.0, -720.0, -800.0]]))
+        np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0]])
+
+    def test_smallest_normals_are_kept(self):
+        out = log_normalize_rows(np.array([[0.0, -700.0]]))
+        assert out[0, 1] == np.exp(-700.0) > np.finfo(np.float64).tiny
+
+    def test_float32_flushes_against_its_own_tiny(self):
+        """float32's subnormal band starts ~87 nats under the normaliser."""
+        out = log_normalize_rows(np.array([[0.0, -90.0, -80.0]], dtype=np.float32))
+        assert out.dtype == np.float32
+        assert out[0, 1] == 0.0  # exp(-90) ~ 8e-40: a float32 subnormal
+        assert out[0, 2] >= np.finfo(np.float32).tiny  # exp(-80) ~ 2e-35
 
 
 class TestNormalizeRows:
