@@ -12,12 +12,11 @@ Measures, at several answer volumes, the wall-clock cost of
   executor, lane-resident transport — the default since the resident
   refactor) so the shard plan/merge overhead is a tracked configuration
   of the cross-PR regression gate (``benchmarks/check_regression.py``);
-* the **transport cost** of the sharded path on a process pool
-  (:func:`measure_sweep_transport`): pickled bytes per sweep for the
+* the **transport cost** of the sharded path on out-of-process lanes
+  (:func:`measure_sweep_transport`): pickled bytes per sweep of the
   lane-resident transport (shard kernels broadcast once per plan,
-  per-sweep tasks carry only posteriors) vs the ship-per-task transport,
-  plus the one-off broadcast size.  Byte counts are deterministic, so
-  the recorded ratio is a noise-free record of the transport win.  The
+  per-sweep tasks carry only posteriors), plus the one-off broadcast
+  size.  Byte counts are deterministic.  The
   same function also measures the **remote** path (DESIGN.md §6 "Remote
   lanes"): two real loopback worker daemons behind a
   :class:`~repro.utils.parallel.RemoteExecutor`, recording the exact
@@ -218,13 +217,14 @@ def bench_wide_sparse(
 
 
 class _ByteCountingExecutor(Executor):
-    """Serial-execution executor that pickles every payload the way a
-    process pool would, counting the bytes that would cross the pipe.
+    """Serial-execution executor that pickles every payload the way an
+    out-of-process lane would, counting the bytes that would cross the
+    socket.
 
     Results are exact for ``map_tasks``/``map_on`` task payloads and for
-    ``broadcast`` payloads (a process pool additionally ships the tiny
-    function reference per task, which is noise at these scales), and the
-    counts are fully deterministic — unlike wall-clock timings.
+    ``broadcast`` payloads (a lane request additionally carries the tiny
+    function reference and frame header, which is noise at these scales),
+    and the counts are fully deterministic — unlike wall-clock timings.
     """
 
     kind = "counting"
@@ -358,16 +358,13 @@ def _measure_rebroadcast_transport(matrix, config: CPAConfig) -> Dict[str, objec
 def measure_sweep_transport(
     n_answers: int, *, dtype: str = "float64", seed: int = 0
 ) -> Dict[str, object]:
-    """Pickled bytes one batch-VI sweep ships to its lanes, per transport.
+    """Pickled bytes one batch-VI sweep ships to its lanes.
 
     Uses the Fig-7 runtime configuration (truncations 12/8 — the
-    process-pool scalability workload) with the ``SHARDED_K``-shard
-    backend.  The ship-per-task transport re-pickles every shard's kernel
-    (answer arrays, pattern tables, segment layouts) into each task of
-    each call; the lane-resident transport broadcasts the shard kernels
-    once per plan and ships only shard indices plus updated posterior
-    rows per sweep.  Both transports produce bitwise-identical results
-    (``tests/test_resident.py``), so the ratio is pure transport saving.
+    process-lane scalability workload) with the ``SHARDED_K``-shard
+    backend.  The shard kernels (answer arrays, pattern tables, segment
+    layouts) are broadcast once per plan; a sweep ships only shard
+    indices plus updated posterior rows.
 
     The remote keys measure the same resident sweep over loopback TCP
     against ``REMOTE_WORKERS`` real worker daemons;
@@ -385,25 +382,16 @@ def measure_sweep_transport(
         backend="sharded",
         n_shards=SHARDED_K,
     )
-    record: Dict[str, object] = {}
-    for label, resident in (("reship", False), ("resident", True)):
-        counter = _ByteCountingExecutor()
-        engine = VariationalInference(
-            config.with_overrides(resident_shards=resident),
-            matrix,
-            executor=counter,
-        )
-        # __init__ ran the seeding statistics pass (and, for the resident
-        # transport, the once-per-plan broadcast); count the steady-state
-        # per-sweep traffic from here.
-        counter.task_bytes = 0
-        engine.sweep()
-        record[f"sharded_{label}_sweep_pickled_bytes"] = int(counter.task_bytes)
-        if resident:
-            record["sharded_broadcast_pickled_bytes"] = int(counter.broadcast_bytes)
-    record["sharded_transport_bytes_ratio"] = float(
-        record["sharded_reship_sweep_pickled_bytes"]
-    ) / float(record["sharded_resident_sweep_pickled_bytes"])
+    counter = _ByteCountingExecutor()
+    engine = VariationalInference(config, matrix, executor=counter)
+    # __init__ ran the once-per-plan broadcast and the seeding statistics
+    # pass; count the steady-state per-sweep traffic from here.
+    counter.task_bytes = 0
+    engine.sweep()
+    record: Dict[str, object] = {
+        "sharded_resident_sweep_pickled_bytes": int(counter.task_bytes),
+        "sharded_broadcast_pickled_bytes": int(counter.broadcast_bytes),
+    }
     record.update(_measure_remote_transport(matrix, config))
     record["remote_transport_bytes_ratio"] = float(
         record["remote_resident_sweep_pickled_bytes"]

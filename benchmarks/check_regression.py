@@ -31,8 +31,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 UNTRACKED_PREFIXES = ("reference_", "svi_reference_")
 
 #: deterministic transport metrics (pickled bytes of the sharded
-#: lane-resident vs ship-per-task paths, and frame bytes of the remote
-#: TCP transport over loopback worker daemons) carried into the
+#: lane-resident path, and frame bytes of the remote TCP transport over
+#: loopback worker daemons) carried into the
 #: trajectory as per-case context; they are not wall-clock timings, so
 #: the timing gate never fires on them.
 CONTEXT_SUFFIXES = ("_pickled_bytes", "_bytes_ratio")
@@ -63,10 +63,10 @@ def tracked_keys(record: Dict[str, object]) -> List[str]:
 def context_keys(record: Dict[str, object]) -> List[str]:
     """Deterministic per-case context recorded alongside the tracked keys.
 
-    The sharded transport byte counts (resident vs re-ship, plus their
-    ratio) are exact — re-running cannot change them short of a code
-    change — so the trajectory records them per run, but the timing gate
-    does not compare them.
+    The sharded transport byte counts (and their ratios) are exact —
+    re-running cannot change them short of a code change — so the
+    trajectory records them per run, but the timing gate does not
+    compare them.
     """
     return sorted(
         key

@@ -146,18 +146,10 @@ class CPAConfig:
         ``T_s`` falls below the global ``T`` the path is bitwise
         identical to the global-truncation one; when it binds, results
         carry a documented approximation (the constrained family).
-    resident_shards:
-        When true (default), a sharded run broadcasts its shard kernels
-        to the executor's lanes **once per plan** and per-sweep tasks
-        carry only the updated posteriors (DESIGN.md §6 "Lane-resident
-        shard state") — the big win for process pools, where re-shipping
-        every shard's pattern tables each call dominates the payload.
-        ``False`` restores the ship-per-task transport (the two paths
-        are bitwise identical; the flag exists as an escape hatch and
-        for the benchmarked comparison).
     executor:
         Executor kind the config describes: ``"serial"`` (default),
-        ``"thread"``, ``"process"``, or ``"remote"`` (lanes on
+        ``"thread"``, ``"process"`` (local child processes running the
+        remote-lane protocol over socketpairs), or ``"remote"`` (lanes on
         ``python -m repro.worker`` daemons named by ``workers``;
         DESIGN.md §6 "Remote lanes").  Both engines build their executor
         from this spec (:meth:`resolve_executor`) whenever no explicit
@@ -168,7 +160,8 @@ class CPAConfig:
         the caller).
     executor_degree:
         Parallel degree for the selected executor (0 = auto: one lane
-        per core for local pools, every listed worker for remote).
+        per core for threads and processes, every listed worker for
+        remote).
     workers:
         ``"host:port"`` addresses of remote worker daemons; required by
         — and only meaningful for — ``executor="remote"``.
@@ -206,7 +199,6 @@ class CPAConfig:
     backend: str = "fused"
     n_shards: int = 0
     adaptive_truncation: str = "auto"
-    resident_shards: bool = True
     executor: str = "serial"
     executor_degree: int = 0
     workers: Tuple[str, ...] = ()

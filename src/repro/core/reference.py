@@ -264,7 +264,7 @@ class ReferenceStochasticInference(StochasticInference):
         phi_batch: np.ndarray,
         e_log_pi: np.ndarray,
         e_log_psi: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         phi_n = phi_batch[data.item_local]  # (N_b, T)
         tasks = []
         for chunk in split_chunks(data.batch_workers.size, self.executor.degree):
@@ -287,16 +287,12 @@ class ReferenceStochasticInference(StochasticInference):
 
         kappa = np.empty((data.batch_workers.size, e_log_pi.size))
         evidence = np.zeros((data.batch_items.size, self.state.n_clusters))
-        counts = np.zeros_like(self.state.lam)
-        mass = np.zeros_like(self.state.cell_mass)
         kappa_mass = np.zeros(self.state.n_communities)
-        for start, stop, kappa_chunk, ev, cnt, ms, km in pieces:
+        for start, stop, kappa_chunk, ev, _, _, km in pieces:
             kappa[start:stop] = kappa_chunk
             evidence += ev
-            counts += cnt
-            mass += ms
             kappa_mass += km
-        return kappa, evidence, counts, mass, kappa_mass
+        return kappa, evidence, kappa_mass
 
     def _batch_cell_statistics(
         self, data: _BatchData, phi_batch: np.ndarray, kappa_batch: np.ndarray

@@ -13,7 +13,7 @@ inference engines through per-answer sufficient statistics that are
 * :class:`ShardedSweepKernel` presents the same interface as
   :class:`~repro.core.kernels.SweepKernel` but runs each shard's
   pattern-deduplicated contractions as an independent
-  :meth:`~repro.utils.parallel.Executor.map_tasks` unit and merges the
+  :meth:`~repro.utils.parallel.Executor.map_on` task and merges the
   partial sufficient statistics centrally.
 
 Combine semantics (the parity contract of ``tests/test_sharded.py``):
@@ -26,7 +26,7 @@ Combine semantics (the parity contract of ``tests/test_sharded.py``):
   shards; each shard contributes one ``reduceat``-style contiguous
   partial per segment, and partials are merged ``+=`` in **fixed shard
   order** (``k = 0..K-1``, independent of the executor's scheduling,
-  since ``map_tasks`` preserves task order).  The merge is therefore
+  since ``map_on`` preserves task order).  The merge is therefore
   deterministic for every executor kind; relative to the fused serial
   path it only reassociates the per-segment sums, keeping trajectories
   within ``1e-10`` on float64.
@@ -45,21 +45,19 @@ window-constrained variational family.  When no shard binds
 (``T_s = T`` everywhere) every path below is bitwise identical to the
 non-adaptive one.
 
-Transport (DESIGN.md §6 "Lane-resident shard state"): by default the
-shard kernels are **lane-resident** — :class:`ShardedSweepKernel`
-broadcasts the shard tuple to the executor once per plan
+Transport (DESIGN.md §6 "Lane-resident shard state"): the shard kernels
+are **lane-resident** — :class:`ShardedSweepKernel` broadcasts the shard
+tuple to the executor once per plan
 (:meth:`~repro.utils.parallel.Executor.broadcast`) and every per-sweep
 task then carries only the shard index plus the small updated posteriors
 (ϕ/κ rows, the sweep's ``E[ln ψ]``), routed through
-:meth:`~repro.utils.parallel.Executor.map_on`.  For process pools this
-cuts per-sweep pickled bytes by an order of magnitude (the shard's
+:meth:`~repro.utils.parallel.Executor.map_on`.  For out-of-process lanes
+this cuts per-sweep pickled bytes by an order of magnitude (the shard's
 pattern tables and answer arrays ship once per plan instead of once per
-task per call; ``BENCH_core.json`` records the measured ratio) and is
-the prerequisite for a multi-node transport.  ``resident=False``
-restores the ship-per-task path — both transports execute identical
-numpy ops in identical order, so their results are bitwise equal
-(``tests/test_resident.py``).  Broadcast state is evicted when the
-executor closes.
+task per call).  Called without an executor, the kernel runs the same
+task functions in-process on its own shard list, so every executor is
+bitwise equal to that path (``tests/test_resident.py``).  Broadcast
+state is evicted when the executor closes.
 """
 
 from __future__ import annotations
@@ -80,9 +78,7 @@ from repro.core.kernels import (
     unique_patterns,
 )
 from repro.errors import InferenceError, ValidationError
-from repro.utils.parallel import Executor, SerialExecutor
-
-_SERIAL = SerialExecutor()
+from repro.utils.parallel import Executor
 
 
 @dataclass(frozen=True)
@@ -274,18 +270,21 @@ def merge_scores(
 
 # ---------------------------------------------------------------------- tasks
 #
-# Module-level task functions (picklable for process pools).  Each task
-# carries the shard's SweepKernel plus only that shard's parameter rows,
-# and every score task re-establishes the sweep tensor itself.
-# ``begin_sweep`` returns early on the same array object (serial/thread
-# executors share one kernel and one tensor) and on an equal-valued one
-# (a lane-resident kernel unpickles a fresh ``E[ln ψ]`` per task), so
-# each shard evaluates its pattern likelihood once per sweep either way.
+# Module-level task functions (picklable for process and remote lanes),
+# run as ``func(shards, task)`` against the lane-resident shard tuple:
+# each task names its shard by index and carries only that shard's
+# per-sweep posterior rows.  Every score task re-establishes the sweep
+# tensor itself; ``begin_sweep`` returns early on the same array object
+# (in-process lanes share one kernel and one tensor) and on an
+# equal-valued one (an out-of-process lane unpickles a fresh ``E[ln ψ]``
+# per task), so each shard evaluates its pattern likelihood once per
+# sweep either way.
 
 
-def _shard_worker_scores_task(task) -> np.ndarray:
+def _worker_scores_task(shards, task) -> np.ndarray:
     """κ-update data term of one shard, over the shard's worker space."""
-    kernel, e_log_psi, phi_rows = task
+    k, e_log_psi, phi_rows = task
+    kernel = shards[k].kernel
     kernel.begin_sweep(e_log_psi)
     out = np.zeros(
         (kernel.n_workers, e_log_psi.shape[1]),
@@ -294,9 +293,10 @@ def _shard_worker_scores_task(task) -> np.ndarray:
     return kernel.add_worker_scores(out, phi_rows)
 
 
-def _shard_item_scores_task(task) -> np.ndarray:
+def _item_scores_task(shards, task) -> np.ndarray:
     """ϕ-update data term of one shard, over the shard's item space."""
-    kernel, e_log_psi, kappa_rows = task
+    k, e_log_psi, kappa_rows = task
+    kernel = shards[k].kernel
     kernel.begin_sweep(e_log_psi)
     out = np.zeros(
         (kernel.n_items, e_log_psi.shape[0]),
@@ -305,44 +305,16 @@ def _shard_item_scores_task(task) -> np.ndarray:
     return kernel.add_item_scores(out, kappa_rows)
 
 
-def _shard_cell_statistics_task(task) -> Tuple[np.ndarray, np.ndarray]:
+def _cell_statistics_task(shards, task) -> Tuple[np.ndarray, np.ndarray]:
     """Eq. 6 sufficient statistics of one shard."""
-    kernel, phi_rows, kappa_rows = task
-    return kernel.cell_statistics(phi_rows, kappa_rows)
-
-
-def _shard_data_elbo_task(task) -> float:
-    """ELBO data term of one shard."""
-    kernel, phi_rows, kappa_rows, e_log_psi = task
-    return kernel.data_elbo(phi_rows, kappa_rows, e_log_psi)
-
-
-# ------------------------------------------------------------ resident tasks
-#
-# map_on variants of the task functions above: the shard tuple is
-# lane-resident (broadcast once per plan), so each task names its shard by
-# index and carries only the per-sweep posteriors.  Bodies delegate to the
-# ship-per-task functions so the two transports cannot drift.
-
-
-def _resident_worker_scores(shards, task) -> np.ndarray:
-    k, e_log_psi, phi_rows = task
-    return _shard_worker_scores_task((shards[k].kernel, e_log_psi, phi_rows))
-
-
-def _resident_item_scores(shards, task) -> np.ndarray:
-    k, e_log_psi, kappa_rows = task
-    return _shard_item_scores_task((shards[k].kernel, e_log_psi, kappa_rows))
-
-
-def _resident_cell_statistics(shards, task) -> Tuple[np.ndarray, np.ndarray]:
     k, phi_rows, kappa_rows = task
-    return _shard_cell_statistics_task((shards[k].kernel, phi_rows, kappa_rows))
+    return shards[k].kernel.cell_statistics(phi_rows, kappa_rows)
 
 
-def _resident_data_elbo(shards, task) -> float:
+def _data_elbo_task(shards, task) -> float:
+    """ELBO data term of one shard."""
     k, phi_rows, kappa_rows, e_log_psi = task
-    return _shard_data_elbo_task((shards[k].kernel, phi_rows, kappa_rows, e_log_psi))
+    return shards[k].kernel.data_elbo(phi_rows, kappa_rows, e_log_psi)
 
 
 #: process-unique suffix source for broadcast keys (two live kernels must
@@ -377,15 +349,10 @@ class ShardedSweepKernel:
     and the per-batch SVI path can select it without code changes; merge
     semantics are documented in the module docstring.
 
-    ``resident=True`` (default) keeps the shard kernels lane-resident:
-    the shard tuple is broadcast to each executor once (on first use) and
+    The shard tuple is broadcast to each executor once (on first use) and
     per-sweep tasks carry only ``(shard index, posterior rows)`` through
-    ``map_on``.  ``resident=False`` ships each shard's kernel inside
-    every task — same ops, same order, bitwise-equal results.  The
-    module-level serial fallback (methods called without an executor)
-    always runs ship-per-task: serial dispatch passes references, so
-    residency would only pin plan payloads into the shared default
-    executor for no benefit.
+    ``map_on``.  Methods called without an executor run the same task
+    functions in-process, with nothing broadcast anywhere.
     """
 
     def __init__(
@@ -398,11 +365,9 @@ class ShardedSweepKernel:
         dtype: np.dtype = np.float64,
         n_shards: int = 1,
         patterned: Optional[bool] = None,
-        resident: bool = True,
         shard_truncation=None,
     ) -> None:
         self.dtype = np.dtype(dtype)
-        self.resident = bool(resident)
         self._broadcast_key = _next_broadcast_key()
         #: executors that already hold this plan (weak: an executor's
         #: lifetime is the caller's business, not the kernel's).  The
@@ -553,23 +518,20 @@ class ShardedSweepKernel:
         _release_broadcast(self._installed, self._broadcast_key)
         self._installed.clear()
 
-    def _fan_out(self, executor: Executor, resident_func, reship_func, tasks):
-        """Run per-shard tasks on ``executor`` via the selected transport.
+    def _fan_out(self, executor: Optional[Executor], func, tasks):
+        """Run ``func(shards, task)`` per shard task, results in task order.
 
-        ``tasks`` lead with the shard index; the re-ship path swaps that
-        index for the shard's kernel object so both transports execute
-        the exact same task bodies.  Results come back in task order —
-        the fixed-order merge contract.
+        An executor receives the shard tuple once (broadcast on first
+        use) and runs the tasks through ``map_on``; without one the tasks
+        run in-process on the plan's shards.  Either way results come
+        back in task order — the fixed-order merge contract.
         """
-        if self.resident and executor is not _SERIAL:
-            if executor not in self._installed:
-                executor.broadcast(self._broadcast_key, tuple(self.plan.shards))
-                self._installed.add(executor)
-            return executor.map_on(self._broadcast_key, resident_func, tasks)
-        shards = self.plan.shards
-        return executor.map_tasks(
-            reship_func, [(shards[task[0]].kernel,) + task[1:] for task in tasks]
-        )
+        if executor is None:
+            return [func(self.plan.shards, task) for task in tasks]
+        if executor not in self._installed:
+            executor.broadcast(self._broadcast_key, tuple(self.plan.shards))
+            self._installed.add(executor)
+        return executor.map_on(self._broadcast_key, func, tasks)
 
     # ---------------------------------------------------------------- sweep
 
@@ -618,7 +580,6 @@ class ShardedSweepKernel:
         self, out: np.ndarray, phi: np.ndarray, executor: Optional[Executor] = None
     ) -> np.ndarray:
         """``out[u] += Σ_{n: u_n=u} Σ_t ϕ[i_n, t] L[n, t, ·]``, shard-merged."""
-        executor = executor or _SERIAL
         if self._e_log_psi is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
         tasks = [
@@ -627,9 +588,7 @@ class ShardedSweepKernel:
                 self.plan.shards, self._psi_views, self._item_rows(phi)
             )
         ]
-        pieces = self._fan_out(
-            executor, _resident_worker_scores, _shard_worker_scores_task, tasks
-        )
+        pieces = self._fan_out(executor, _worker_scores_task, tasks)
         return merge_scores(
             out,
             [
@@ -648,7 +607,6 @@ class ShardedSweepKernel:
         its (disjoint) item rows; out-of-window columns are left
         untouched — the engines mask them out of the ϕ update entirely.
         """
-        executor = executor or _SERIAL
         if self._e_log_psi is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
         tasks = [
@@ -657,9 +615,7 @@ class ShardedSweepKernel:
                 self.plan.shards, self._psi_views, self._worker_rows(kappa)
             )
         ]
-        pieces = self._fan_out(
-            executor, _resident_item_scores, _shard_item_scores_task, tasks
-        )
+        pieces = self._fan_out(executor, _item_scores_task, tasks)
         if self._binding(out.shape[1]):
             for shard, t_s, scores in zip(
                 self.plan.shards, self._shard_ts(out.shape[1]), pieces
@@ -680,7 +636,6 @@ class ShardedSweepKernel:
         self, phi: np.ndarray, kappa: np.ndarray, executor: Optional[Executor] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 6 sufficient statistics merged over shards (fixed order)."""
-        executor = executor or _SERIAL
         t, m = phi.shape[1], kappa.shape[1]
         if not self.plan.shards:
             dtype = np.result_type(phi, kappa)
@@ -694,9 +649,7 @@ class ShardedSweepKernel:
                 self.plan.shards, self._item_rows(phi), self._worker_rows(kappa)
             )
         ]
-        pieces = self._fan_out(
-            executor, _resident_cell_statistics, _shard_cell_statistics_task, tasks
-        )
+        pieces = self._fan_out(executor, _cell_statistics_task, tasks)
         if self._binding(t):
             # Truncated shards return (T_s, M, C) partials; scatter each
             # into the prefix rows of the global statistics.  Clusters no
@@ -718,7 +671,6 @@ class ShardedSweepKernel:
         executor: Optional[Executor] = None,
     ) -> float:
         """``E[ln p(x | z, l, ψ)]`` summed over shards in fixed order."""
-        executor = executor or _SERIAL
         e_log_psi = np.ascontiguousarray(e_log_psi, dtype=self.dtype)
         tasks = [
             (shard.index, phi_rows, kappa_rows, psi)
@@ -729,9 +681,7 @@ class ShardedSweepKernel:
                 self._psi_for(e_log_psi),
             )
         ]
-        return float(
-            sum(self._fan_out(executor, _resident_data_elbo, _shard_data_elbo_task, tasks))
-        )
+        return float(sum(self._fan_out(executor, _data_elbo_task, tasks)))
 
 
 # -------------------------------------------------------------------- factory
@@ -757,9 +707,8 @@ def build_sweep_kernel(
     measured volume thresholds of :mod:`repro.core.kernels`.  A sharded
     selection caps K at the matrix's *answered* item count (an
     item-partitioned plan cannot realise more shards; callers read the
-    realised count back from ``kernel.n_shards``), honours
-    ``config.resident_shards`` (lane-resident vs ship-per-task
-    transport), and engages shard-local truncation adaptation when
+    realised count back from ``kernel.n_shards``), and engages
+    shard-local truncation adaptation when
     :meth:`~repro.core.config.CPAConfig.resolve_adaptive_truncation`
     says the matrix is wide/sparse enough (or the knob forces it).
     ``CPAConfig`` already validated the backend name.
@@ -796,7 +745,6 @@ def build_sweep_kernel(
             n_workers=n_workers,
             dtype=dtype,
             n_shards=n_shards,
-            resident=config.resident_shards,
             shard_truncation=(
                 config.shard_truncation
                 if config.resolve_adaptive_truncation(n_items, n_answers)

@@ -292,12 +292,12 @@ class StochasticInference:
 
         phi_batch = state.phi[data.batch_items]  # provisional (I_b, T)
         kappa_batch = state.kappa[data.batch_workers]
-        counts = mass = kappa_mass = None
+        kappa_mass = None
         mu_target = np.zeros(
             (data.batch_items.size, state.n_clusters - 1), dtype=np.float64
         )
         for _ in range(self.config.svi_iterations):
-            kappa_batch, evidence, counts, mass, kappa_mass = self._map_reduce(
+            kappa_batch, evidence, kappa_mass = self._map_reduce(
                 data, phi_batch, e_log_pi, e_log_psi
             )
             scores = np.tile(e_log_tau, (data.batch_items.size, 1))
@@ -328,10 +328,9 @@ class StochasticInference:
         )
         state.sync_phi_from_mu()
 
-        # The MAP phase accumulated cell statistics under the *provisional*
-        # (undamped) ϕ of the local loop; recompute them under the committed
-        # damped ϕ so single noisy batch assignments cannot drag the global
-        # profiles.
+        # Cell statistics are taken under the committed damped ϕ, not the
+        # provisional (undamped) ϕ of the local loop, so single noisy batch
+        # assignments cannot drag the global profiles.
         assert kappa_mass is not None
         counts, mass = self._batch_cell_statistics(
             data, state.phi[data.batch_items], kappa_batch
@@ -555,16 +554,18 @@ class StochasticInference:
         phi_batch: np.ndarray,
         e_log_pi: np.ndarray,
         e_log_psi: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """MAP/REDUCE of one batch through the batch's sweep kernel.
 
         κ update (Eq. 2), item evidence under the fresh κ (Eq. 15's data
-        term), and Eq. 6 statistics — the batch-VI sweep body on the
-        batch-local spaces.  ``begin_sweep`` is identity-cached, so the
-        local passes sharing one ``e_log_psi`` evaluate the pattern
-        likelihood once per batch.  κ is cast to the state dtype, which
-        keeps a float32 state float32 on every backend, and flushed after
-        the cast: a float64 1e-40 is a float32 subnormal.
+        term) and κ's community mass — the batch-VI sweep body on the
+        batch-local spaces, minus the Eq. 6 statistics, which
+        :meth:`process_batch` takes once under the damped ϕ.
+        ``begin_sweep`` is identity-cached, so the local passes sharing
+        one ``e_log_psi`` evaluate the pattern likelihood once per batch.
+        κ is cast to the state dtype, which keeps a float32 state float32
+        on every backend, and flushed after the cast: a float64 1e-40 is a
+        float32 subnormal.
         """
         kernel, phi_batch = self._windowed_kernel(data, phi_batch)
         dtype = self.state.lam.dtype
@@ -576,8 +577,7 @@ class StochasticInference:
         )
         evidence = np.zeros((data.batch_items.size, self.state.n_clusters), dtype=dtype)
         kernel.add_item_scores(evidence, kappa_batch, self.executor)
-        counts, mass = kernel.cell_statistics(phi_batch, kappa_batch, self.executor)
-        return kappa_batch, evidence, counts, mass, kappa_batch.sum(axis=0)
+        return kappa_batch, evidence, kappa_batch.sum(axis=0)
 
     def _batch_cell_statistics(
         self, data: _BatchData, phi_batch: np.ndarray, kappa_batch: np.ndarray

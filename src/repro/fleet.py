@@ -147,7 +147,10 @@ class FleetManager:
     stream, or accept that an outgrown process replica is excluded at its
     next refresh.  Process-mode replicas rebuild their ``CPAConfig`` from
     CLI-expressible fields (seed, dtype, step size); use thread mode when
-    bitwise parity under a non-default config matters.
+    bitwise parity under a non-default config matters.  Every daemon of
+    the fleet keeps the :class:`~repro.serve.ConsensusServer` registry
+    limits (:data:`~repro.utils.transport.DEFAULT_PAYLOAD_CAP` payloads,
+    :data:`~repro.utils.transport.DEFAULT_CHUNK_CACHE_BYTES` of chunks).
     """
 
     def __init__(
@@ -168,8 +171,6 @@ class FleetManager:
         reconnects: int = 1,
         request_timeout: float = 30.0,
         chunk_bytes: int = DEFAULT_CHECKPOINT_CHUNK_BYTES,
-        payload_cap: int = 8,
-        chunk_cache_bytes: int = 64 << 20,
     ) -> None:
         if replica_mode not in REPLICA_MODES:
             raise ConfigurationError(
@@ -192,8 +193,6 @@ class FleetManager:
         self._reconnects = int(reconnects)
         self._request_timeout = float(request_timeout)
         self._chunk_bytes = int(chunk_bytes)
-        self._payload_cap = int(payload_cap)
-        self._chunk_cache_bytes = int(chunk_cache_bytes)
         self.engine = ConsensusEngine(
             config,
             n_items,
@@ -243,8 +242,6 @@ class FleetManager:
             self.host,
             0,
             auto_step=self.auto_step,
-            payload_cap=self._payload_cap,
-            chunk_cache_bytes=self._chunk_cache_bytes,
         ).serve_in_thread()
         with self._lock:
             self._writer_server = writer
@@ -277,8 +274,6 @@ class FleetManager:
                 0,
                 auto_step=False,
                 read_only=True,
-                payload_cap=self._payload_cap,
-                chunk_cache_bytes=self._chunk_cache_bytes,
             ).serve_in_thread()
             replica.address = replica.server.address
         else:
@@ -311,8 +306,6 @@ class FleetManager:
                 "--read-only",
                 "--port-file",
                 port_file,
-                "--payload-cap",
-                str(self._payload_cap),
             ]
             if self.total_answers_hint is not None:
                 command += ["--total-answers-hint", str(self.total_answers_hint)]

@@ -72,6 +72,8 @@ from repro.data.streams import AnswerBatch, split_batch
 from repro.errors import CheckpointError, TransportError, ValidationError
 from repro.utils.random import Seed
 from repro.utils.transport import (
+    DEFAULT_CHUNK_CACHE_BYTES,
+    DEFAULT_PAYLOAD_CAP,
     Channel,
     ChunksMissing,
     StaleBroadcast,
@@ -396,8 +398,8 @@ class ConsensusServer(WorkerServer):
         *,
         auto_step: bool = True,
         read_only: bool = False,
-        payload_cap: int = 8,
-        chunk_cache_bytes: int = 256 << 20,
+        payload_cap: int = DEFAULT_PAYLOAD_CAP,
+        chunk_cache_bytes: int = DEFAULT_CHUNK_CACHE_BYTES,
     ) -> None:
         super().__init__(
             host, port, payload_cap=payload_cap, chunk_cache_bytes=chunk_cache_bytes
@@ -698,13 +700,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--payload-cap",
         type=int,
-        default=8,
+        default=DEFAULT_PAYLOAD_CAP,
         help="resident broadcast payloads kept (default %(default)s)",
     )
     parser.add_argument(
         "--chunk-cache-mb",
         type=int,
-        default=256,
+        default=DEFAULT_CHUNK_CACHE_BYTES >> 20,
         help="chunk-store cache budget in MiB (default %(default)s)",
     )
     return parser

@@ -7,8 +7,9 @@ interchangeable executors with that exact contract:
 * :class:`SerialExecutor` — baseline, zero overhead.
 * :class:`ThreadExecutor` — threads; useful when the map function releases
   the GIL (large BLAS calls).
-* :class:`ProcessExecutor` — a process pool; true scale-up on multicore
-  machines, used by the Fig-7 runtime experiment.
+* :class:`ProcessExecutor` — local child processes; true scale-up on
+  multicore machines, used by the Fig-7 runtime experiment.
+* :class:`RemoteExecutor` — ``python -m repro.worker`` daemons over TCP.
 
 Executors map a function over *chunks* of an index range so per-task
 overhead is amortised, mirroring how Alg. 3 shards the answer matrix by
@@ -19,15 +20,10 @@ additionally supports :meth:`Executor.broadcast` /
 :meth:`Executor.map_on`, the pair the sharded sweep backend uses to keep
 large read-only payloads (shard kernels) resident at the lanes so that
 per-sweep tasks carry only the small updated posteriors.  Serial and
-thread backends hold broadcast state in-process; the process backend
-spills each payload to a per-executor scratch file and installs a
-path registry into every worker via the pool initializer (spawn-safe —
-nothing relies on fork inheritance), with workers lazily unpickling a
-payload the first time a ``map_on`` task lands on them.  Broadcasting
-after the pool is up therefore never recycles worker processes: the new
-payload's path rides along with the next ``map_on`` call.  All broadcast
-state — registry, scratch files, and the worker processes holding
-unpickled copies — is released by :meth:`Executor.close`.
+thread backends hold broadcast state in-process; process and remote
+lanes hold it in each lane's
+:class:`~repro.utils.transport.PayloadRegistry`.  All broadcast state is
+released by :meth:`Executor.close`.
 
 Remote lanes (DESIGN.md §6 "Remote lanes"): :class:`RemoteExecutor`
 implements the same contract over TCP against ``python -m repro.worker``
@@ -42,20 +38,21 @@ when *every* lane is gone does a call fail.  The elastic-fleet layer
 deadlines + straggler mitigation (a hung daemon delays, never stalls),
 runtime membership (``add_worker`` / ``remove_worker``), and a
 content-addressed chunk store so recovering lanes re-fetch only the
-broadcast bytes they are actually missing.
+broadcast bytes they are actually missing.  :class:`ProcessExecutor` is
+the same client, with each lane a local child process that runs the
+daemon's request handler over one end of a socketpair.
 """
 
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
-import pickle
 import random
-import shutil
-import tempfile
+import socket
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ConfigurationError, TransportError, ValidationError
@@ -269,178 +266,24 @@ class ThreadExecutor(Executor):
             self._pool = None
 
 
-# ------------------------------------------------------------ process lanes
-#
-# Worker-side registry for ProcessExecutor broadcast state.  Each worker
-# process holds {spill_path: payload}; keying by the spill file's path (not
-# the logical key) makes re-broadcasts self-invalidating — a new payload
-# gets a new path, so stale worker copies are simply never addressed again
-# (the LRU drops them) and every copy dies with the worker on close().
-
-_WORKER_PAYLOADS: Dict[str, object] = {}
-
-#: resident payloads a worker keeps unpickled at once; older entries are
-#: dropped (and reload from their spill file if ever addressed again), so
-#: a long stream of per-batch broadcasts cannot grow worker memory without
-#: bound.
-_WORKER_PAYLOAD_CAP = 8
-
-
-def _install_worker_payloads(paths: Tuple[str, ...]) -> None:
-    """Pool initializer: install every already-broadcast payload.
-
-    Runs once per worker process at start-up (spawn-safe — the paths
-    arrive through ``initargs``, nothing relies on fork inheritance), so
-    in the common flow — broadcast the plan, then sweep — workers begin
-    life with the resident state unpickled.  Payloads broadcast *after*
-    the pool is up load lazily on first ``map_on`` touch instead; a path
-    released between pool creation and worker start simply no longer
-    exists and is skipped (its tasks can never arrive).
-    """
-    _WORKER_PAYLOADS.clear()
-    for path in paths:
-        try:
-            with open(path, "rb") as handle:
-                _WORKER_PAYLOADS[path] = pickle.load(handle)
-        except OSError:
-            pass
-
-
-def _resident_call(path: str, key: str, func: Callable[[Any, T], R], task: T) -> R:
-    """Run one ``map_on`` task against the worker-resident payload."""
-    payload = _WORKER_PAYLOADS.pop(path, None)
-    if payload is None:
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"broadcast state for key {key!r} is gone ({exc}); it was "
-                "evicted — re-broadcast before calling map_on"
-            ) from exc
-    # Re-insert at the back: the registry doubles as an LRU over payloads.
-    _WORKER_PAYLOADS[path] = payload
-    while len(_WORKER_PAYLOADS) > _WORKER_PAYLOAD_CAP:
-        _WORKER_PAYLOADS.pop(next(iter(_WORKER_PAYLOADS)))
-    return func(payload, task)
-
-
-class ProcessExecutor(Executor):
-    """Process-pool backend used for the scalability experiments.
-
-    ``map_tasks`` payloads are pickled to the worker processes on every
-    call, so that path only pays off when each task carries substantial
-    compute relative to its data — exactly the regime of paper Fig 7.
-    ``broadcast`` / ``map_on`` break that trade-off for large *reused*
-    payloads: a broadcast pickles its payload once into a per-executor
-    scratch file, the pool initializer installs the path registry into
-    each worker at start-up (spawn-safe), and workers unpickle a payload
-    the first time one of its tasks lands on them.  Re-broadcasting after
-    the pool is up never recycles workers — the fresh path travels with
-    the next ``map_on`` call — and :meth:`close` removes the scratch
-    directory and shuts the workers down, releasing every resident copy.
-    """
-
-    kind = "process"
-
-    def __init__(self, degree: int | None = None) -> None:
-        if degree is not None and degree <= 0:
-            raise ValidationError("degree must be positive")
-        self.degree = int(degree or os.cpu_count() or 1)
-        self._pool: ProcessPoolExecutor | None = None
-        self._resident_paths: Dict[str, str] = {}
-        self._scratch_dir: str | None = None
-        self._spill_count = 0
-        self._closed = False
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        # Lazy: forking worker processes is expensive and constructing an
-        # executor must never leak them if it goes unused.
-        self._check_open()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.degree,
-                initializer=_install_worker_payloads,
-                initargs=(tuple(self._resident_paths.values()),),
-            )
-        return self._pool
-
-    def map_chunks(self, func: Callable[[Sequence[int]], R], n: int) -> List[R]:
-        chunks = split_chunks(n, self.degree)
-        return list(self._ensure_pool().map(func, chunks))
-
-    def map_tasks(self, func: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
-        return list(self._ensure_pool().map(func, tasks))
-
-    def broadcast(self, key: str, payload: object) -> None:
-        self._check_open()
-        if self._scratch_dir is None:
-            self._scratch_dir = tempfile.mkdtemp(prefix="repro-broadcast-")
-            # Abandoned executors (never closed, or interrupted mid-fit)
-            # must not leak spilled payloads: the finalizer removes the
-            # scratch directory when the executor is collected; close()
-            # runs it eagerly.
-            self._scratch_finalizer = weakref.finalize(
-                self, shutil.rmtree, self._scratch_dir, ignore_errors=True
-            )
-        # A fresh path per broadcast: worker caches key on the path, so a
-        # re-broadcast invalidates stale copies without touching the pool.
-        self._spill_count += 1
-        path = os.path.join(self._scratch_dir, f"b{self._spill_count}.pkl")
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        stale = self._resident_paths.get(key)
-        self._resident_paths[key] = path
-        if stale is not None and os.path.exists(stale):
-            os.unlink(stale)
-
-    def map_on(
-        self, key: str, func: Callable[[Any, T], R], tasks: Sequence[T]
-    ) -> List[R]:
-        self._check_open()
-        path = self._resident_paths.get(key)
-        if path is None:
-            # validate before _ensure_pool: a bad key must not spawn workers
-            raise self._missing_key(key)
-        call = functools.partial(_resident_call, path, key, func)
-        return list(self._ensure_pool().map(call, tasks))
-
-    def release(self, key: str) -> None:
-        path = self._resident_paths.pop(key, None)
-        if path is not None and os.path.exists(path):
-            os.unlink(path)
-
-    def close(self) -> None:
-        self._closed = True
-        self._resident_paths.clear()
-        if self._scratch_dir is not None:
-            self._scratch_finalizer()  # rmtree now; finalizer runs once
-            self._scratch_dir = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 # -------------------------------------------------------------- remote lanes
 
 
 class _Lane:
-    """Client-side record of one remote worker daemon.
+    """Client-side record of one lane: a worker daemon or a process lane.
 
     ``resident_keys`` tracks which broadcast keys the *daemon* is
     believed to hold; the belief is optimistic — a daemon that lost a
     payload (LRU eviction, restart) replies ``stale`` and the client
     re-broadcasts — so reconnecting never has to guess daemon state.
 
-    The lane state machine (DESIGN.md §6 "Elastic fleet") lives in a
-    shared :class:`~repro.utils.transport.LaneHealth` instance:
-    ``"live"`` (usable), ``"suspect"`` (a per-request deadline expired
-    with a reply still owed; the channel is kept — partial frames are
-    buffered client-side — and the lane is polled for the late reply
-    until ``suspect_deadline``, after which it is reconnected or
-    excluded), ``"excluded"`` (terminal).  The same machine drives
-    read-replica failover in :mod:`repro.fleet`; the ``dead``/``health``
-    properties below are the executor's historical view of it.
+    ``health`` is the lane's :class:`~repro.utils.transport.LaneHealth`
+    machine (DESIGN.md §6 "Elastic fleet"): *live* (usable), *suspect* (a
+    per-request deadline expired with a reply still owed; the channel is
+    kept — partial frames are buffered client-side — and the lane is
+    polled for the late reply until ``health.suspect_deadline``, after
+    which it is reconnected or excluded), *excluded* (terminal).  The
+    same machine drives read-replica failover in :mod:`repro.fleet`.
     """
 
     __slots__ = (
@@ -450,7 +293,7 @@ class _Lane:
         "address",
         "channel",
         "resident_keys",
-        "health_machine",
+        "health",
         "outstanding",
     )
 
@@ -460,50 +303,10 @@ class _Lane:
         self.address = _transport.format_address(self.host, self.port)
         self.channel: Optional[_transport.Channel] = None
         self.resident_keys: set = set()
-        self.health_machine = _transport.LaneHealth(reconnects)
+        self.health = _transport.LaneHealth(reconnects)
         #: (dispatch token, task indices, broadcast key) of the one
         #: request whose reply this suspect lane still owes.
         self.outstanding: Optional[Tuple[int, List[int], Optional[str]]] = None
-
-    @property
-    def dead(self) -> bool:
-        return self.health_machine.excluded
-
-    @dead.setter
-    def dead(self, value: bool) -> None:
-        if value:
-            self.health_machine.exclude()
-        else:
-            self.health_machine.recover()
-
-    @property
-    def health(self) -> str:
-        return self.health_machine.state
-
-    @health.setter
-    def health(self, state: str) -> None:
-        if state == _transport.LaneHealth.LIVE:
-            self.health_machine.recover()
-        elif state == _transport.LaneHealth.SUSPECT:
-            self.health_machine.mark_suspect(self.health_machine.suspect_deadline)
-        else:
-            self.health_machine.exclude()
-
-    @property
-    def reconnects_left(self) -> int:
-        return self.health_machine.reconnects_left
-
-    @reconnects_left.setter
-    def reconnects_left(self, value: int) -> None:
-        self.health_machine.reconnects_left = int(value)
-
-    @property
-    def suspect_deadline(self) -> float:
-        return self.health_machine.suspect_deadline
-
-    @suspect_deadline.setter
-    def suspect_deadline(self, value: float) -> None:
-        self.health_machine.suspect_deadline = float(value)
 
 
 class RemoteExecutor(Executor):
@@ -513,11 +316,10 @@ class RemoteExecutor(Executor):
     local pools).  Transport policy, per call:
 
     * **broadcast** pickles the payload once, retains the bytes
-      client-side, and ships them to every live lane — once per plan, the
-      same shape as the process pool's spill-file registry.  The retained
-      copy is what makes recovery possible: any lane that later proves to
-      be missing the key (reconnect after a drop, daemon-side LRU
-      eviction, a replacement worker attached via :meth:`add_worker`)
+      client-side, and ships them to every live lane — once per plan.  The
+      retained copy is what makes recovery possible: any lane that later
+      proves to be missing the key (reconnect after a drop, daemon-side
+      LRU eviction, a replacement worker attached via :meth:`add_worker`)
       gets the bytes re-sent before its next ``map_on`` tasks.
     * **map_on / map_tasks** round-robin the task list over the live
       lanes, pipelined (all sends, then all receives), and reassemble
@@ -637,7 +439,7 @@ class RemoteExecutor(Executor):
         """Live lanes.  Excluded lanes stop counting, so shard-count and
         chunk-split decisions taken after a failure see the real capacity
         (``CPAConfig.resolve_backend`` sizes K from this)."""
-        return sum(1 for lane in self._lanes if not lane.dead)
+        return sum(1 for lane in self._lanes if not lane.health.excluded)
 
     @property
     def sent_bytes(self) -> int:
@@ -658,7 +460,7 @@ class RemoteExecutor(Executor):
 
     def live_workers(self) -> List[str]:
         """Addresses of the lanes not (yet) excluded."""
-        return [lane.address for lane in self._lanes if not lane.dead]
+        return [lane.address for lane in self._lanes if not lane.health.excluded]
 
     # ------------------------------------------------------ lane lifecycle
 
@@ -695,17 +497,17 @@ class RemoteExecutor(Executor):
                 f"no lane for worker {normalized!r} on this {self.kind} "
                 f"executor; current lanes: {self.live_workers()}"
             )
-        if not lane.dead and all(
-            ln.dead for ln in self._lanes if ln is not lane
+        if not lane.health.excluded and all(
+            ln.health.excluded for ln in self._lanes if ln is not lane
         ):
             raise ConfigurationError(
                 f"cannot remove {normalized!r}: it is the last live lane "
                 f"of this {self.kind} executor; attach a replacement with "
                 "add_worker() first"
             )
-        if lane.health == "suspect":
+        if lane.health.suspect:
             self._settle_suspects(only=lane)
-        if not lane.dead and lane.channel is not None:
+        if not lane.health.excluded and lane.channel is not None:
             for key in sorted(lane.resident_keys):
                 try:
                     _transport.request(
@@ -720,7 +522,7 @@ class RemoteExecutor(Executor):
 
     def _live_lanes(self) -> List[_Lane]:
         """Member (non-excluded) lanes, suspects included; loud if none."""
-        lanes = [lane for lane in self._lanes if not lane.dead]
+        lanes = [lane for lane in self._lanes if not lane.health.excluded]
         if not lanes:
             raise TransportError(
                 "all remote workers are gone (every lane was excluded after "
@@ -733,11 +535,7 @@ class RemoteExecutor(Executor):
         """Lanes that may be sent new work right now (live, not suspect —
         a suspect's channel still owes a reply, so a new request on it
         would interleave frames)."""
-        return [
-            lane
-            for lane in self._lanes
-            if not lane.dead and lane.health == "live"
-        ]
+        return [lane for lane in self._lanes if lane.health.live]
 
     def _connect_lane(self, lane: _Lane) -> None:
         if lane.channel is not None:
@@ -770,11 +568,11 @@ class RemoteExecutor(Executor):
         stays down must not stall the caller unboundedly.
         """
         self._drop_channel(lane)
-        lane.health = "live"
+        lane.health.recover()
         lane.outstanding = None
         deadline = time.monotonic() + self._reconnect_budget
         attempt = 0
-        while lane.reconnects_left > 0:
+        while lane.health.reconnects_left > 0:
             if attempt > 0:
                 gap = min(2.0, self._reconnect_backoff * (2 ** (attempt - 1)))
                 gap *= 0.5 + self._backoff_jitter.random()  # [0.5x, 1.5x)
@@ -782,13 +580,13 @@ class RemoteExecutor(Executor):
                     break  # out of wall-clock budget: exclude
                 _sleep(gap)
             attempt += 1
-            lane.reconnects_left -= 1
+            lane.health.consume_reconnect()
             try:
                 self._connect_lane(lane)
                 return
             except TransportError:
                 self._drop_channel(lane)
-        lane.dead = True
+        lane.health.exclude()
 
     # ----------------------------------------------------------- stragglers
 
@@ -802,9 +600,7 @@ class RemoteExecutor(Executor):
             suspects = [
                 lane
                 for lane in self._lanes
-                if not lane.dead
-                and lane.health == "suspect"
-                and (only is None or lane is only)
+                if lane.health.suspect and (only is None or lane is only)
             ]
             if not suspects:
                 return
@@ -826,7 +622,7 @@ class RemoteExecutor(Executor):
         """
         settled: List[Tuple[int, List[int], List]] = []
         for lane in list(self._lanes):
-            if lane.dead or lane.health != "suspect":
+            if not lane.health.suspect:
                 continue
             if only is not None and lane is not only:
                 continue
@@ -834,7 +630,7 @@ class RemoteExecutor(Executor):
             try:
                 reply = lane.channel.recv(timeout=timeout)
             except _transport.LaneTimeout:
-                if time.monotonic() >= lane.suspect_deadline:
+                if time.monotonic() >= lane.health.suspect_deadline:
                     self._fail_lane(lane)  # resets health/outstanding
                 continue
             except TransportError:
@@ -852,8 +648,7 @@ class RemoteExecutor(Executor):
         decide whether the reply's values are usable."""
         token, indices, key = lane.outstanding
         lane.outstanding = None
-        lane.health = "live"
-        lane.suspect_deadline = 0.0
+        lane.health.recover()
         try:
             values = _transport.unwrap_reply(reply)
         except _transport.StaleBroadcast:
@@ -1022,11 +817,9 @@ class RemoteExecutor(Executor):
                 break
             lanes = self._scatter_lanes()
             if not lanes:
-                if any(
-                    lane.health == "suspect" for lane in self._live_lanes()
-                ):
-                    continue  # only suspects remain: keep harvesting
-                continue  # _live_lanes() raised if truly nobody is left
+                # only suspects remain: keep harvesting (raises if none do)
+                self._live_lanes()
+                continue
             sent: List[Tuple[_Lane, List[int]]] = []
             send_error: Optional[BaseException] = None
             for offset, lane in enumerate(lanes):
@@ -1063,11 +856,10 @@ class RemoteExecutor(Executor):
                 except _transport.LaneTimeout:
                     # straggler: channel kept (partial frame buffered),
                     # tasks stay pending for speculative re-dispatch
-                    lane.health = "suspect"
-                    lane.outstanding = (token, list(indices), key)
-                    lane.suspect_deadline = (
+                    lane.health.mark_suspect(
                         time.monotonic() + self._straggler_grace
                     )
+                    lane.outstanding = (token, list(indices), key)
                     continue
                 except TransportError:
                     self._fail_lane(lane)
@@ -1146,7 +938,7 @@ class RemoteExecutor(Executor):
         # more wire time than overlap could (DESIGN.md §6).
         deferred_error: Optional[BaseException] = None
         for lane in self._live_lanes():
-            if lane.health != "live":
+            if not lane.health.live:
                 continue  # settled above; only a freshly-failed race lands here
             try:
                 self._connect_lane(lane)
@@ -1183,7 +975,7 @@ class RemoteExecutor(Executor):
         self._payloads.pop(key, None)
         self._release_chunks(key)
         for lane in self._lanes:
-            if lane.dead or lane.channel is None or lane.health != "live":
+            if lane.channel is None or not lane.health.live:
                 # a suspect's channel owes a reply — skip the wire op
                 # (best-effort cleanup; the daemon LRU reclaims it)
                 lane.resident_keys.discard(key)
@@ -1212,6 +1004,116 @@ class RemoteExecutor(Executor):
         self._closed = True
         for lane in self._lanes:
             self._drop_channel(lane)
+
+
+# ------------------------------------------------------------ process lanes
+
+
+def _serve_lane(sock: socket.socket) -> None:
+    """Process-lane child: answer framed lane requests until EOF.
+
+    Module-level so spawn start methods can import it.  The child holds
+    its own :class:`~repro.utils.transport.PayloadRegistry` and serves it
+    with :func:`~repro.utils.transport.handle_request`, the worker side
+    of a ``python -m repro.worker`` daemon.
+    """
+    channel = _transport.Channel(sock)
+    registry = _transport.PayloadRegistry()
+    try:
+        while True:
+            alive, message = channel.recv_or_eof()
+            if not alive:
+                return
+            channel.send(_transport.handle_request(message, registry))
+    except TransportError:
+        return
+    finally:
+        channel.close()
+
+
+def _claim_lane(
+    unclaimed: Dict[int, socket.socket], index: int, host: str, port: int
+) -> _transport.Channel:
+    """``channel_factory`` of :class:`ProcessExecutor`: each lane's parent
+    end is handed out once, so a reconnect after its child died fails and
+    the client excludes the lane."""
+    sock = unclaimed.pop(index, None)
+    if sock is None:
+        raise TransportError(
+            f"process lane {_transport.format_address(host, port)} cannot "
+            "reconnect: its child process is gone"
+        )
+    return _transport.Channel(sock)
+
+
+def _stop_lanes(
+    owner: int,
+    children: List[multiprocessing.Process],
+    unclaimed: Dict[int, socket.socket],
+) -> None:
+    """Kill and join the lane children; close unclaimed parent ends."""
+    if os.getpid() != owner:
+        return  # a forked lane inherited this finalizer; not its children
+    for sock in unclaimed.values():
+        sock.close()
+    unclaimed.clear()
+    for child in children:
+        # SIGKILL, not SIGTERM: a forked child inherits the parent's
+        # Python signal handlers, and one of them may ignore SIGTERM
+        child.kill()
+    for child in children:
+        child.join()
+
+
+class ProcessExecutor(RemoteExecutor):
+    """Remote-lane client whose lanes are local child processes.
+
+    Each lane is a daemonic :mod:`multiprocessing` child serving
+    :func:`_serve_lane` over one end of a :func:`socket.socketpair`; the
+    parent end reaches :class:`RemoteExecutor` through its
+    ``channel_factory`` seam, so broadcast, dispatch and lane-failure
+    handling are the remote client's.  No port is opened: nothing outside
+    this process tree can reach a lane.  A lane cannot reconnect, so a
+    child that dies is excluded and its tasks land on the survivors.
+    Broadcasts ship whole (``chunk_bytes=0``): a chunk probe only pays
+    for a daemon that outlives its client.
+
+    :meth:`close`, or collecting an executor that was never closed,
+    kills and joins the children.  Closing the parent ends is not
+    enough: a child forked later holds copies of the earlier lanes'
+    parent ends, so those lanes never see EOF.
+    """
+
+    kind = "process"
+
+    def __init__(self, degree: int | None = None) -> None:
+        if degree is not None and degree <= 0:
+            raise ValidationError("degree must be positive")
+        n_lanes = int(degree or os.cpu_count() or 1)
+        children: List[multiprocessing.Process] = []
+        unclaimed: Dict[int, socket.socket] = {}
+        self._children = children
+        self._finalizer = weakref.finalize(
+            self, _stop_lanes, os.getpid(), children, unclaimed
+        )
+        for index in range(n_lanes):
+            parent_end, child_end = socket.socketpair()
+            unclaimed[index] = parent_end
+            child = multiprocessing.Process(
+                target=_serve_lane, args=(child_end,), daemon=True
+            )
+            child.start()
+            child_end.close()
+            children.append(child)
+        super().__init__(
+            [f"local:{index}" for index in range(n_lanes)],
+            channel_factory=functools.partial(_claim_lane, unclaimed),
+            chunk_bytes=0,
+        )
+
+    def close(self) -> None:
+        super().close()
+        self._finalizer()  # runs once; a second close() is a no-op
 
 
 def make_executor(

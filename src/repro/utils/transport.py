@@ -11,10 +11,10 @@ provides the channel and the worker side of that pair:
   followed by exactly that many pickle bytes; a peer that disappears
   mid-frame surfaces as :class:`~repro.errors.TransportError`, never as
   a truncated unpickle.
-* :class:`PayloadRegistry` — the worker-side broadcast store: the same
-  bounded LRU over resident payloads as the process-pool lanes
-  (:data:`repro.utils.parallel._WORKER_PAYLOAD_CAP`), so a long stream
-  of per-batch broadcasts cannot grow a daemon's memory without bound.
+* :class:`PayloadRegistry` — the worker-side broadcast store of every
+  out-of-process lane, daemon or process lane: a bounded LRU over
+  resident payloads, so a long stream of per-batch broadcasts cannot
+  grow a lane's memory without bound.
   An evicted key is reported to the client as ``("stale", key)`` and the
   client re-broadcasts from its retained copy — eviction is a
   performance event, not an error.
@@ -22,7 +22,9 @@ provides the channel and the worker side of that pair:
   framed requests against one shared registry.  ``python -m
   repro.worker --listen host:port`` (:mod:`repro.worker`) runs one as a
   standalone process; the loopback test harness runs the same class on
-  a background thread in-process.
+  a background thread in-process.  A process lane
+  (:class:`~repro.utils.parallel.ProcessExecutor`) serves
+  :func:`handle_request` over a socketpair instead of a listener.
 
 Wire protocol (client → worker request, worker → client reply):
 
@@ -81,8 +83,7 @@ _HEADER = struct.Struct(">Q")
 #: must fail loudly instead of attempting a terabyte allocation.
 MAX_FRAME_BYTES = 1 << 36  # 64 GiB
 
-#: resident payloads a worker daemon keeps at once; mirrors the process
-#: pool's worker-side LRU cap (``parallel._WORKER_PAYLOAD_CAP``).
+#: resident payloads a lane's registry keeps at once before LRU eviction.
 DEFAULT_PAYLOAD_CAP = 8
 
 #: chunk size for the content-addressed broadcast store.  4 MiB keeps
@@ -447,12 +448,12 @@ class LaneHealth:
 
 
 class PayloadRegistry:
-    """Bounded LRU of broadcast payloads held by one worker daemon.
+    """Bounded LRU of broadcast payloads held by one worker daemon or
+    process lane.
 
-    Same eviction rule as the process-pool lanes: re-addressing a payload
-    moves it to the back; exceeding the cap drops the front (oldest).
-    Thread-safe — a daemon serves each client connection on its own
-    thread against this one shared registry.
+    Re-addressing a payload moves it to the back; exceeding the cap drops
+    the front (oldest).  Thread-safe — a daemon serves each client
+    connection on its own thread against this one shared registry.
 
     Alongside the (count-capped) payload LRU the registry keeps a
     *byte*-capped chunk index: content-addressed raw chunks from the
@@ -582,9 +583,9 @@ class PayloadRegistry:
 def handle_request(message: Any, registry: PayloadRegistry) -> Tuple:
     """Execute one request against ``registry``; returns the reply tuple.
 
-    Pure function of (message, registry) — the socket server and the
-    in-process harness share it, so protocol behaviour cannot drift
-    between deployment shapes.
+    Pure function of (message, registry) — the socket server, the process
+    lanes and the in-process harness share it, so protocol behaviour
+    cannot drift between deployment shapes.
     """
     try:
         if not isinstance(message, tuple) or not message:

@@ -16,7 +16,7 @@ Flags
     harness that requested port 0 learns where the daemon landed.
 ``--payload-cap N``
     Resident broadcast payloads kept before LRU eviction (default 8,
-    matching the in-process pool lanes).  An evicted payload is
+    the same registry limit as a process lane).  An evicted payload is
     re-broadcast by the client on next use, so a small cap trades
     re-transfer for bounded memory.
 ``--chunk-cache-mb N``

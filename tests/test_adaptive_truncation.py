@@ -14,9 +14,8 @@ Contracts under test:
   what consumers see.
 * **Parity when not binding**: with adaptive truncation armed but no
   shard's ``T_s`` below the global ``T``, every path — both engines,
-  ``K ∈ {1, 2, 7}``, serial/process/remote executors, resident and
-  ship-per-task transports — is bitwise identical to the
-  global-truncation path.
+  ``K ∈ {1, 2, 7}``, serial/process/remote executors — is bitwise
+  identical to the global-truncation path.
 * **Wide-sparse property**: on a wide-but-sparse matrix the ``"auto"``
   gate engages, per-shard truncations bind (``T_s < T``), the per-shard
   sufficient statistics shrink, ``ϕ`` carries exactly zero mass outside
@@ -297,11 +296,8 @@ NON_BINDING = dict(truncation_clusters=3, backend="sharded")
 SHARD_COUNTS = [1, 2, 7]
 
 
-def _engine_pair(matrix, n_shards, seed=2, executor_a=None, executor_b=None,
-                 resident=True):
-    base = CPAConfig(
-        seed=seed, n_shards=n_shards, resident_shards=resident, **NON_BINDING
-    )
+def _engine_pair(matrix, n_shards, seed=2, executor_a=None, executor_b=None):
+    base = CPAConfig(seed=seed, n_shards=n_shards, **NON_BINDING)
     off = VariationalInference(
         base.with_overrides(adaptive_truncation="off"), matrix, executor=executor_a
     )
@@ -329,13 +325,10 @@ class TestNonBindingParity:
         "kind",
         ["process", pytest.param("remote", marks=pytest.mark.network)],
     )
-    @pytest.mark.parametrize("resident", [True, False])
-    def test_batch_vi_bitwise_executors_and_transports(self, kind, resident):
+    def test_batch_vi_bitwise_executors_and_transports(self, kind):
         matrix = _dense_matrix()
         with _pool(kind) as pool_a, _pool(kind) as pool_b:
-            off, on = _engine_pair(
-                matrix, 2, executor_a=pool_a, executor_b=pool_b, resident=resident
-            )
+            off, on = _engine_pair(matrix, 2, executor_a=pool_a, executor_b=pool_b)
             for _ in range(3):
                 assert off.sweep() == on.sweep()
                 _assert_states_close(off.state, on.state, BITWISE)

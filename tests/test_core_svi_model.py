@@ -87,6 +87,30 @@ class TestStochasticInference:
         np.testing.assert_array_equal(serial.state.lam, parallel.state.lam)
         np.testing.assert_array_equal(serial.state.phi, parallel.state.phi)
 
+    def test_one_cell_statistics_pass_per_batch_after_seeding(
+        self, tiny_dataset, monkeypatch
+    ):
+        """The local passes take no Eq. 6 statistics: a step computes them
+        once, under the damped ϕ it commits."""
+        from repro.core.kernels import SweepKernel
+
+        calls = []
+        original = SweepKernel.cell_statistics
+
+        def counting(kernel, *args, **kwargs):
+            calls.append(1)
+            return original(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(SweepKernel, "cell_statistics", counting)
+        engine = self._engine(tiny_dataset)
+        assert engine.config.svi_iterations > 1
+        batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=40, seed=1)
+        engine.process_batch(batches[0])  # seeding takes its own pass
+        for batch in batches[1:]:
+            before = len(calls)
+            engine.process_batch(batch)
+            assert len(calls) - before == 1
+
     def test_refreshed_state_does_not_mutate_engine(self, tiny_dataset):
         engine = self._engine(tiny_dataset)
         batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=50, seed=3)

@@ -228,6 +228,20 @@ class TestFleetRefresh:
                 assert items == w_items
                 np.testing.assert_array_equal(probs, w_probs)
 
+    def test_daemons_hold_the_serve_cli_registry_limits(self):
+        """The writer and a thread replica keep the registry limits a
+        process replica gets from ``python -m repro.serve``'s defaults."""
+        from repro.serve import _build_parser as serve_parser
+
+        parser = serve_parser()
+        payload_cap = parser.get_default("payload_cap")
+        chunk_cache_bytes = parser.get_default("chunk_cache_mb") << 20
+        with _manager(_matrix(), n_replicas=1) as manager:
+            daemons = [manager._writer_server, manager._replicas[0].server]
+            for daemon in daemons:
+                assert daemon.registry.cap == payload_cap
+                assert daemon.registry.chunk_cache_bytes == chunk_cache_bytes
+
     def test_second_refresh_ships_chunk_delta(self):
         # wide item space so one small step leaves most chunks untouched
         matrix = _matrix(seed=6, n_items=2000, per_item=1)

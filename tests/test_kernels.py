@@ -442,14 +442,13 @@ class TestLazyExecutors:
             ex.map_tasks(lambda v: v, [1])
         assert ex._pool is None  # no pool was resurrected
 
-    def test_process_pool_not_created_by_constructor(self):
+    def test_closing_an_unused_process_executor_leaves_no_child(self):
+        from repro.errors import ConfigurationError
         from repro.utils.parallel import ProcessExecutor
 
         ex = ProcessExecutor(2)
-        assert ex._pool is None
-        ex.close()  # closing an unused executor is a no-op
-        assert ex._pool is None
-        from repro.errors import ConfigurationError
-
+        children = list(ex._children)
+        ex.close()  # never ran a task: no channel was handed out
+        assert not any(child.is_alive() for child in children)
         with pytest.raises(ConfigurationError, match="process executor"):
             ex.map_tasks(lambda v: v, [1])

@@ -2,22 +2,24 @@
 
 Contracts under test:
 
-* **Bitwise parity** — the resident transport (shard kernels broadcast
-  once per plan, per-sweep tasks carrying only posteriors) and the
-  ship-per-task transport execute identical ops in identical order, so
-  their results are bitwise equal for every executor kind and shard
-  count, on both engines.
+* **Bitwise parity** — a plan run on an executor (shard kernels
+  broadcast once per plan, per-sweep tasks carrying only posteriors)
+  executes the same task functions in the same order as the same plan
+  run with no executor, so their results are bitwise equal for every
+  executor kind and shard count, on both engines.
 * **Transport shape** — after the one broadcast, no shard kernel ever
   rides inside a ``map_on`` task payload, however many sweeps run.
 * **Eviction** — broadcast state is released on ``Executor.close()``
   (and on plan retirement via ``ShardedSweepKernel.evict``): no leaked
-  lane memory between fits.
+  lane memory between fits, and no process lane outlives its executor.
 * **Auto backend** — ``CPAConfig.backend = "auto"`` picks fused below
   the measured volume crossover and sharded above it, sizing K from the
   volume and executor degree.
 """
 
 import contextlib
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -73,15 +75,19 @@ def _pool(kind, degree=2):
             yield executor
 
 
-def _kernel_pair(seed, n_shards, **kwargs):
+def _kernel(seed, n_shards, **kwargs):
     items, workers, x, phi, kappa, e_log_psi = _random_problem(seed, **kwargs)
-    resident = ShardedSweepKernel(
-        items, workers, x, n_items=40, n_workers=25, n_shards=n_shards, resident=True
+    kernel = ShardedSweepKernel(
+        items, workers, x, n_items=40, n_workers=25, n_shards=n_shards
     )
-    reship = ShardedSweepKernel(
-        items, workers, x, n_items=40, n_workers=25, n_shards=n_shards, resident=False
-    )
-    return resident, reship, phi, kappa, e_log_psi
+    return kernel, phi, kappa, e_log_psi
+
+
+@pytest.fixture
+def no_executor(monkeypatch):
+    """Engines built in this test without an explicit executor hand their
+    kernels ``executor=None`` — the in-process path every lane must match."""
+    monkeypatch.setattr(CPAConfig, "resolve_executor", lambda self: None)
 
 
 # ------------------------------------------------------------ kernel bitwise
@@ -91,78 +97,72 @@ class TestResidentKernelBitwise:
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_all_consumers_bitwise_equal(self, kind, n_shards):
-        resident, reship, phi, kappa, e_log_psi = _kernel_pair(21, n_shards)
+        lanes, phi, kappa, e_log_psi = _kernel(21, n_shards)
+        local, *_ = _kernel(21, n_shards)
         with _pool(kind) as pool:
-            for kernel in (resident, reship):
+            for kernel in (lanes, local):
                 kernel.begin_sweep(e_log_psi)
             for method, args, shape in (
                 ("add_worker_scores", (phi,), (25, 4)),
                 ("add_item_scores", (kappa,), (40, 5)),
             ):
-                out_a = getattr(resident, method)(np.zeros(shape), *args, pool)
-                out_b = getattr(reship, method)(np.zeros(shape), *args, pool)
+                out_a = getattr(lanes, method)(np.zeros(shape), *args, pool)
+                out_b = getattr(local, method)(np.zeros(shape), *args)
                 np.testing.assert_array_equal(out_a, out_b)
-            counts_a, mass_a = resident.cell_statistics(phi, kappa, pool)
-            counts_b, mass_b = reship.cell_statistics(phi, kappa, pool)
+            counts_a, mass_a = lanes.cell_statistics(phi, kappa, pool)
+            counts_b, mass_b = local.cell_statistics(phi, kappa)
             np.testing.assert_array_equal(counts_a, counts_b)
             np.testing.assert_array_equal(mass_a, mass_b)
-            assert resident.data_elbo(phi, kappa, e_log_psi, pool) == reship.data_elbo(
-                phi, kappa, e_log_psi, pool
+            assert lanes.data_elbo(phi, kappa, e_log_psi, pool) == local.data_elbo(
+                phi, kappa, e_log_psi
             )
+            assert len(lanes._installed) == 1  # broadcast once, then map_on
+        assert len(local._installed) == 0
 
-    def test_default_serial_fallback_stays_ship_per_task(self):
-        """Calls without an executor must not pin state into the shared
-        module-level serial default (that executor outlives every plan)."""
-        from repro.core import sharding
-
-        resident, _, phi, _, e_log_psi = _kernel_pair(22, 3)
-        resident.begin_sweep(e_log_psi)
-        resident.add_worker_scores(np.zeros((25, 4)), phi)  # no executor arg
-        assert sharding._SERIAL._resident == {}
-        assert len(resident._installed) == 0
+    def test_no_executor_broadcasts_nothing(self):
+        """Calls without an executor run the task functions in-process and
+        install the plan nowhere."""
+        kernel, phi, _, e_log_psi = _kernel(22, 3)
+        kernel.begin_sweep(e_log_psi)
+        kernel.add_worker_scores(np.zeros((25, 4)), phi)  # no executor arg
+        assert len(kernel._installed) == 0
 
 
 # -------------------------------------------------------------- engine parity
 
 
 class TestResidentEngineParity:
-    """1e-10 trajectory parity (bitwise, in fact) for both engines."""
+    """Every executor kind is bitwise equal to the no-executor path."""
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_batch_vi_trajectories(self, tiny_dataset, kind, n_shards):
+    def test_batch_vi_trajectories(self, tiny_dataset, no_executor, kind, n_shards):
         config = CPAConfig(seed=4, max_iterations=6, backend="sharded", n_shards=n_shards)
-        with _pool(kind) as pool_a, _pool(kind) as pool_b:
-            resident = VariationalInference(config, tiny_dataset.answers, executor=pool_a)
-            reship = VariationalInference(
-                config.with_overrides(resident_shards=False),
-                tiny_dataset.answers,
-                executor=pool_b,
-            )
+        local = VariationalInference(config, tiny_dataset.answers)
+        assert local.executor is None
+        with _pool(kind) as pool:
+            lanes = VariationalInference(config, tiny_dataset.answers, executor=pool)
             for _ in range(3):
-                delta_a = resident.sweep()
-                delta_b = reship.sweep()
-                assert delta_a == delta_b
-                _assert_states_close(resident.state, reship.state, dict(atol=0, rtol=0))
-            assert resident.elbo() == reship.elbo()
+                assert lanes.sweep() == local.sweep()
+                _assert_states_close(lanes.state, local.state, dict(atol=0, rtol=0))
+            assert lanes.elbo() == local.elbo()
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_svi_stream_trajectories(self, tiny_dataset, kind, n_shards):
+    def test_svi_stream_trajectories(self, tiny_dataset, no_executor, kind, n_shards):
         config = CPAConfig(
             seed=6, svi_iterations=1, backend="sharded", n_shards=n_shards
         )
         sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
         batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=80, seed=9)
-        with _pool(kind) as pool_a, _pool(kind) as pool_b:
-            resident = StochasticInference(config, *sizes, executor=pool_a)
-            reship = StochasticInference(
-                config.with_overrides(resident_shards=False), *sizes, executor=pool_b
-            )
+        local = StochasticInference(config, *sizes)
+        assert local.executor is None
+        with _pool(kind) as pool:
+            lanes = StochasticInference(config, *sizes, executor=pool)
             for batch in batches:
-                resident.process_batch(batch)
-                reship.process_batch(batch)
-            _assert_states_close(resident.state, reship.state, dict(atol=0, rtol=0))
+                lanes.process_batch(batch)
+                local.process_batch(batch)
+            _assert_states_close(lanes.state, local.state, dict(atol=0, rtol=0))
 
 
 # ----------------------------------------------------------- transport shape
@@ -208,16 +208,6 @@ class TestTransportShape:
         assert pool.map_on_tasks, "sweeps must route through the resident path"
         assert not any(_contains_kernel(task) for task in pool.map_on_tasks)
 
-    def test_reship_mode_never_broadcasts(self, tiny_dataset):
-        pool = _RecordingExecutor()
-        config = CPAConfig(
-            seed=1, backend="sharded", n_shards=3, resident_shards=False
-        )
-        engine = VariationalInference(config, tiny_dataset.answers, executor=pool)
-        engine.sweep()
-        assert pool.broadcasts == []
-        assert pool.map_on_tasks == []
-
 
 # ------------------------------------------------------------------ eviction
 
@@ -225,42 +215,39 @@ class TestTransportShape:
 class TestEviction:
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_close_releases_in_process_state(self, kind):
-        resident, _, phi, _, e_log_psi = _kernel_pair(23, 2)
+        kernel, phi, _, e_log_psi = _kernel(23, 2)
         pool = make_executor(kind, 2)
-        resident.begin_sweep(e_log_psi)
-        resident.add_worker_scores(np.zeros((25, 4)), phi, pool)
+        kernel.begin_sweep(e_log_psi)
+        kernel.add_worker_scores(np.zeros((25, 4)), phi, pool)
         assert pool._resident  # plan is lane-resident
         pool.close()
         assert pool._resident == {}  # evicted with the pool
         with pytest.raises(ConfigurationError, match=f"{kind} executor"):
-            resident.add_worker_scores(np.zeros((25, 4)), phi, pool)
+            kernel.add_worker_scores(np.zeros((25, 4)), phi, pool)
 
-    def test_close_releases_process_state_and_scratch_files(self):
-        import os
-
-        resident, _, phi, _, e_log_psi = _kernel_pair(24, 2)
+    def test_close_releases_process_state_and_children(self):
+        kernel, phi, _, e_log_psi = _kernel(24, 2)
         pool = ProcessExecutor(2)
-        resident.begin_sweep(e_log_psi)
-        resident.add_worker_scores(np.zeros((25, 4)), phi, pool)
-        scratch = pool._scratch_dir
-        assert scratch is not None and os.path.isdir(scratch)
-        assert pool._resident_paths
+        kernel.begin_sweep(e_log_psi)
+        kernel.add_worker_scores(np.zeros((25, 4)), phi, pool)
+        assert pool._payloads  # plan is lane-resident
+        children = list(pool._children)
+        assert all(child.is_alive() for child in children)
         pool.close()
-        assert pool._resident_paths == {}
-        assert pool._scratch_dir is None
-        assert not os.path.exists(scratch)  # spill files gone with the state
+        assert pool._payloads == {}
+        assert not any(child.is_alive() for child in children)
 
     def test_kernel_evict_releases_between_fits(self):
         """Two successive plans on one executor: retiring the first must
         leave no trace of it behind (the SVI per-batch pattern)."""
         pool = SerialExecutor()
-        first, _, phi, _, e_log_psi = _kernel_pair(25, 2)
+        first, phi, _, e_log_psi = _kernel(25, 2)
         first.begin_sweep(e_log_psi)
         first.add_worker_scores(np.zeros((25, 4)), phi, pool)
         assert len(pool._resident) == 1
         first.evict()
         assert pool._resident == {}
-        second, _, phi2, _, e_log_psi2 = _kernel_pair(26, 3)
+        second, phi2, _, e_log_psi2 = _kernel(26, 3)
         second.begin_sweep(e_log_psi2)
         second.add_worker_scores(np.zeros((25, 4)), phi2, pool)
         assert len(pool._resident) == 1  # only the live plan remains
@@ -303,19 +290,18 @@ class TestEviction:
         assert not isinstance(engine._batch_kernel_cache[1], ShardedSweepKernel)
         assert pool._resident == {}  # ...and released from the lanes
 
-    def test_abandoned_process_executor_cleans_its_scratch_dir(self):
+    def test_abandoned_process_executor_reaps_its_children(self):
         """A ProcessExecutor dropped without close() must not leak its
-        spilled broadcast payloads on disk."""
+        lane processes (or the payloads they hold)."""
         import gc
-        import os
 
         ex = ProcessExecutor(2)
         ex.broadcast("plan", {"big": list(range(100))})
-        scratch = ex._scratch_dir
-        assert scratch is not None and os.path.isdir(scratch)
+        children = list(ex._children)
+        assert all(child.is_alive() for child in children)
         del ex
         gc.collect()
-        assert not os.path.exists(scratch)
+        assert not any(child.is_alive() for child in children)
 
     def test_dead_kernels_are_retired_by_their_finalizer(self):
         """Successive offline fits on one long-lived executor must not
@@ -324,7 +310,7 @@ class TestEviction:
 
         pool = SerialExecutor()
         for _ in range(3):
-            kernel, _, phi, _, e_log_psi = _kernel_pair(29, 2)
+            kernel, phi, _, e_log_psi = _kernel(29, 2)
             kernel.begin_sweep(e_log_psi)
             kernel.add_worker_scores(np.zeros((25, 4)), phi, pool)
             assert len(pool._resident) == 1
@@ -335,14 +321,65 @@ class TestEviction:
 
     def test_rebroadcast_after_eviction_recovers(self):
         """A kernel whose state was evicted re-installs on next use."""
-        resident, _, phi, _, e_log_psi = _kernel_pair(27, 2)
+        kernel, phi, _, e_log_psi = _kernel(27, 2)
         pool = SerialExecutor()
-        resident.begin_sweep(e_log_psi)
-        out_a = resident.add_worker_scores(np.zeros((25, 4)), phi, pool)
-        resident.evict()
-        out_b = resident.add_worker_scores(np.zeros((25, 4)), phi, pool)
+        kernel.begin_sweep(e_log_psi)
+        out_a = kernel.add_worker_scores(np.zeros((25, 4)), phi, pool)
+        kernel.evict()
+        out_b = kernel.add_worker_scores(np.zeros((25, 4)), phi, pool)
         np.testing.assert_array_equal(out_a, out_b)
         assert len(pool._resident) == 1
+
+
+# --------------------------------------------------------- process-lane faults
+
+
+def _kill_lane(executor, index=0):
+    """SIGKILL one process lane and wait until it is gone."""
+    child = executor._children[index]
+    os.kill(child.pid, signal.SIGKILL)
+    child.join(timeout=10)
+    assert not child.is_alive()
+
+
+class TestProcessLaneFaults:
+    """A process lane that dies is excluded like a remote daemon that
+    stays down: its tasks land on the survivor, and results stay bitwise
+    equal to the serial executor."""
+
+    def test_batch_vi_survives_a_lane_kill_between_sweeps(self, tiny_dataset):
+        config = CPAConfig(seed=4, max_iterations=6, backend="sharded", n_shards=2)
+        serial = VariationalInference(
+            config, tiny_dataset.answers, executor=SerialExecutor()
+        )
+        with make_executor("process", 2) as pool:
+            lanes = VariationalInference(config, tiny_dataset.answers, executor=pool)
+            for _ in range(3):
+                assert lanes.sweep() == serial.sweep()
+            assert pool.degree == 2
+            _kill_lane(pool)
+            for _ in range(3):
+                assert lanes.sweep() == serial.sweep()
+            assert pool.degree == 1
+            assert lanes.elbo() == serial.elbo()
+            _assert_states_close(lanes.state, serial.state, dict(atol=0, rtol=0))
+
+    def test_svi_stream_survives_a_lane_kill_mid_stream(self, tiny_dataset):
+        config = CPAConfig(seed=6, svi_iterations=1, backend="sharded", n_shards=2)
+        sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
+        batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=80, seed=9)
+        serial = StochasticInference(config, *sizes, executor=SerialExecutor())
+        with make_executor("process", 2) as pool:
+            lanes = StochasticInference(config, *sizes, executor=pool)
+            half = len(batches) // 2
+            for index, batch in enumerate(batches):
+                if index == half:
+                    assert pool.degree == 2
+                    _kill_lane(pool, 1)
+                lanes.process_batch(batch)
+                serial.process_batch(batch)
+            assert pool.degree == 1
+            _assert_states_close(lanes.state, serial.state, dict(atol=0, rtol=0))
 
 
 # -------------------------------------------------------------- auto backend

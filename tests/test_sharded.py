@@ -497,11 +497,13 @@ class TestShardTransport:
 
         ex = ProcessExecutor(2)
         assert ex.map_tasks(_double, [1, 2]) == [2, 4]
+        children = list(ex._children)
         ex.close()
-        assert ex._pool is None
         with pytest.raises(ConfigurationError, match="process executor"):
             ex.map_tasks(_double, [1])
-        assert ex._pool is None  # the failed call must not recreate the pool
+        # the failed call must not start new lanes or revive old ones
+        assert ex._children == children
+        assert not any(child.is_alive() for child in children)
         # a fresh executor is the supported way to continue
         with ProcessExecutor(2) as fresh:
             assert fresh.map_tasks(_double, [3]) == [6]

@@ -1103,7 +1103,7 @@ class TestStragglerMitigation:
             assert executor._request_timeout == 0.0
             executor.broadcast("base", 1)
             assert executor.map_on("base", _plus, [1]) == [2]
-            assert all(lane.health == "live" for lane in executor._lanes)
+            assert all(lane.health.live for lane in executor._lanes)
 
 
 # ------------------------------------------------------- reconnect backoff

@@ -182,21 +182,22 @@ class TestStatefulLanes:
         with make_executor(kind, 2) as ex:
             ex.broadcast("base", 10)
             assert ex.map_on("base", _payload_plus, [0]) == [10]
-            pool_before = ex._pool if kind != "serial" else None
+            lanes_before = _lane_workers(ex)
             ex.broadcast("base", 100)
             assert ex.map_on("base", _payload_plus, [0]) == [100]
-            if kind != "serial":
-                # re-broadcasting must not recycle the worker pool
-                assert ex._pool is pool_before
+            # re-broadcasting must not recycle the lanes
+            assert _lane_workers(ex) == lanes_before
 
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_map_on_unknown_key_raises_loudly(self, kind):
         with make_executor(kind, 2) as ex:
             with pytest.raises(ConfigurationError, match="no broadcast state"):
                 ex.map_on("never-sent", _payload_plus, [1])
-            if kind != "serial":
-                # the error path must not have spawned a pool
+            # the error path must not have touched the lanes
+            if kind == "thread":
                 assert ex._pool is None
+            elif kind == "process":
+                assert all(lane.channel is None for lane in ex._lanes)
 
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_release_then_map_on_raises(self, kind):
@@ -223,6 +224,14 @@ class TestStatefulLanes:
         with ThreadExecutor(4) as ex:
             ex.broadcast("base", 0)
             assert ex.map_on("base", _payload_plus, tasks) == tasks
+
+
+def _lane_workers(ex):
+    """What a re-broadcast must leave in place: the thread pool, or the
+    pids of the live process lanes (``None`` for serial)."""
+    if isinstance(ex, ProcessExecutor):
+        return [child.pid for child in ex._children if child.is_alive()]
+    return getattr(ex, "_pool", None)
 
 
 class TestFactoryDegreeValidation:
@@ -265,17 +274,14 @@ class TestCloseIdempotency:
         ex.close()
         assert ex._pool is None
 
-    def test_process_close_twice_releases_scratch_once(self):
-        import os
-
+    def test_process_close_twice_stops_children_once(self):
         ex = ProcessExecutor(2)
-        ex.broadcast("base", {"k": 1})  # spills without spawning workers
-        scratch = ex._scratch_dir
-        assert scratch is not None and os.path.isdir(scratch)
+        ex.broadcast("base", {"k": 1})
+        children = list(ex._children)
         ex.close()
-        assert not os.path.exists(scratch)
+        assert not any(child.is_alive() for child in children)
         ex.close()  # finalizer already ran; must not raise
-        assert ex._scratch_dir is None
+        assert not ex._finalizer.alive
 
     def test_remote_close_twice_without_ever_connecting(self):
         from repro.utils.parallel import RemoteExecutor
@@ -287,79 +293,21 @@ class TestCloseIdempotency:
             ex.map_tasks(_double_task, [1])
 
 
-class TestWorkerPayloadLRU:
-    """The process-pool worker-side registry (PR 3) pinned down:
-    insertion-ordered LRU with touch-on-use, bounded by the cap, with
-    spill-file reload for evicted-but-readdressed payloads."""
-
-    def _spill(self, tmp_path, name, value):
-        import pickle as pkl
-
-        path = tmp_path / name
-        path.write_bytes(pkl.dumps(value, protocol=pkl.HIGHEST_PROTOCOL))
-        return str(path)
-
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self):
-        from repro.utils import parallel
-
-        parallel._WORKER_PAYLOADS.clear()
-        yield
-        parallel._WORKER_PAYLOADS.clear()
-
-    def test_eviction_drops_oldest_and_touch_refreshes(self, tmp_path, monkeypatch):
-        from repro.utils import parallel
-
-        monkeypatch.setattr(parallel, "_WORKER_PAYLOAD_CAP", 2)
-        paths = [self._spill(tmp_path, f"b{i}.pkl", i * 10) for i in range(3)]
-        assert parallel._resident_call(paths[0], "k0", _payload_plus, 1) == 1
-        assert parallel._resident_call(paths[1], "k1", _payload_plus, 1) == 11
-        # touch p0: it becomes most recent, so p1 is now the oldest
-        assert parallel._resident_call(paths[0], "k0", _payload_plus, 2) == 2
-        assert list(parallel._WORKER_PAYLOADS) == [paths[1], paths[0]]
-        # a third payload evicts p1 (the oldest), not the just-touched p0
-        assert parallel._resident_call(paths[2], "k2", _payload_plus, 1) == 21
-        assert list(parallel._WORKER_PAYLOADS) == [paths[0], paths[2]]
-
-    def test_evicted_payload_reloads_from_its_spill_file(self, tmp_path, monkeypatch):
-        from repro.utils import parallel
-
-        monkeypatch.setattr(parallel, "_WORKER_PAYLOAD_CAP", 1)
-        first = self._spill(tmp_path, "b1.pkl", 100)
-        second = self._spill(tmp_path, "b2.pkl", 200)
-        assert parallel._resident_call(first, "k1", _payload_plus, 0) == 100
-        assert parallel._resident_call(second, "k2", _payload_plus, 0) == 200
-        assert list(parallel._WORKER_PAYLOADS) == [second]
-        # first was evicted but its spill file still exists: reload works
-        assert parallel._resident_call(first, "k1", _payload_plus, 5) == 105
-
-    def test_missing_spill_file_raises_the_rebroadcast_error(self, tmp_path):
-        import os
-
-        from repro.utils import parallel
-
-        path = self._spill(tmp_path, "gone.pkl", 1)
-        os.unlink(path)
-        with pytest.raises(ConfigurationError, match="re-broadcast"):
-            parallel._resident_call(path, "k", _payload_plus, 0)
-
-
 class TestBroadcastStateCleanup:
-    """PR 3 surfaces pinned: spill-file cleanup on garbage collection and
-    the silence of double/late releases."""
+    """Process lanes are reaped on garbage collection, and double/late
+    releases stay silent."""
 
-    def test_gc_without_close_removes_spill_files(self):
+    def test_gc_without_close_reaps_children(self):
         import gc
-        import os
 
         ex = ProcessExecutor(2)
         ex.broadcast("plan", list(range(50)))
-        ex.broadcast("plan", list(range(60)))  # re-broadcast: fresh spill
-        scratch = ex._scratch_dir
-        assert scratch is not None and len(os.listdir(scratch)) == 1
+        ex.broadcast("plan", list(range(60)))  # re-broadcast
+        assert ex.map_on("plan", _payload_plus, [[1]]) == [list(range(60)) + [1]]
+        children = list(ex._children)
         del ex
         gc.collect()
-        assert not os.path.exists(scratch)
+        assert not any(child.is_alive() for child in children)
 
     def test_release_broadcast_with_already_evicted_key_is_silent(self):
         """sharding._release_broadcast hits executors whose state may be
