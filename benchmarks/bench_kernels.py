@@ -30,10 +30,10 @@ Measures, at several answer volumes, the wall-clock cost of
   magnitude below the full chunked ship it replaces.
 
 The synthetic workload mirrors the paper's partial-agreement structure:
-label sets are drawn from a bounded pattern pool with a Zipf-like
-popularity profile, so the number of distinct patterns ``P`` is far below
-the number of answers ``N`` — the regime the pattern-deduplicated kernels
-exploit.  ``python -m benchmarks.run_perf`` drives these functions and
+label sets of 1–3 labels are drawn from a bounded pattern pool with a
+Zipf-like popularity profile.  The label-factored kernels cost
+``nnz·T`` sparse work plus ``U·C·T·M`` dense work per pass, whatever the
+pool size.  ``python -m benchmarks.run_perf`` drives these functions and
 records the trajectory in ``BENCH_core.json`` at the repo root.
 """
 
@@ -149,17 +149,17 @@ def _shard_statistics_bytes(kernel, n_clusters: int, n_communities: int) -> int:
     """Bytes of per-shard truncation-sized working state across one sweep.
 
     Per shard: the Eq. 6 sufficient statistics (``(T_s, M, C)`` counts
-    plus ``(T_s, M)`` mass) and the pattern-space likelihood tensor
-    (``(P_s, T_s, M)``) — exactly the arrays whose cluster axis
-    shard-local truncation shrinks.  Deterministic, so the recorded
-    reduction is noise-free.
+    plus ``(T_s, M)`` mass) and the ``(U_s·C, T_s)`` worker-label product
+    ``A ϕ`` — exactly the arrays whose cluster axis shard-local
+    truncation shrinks.  Deterministic, so the recorded reduction is
+    noise-free.
     """
     itemsize = np.dtype(kernel.dtype).itemsize
     n_labels = kernel.n_labels
     total = 0
     for shard, t_s in zip(kernel.plan.shards, kernel._shard_ts(n_clusters)):
         total += t_s * n_communities * (n_labels + 1) * itemsize
-        total += shard.kernel.n_patterns * t_s * n_communities * itemsize
+        total += shard.kernel.n_workers * n_labels * t_s * itemsize
     return total
 
 
@@ -362,9 +362,9 @@ def measure_sweep_transport(
 
     Uses the Fig-7 runtime configuration (truncations 12/8 — the
     process-lane scalability workload) with the ``SHARDED_K``-shard
-    backend.  The shard kernels (answer arrays, pattern tables, segment
-    layouts) are broadcast once per plan; a sweep ships only shard
-    indices plus updated posterior rows.
+    backend.  The shard kernels (their sparse incidence matrices) are
+    broadcast once per plan; a sweep ships only shard indices plus
+    updated posterior rows.
 
     The remote keys measure the same resident sweep over loopback TCP
     against ``REMOTE_WORKERS`` real worker daemons;
@@ -442,7 +442,6 @@ def bench_batch_sweep(
         "n_labels": int(matrix.n_labels),
         "n_clusters": int(fused.state.n_clusters),
         "n_communities": int(fused.state.n_communities),
-        "n_patterns": int(fused.kernel.n_patterns),
         "dtype": dtype,
         "fused_sweep_s": fused_sweep,
         "fused_elbo_s": fused_elbo,
@@ -600,7 +599,7 @@ def run_suite(
         records.append(record)
         if verbose and include_reference:
             print(
-                f"N={record['n_answers']:>7d}  P={record['n_patterns']:>4d}  "
+                f"N={record['n_answers']:>7d}  "
                 f"sweep {record['reference_sweep_s']:.3f}s -> "
                 f"{record['fused_sweep_s']:.3f}s ({record['sweep_speedup']:.1f}x)  "
                 f"elbo {record['elbo_speedup']:.1f}x  "
@@ -609,7 +608,7 @@ def run_suite(
             )
         elif verbose:
             print(
-                f"N={record['n_answers']:>7d}  P={record['n_patterns']:>4d}  "
+                f"N={record['n_answers']:>7d}  "
                 f"fused sweep {record['fused_sweep_s']:.3f}s  "
                 f"sharded sweep {record['sharded_sweep_ratio']:.2f}x fused"
             )

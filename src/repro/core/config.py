@@ -108,15 +108,17 @@ class CPAConfig:
         Maximum ``C`` for which exhaustive ``2^C`` MAP search is permitted.
     dtype:
         Floating dtype (``"float64"`` / ``"float32"``) of the variational
-        state and likelihood kernels.  ``float32`` halves memory traffic
-        of the ``(·, T, M)`` tensors at a small accuracy cost; the
+        state and of the sweep kernels' incidence matrices and products.
+        ``float32`` halves the memory traffic of κ, ϕ and the
+        ``(U·C, T)`` worker-label products at a small accuracy cost; the
         default keeps the paper-exact double-precision trajectories
         (DESIGN.md §6).
     backend:
-        Sweep-kernel backend: ``"fused"`` (default; the serial fused
-        kernel of DESIGN.md §6), ``"sharded"`` (item-partitioned
-        shards whose contractions run as independent executor tasks and
-        whose sufficient statistics are merged in fixed shard order;
+        Sweep-kernel backend: ``"fused"`` (default; the fused kernel of
+        DESIGN.md §6, which runs in the calling process and uses no
+        executor lanes), ``"sharded"`` (item-partitioned shards whose
+        contractions run as independent executor tasks and whose
+        sufficient statistics are merged in fixed shard order;
         DESIGN.md §6 "Sharded execution"), or ``"auto"`` (pick fused vs
         sharded — and the shard count — per matrix/batch from the answer
         volume and the executor's lane count, using the measured
@@ -151,8 +153,11 @@ class CPAConfig:
         ``"thread"``, ``"process"`` (local child processes running the
         remote-lane protocol over socketpairs), or ``"remote"`` (lanes on
         ``python -m repro.worker`` daemons named by ``workers``;
-        DESIGN.md §6 "Remote lanes").  Both engines build their executor
-        from this spec (:meth:`resolve_executor`) whenever no explicit
+        DESIGN.md §6 "Remote lanes").  Lanes run shards, so only a
+        sharded kernel (``backend="sharded"``, or ``"auto"`` when it
+        picks shards) uses them; a fused kernel ignores the executor.
+        Both engines build their executor from this spec
+        (:meth:`resolve_executor`) whenever no explicit
         :class:`~repro.utils.parallel.Executor` object is passed, so a
         run is reproducible from configuration alone; an engine-built
         executor is exposed as ``engine.executor`` and never closed by

@@ -13,13 +13,12 @@ Every update is an exact coordinate maximisation of the evidence lower
 bound, so the ELBO computed by :meth:`VariationalInference.elbo` is
 non-decreasing across sweeps — a property the test-suite asserts.
 
-All data-dependent terms are evaluated through the fused
-:class:`~repro.core.kernels.SweepKernel` (DESIGN.md §6): the answer
-log-likelihood tensor is computed once per sweep in pattern space and
-feeds the κ update, the ϕ update, the λ/cell-mass statistics, and the
-ELBO; scatters go through sorted segment reductions; and the chunked
-local updates fan out over the configured
-:class:`~repro.utils.parallel.Executor`.
+All data-dependent terms are evaluated through the sweep-kernel seam
+(DESIGN.md §6): the fused :class:`~repro.core.kernels.SweepKernel`
+factors the κ update, the ϕ update, the λ/cell-mass statistics and the
+ELBO through sparse worker·label incidence products, in the calling
+process; the sharded backend runs one such kernel per shard over the
+configured :class:`~repro.utils.parallel.Executor`.
 """
 
 from __future__ import annotations
@@ -305,10 +304,9 @@ class VariationalInference:
     def sweep(self) -> float:
         """One full coordinate-ascent sweep; returns the max parameter change.
 
-        The answer log-likelihood is evaluated exactly once (in pattern
-        space, :meth:`SweepKernel.begin_sweep`) and shared by the κ and ϕ
-        updates and the λ statistics — the seed implementation re-evaluated
-        it for each consumer.
+        ``E[ln ψ]`` is rearranged once (:meth:`SweepKernel.begin_sweep`)
+        and shared by the κ and ϕ updates; no per-answer likelihood
+        tensor is formed for them or for the λ statistics.
         """
         self._maybe_replan()
         state = self.state
@@ -411,8 +409,7 @@ class VariationalInference:
         e_log_phi, e_log_phi_c = expected_log_phi_beta(state.zeta)
 
         value = 0.0
-        # E[ln p(x | z, l, ψ)] — reuses the pattern-space joint mass cached
-        # by the last cell-statistics pass when ϕ/κ are unchanged.
+        # E[ln p(x | z, l, ψ)] = Σ counts · E[ln ψ], one statistics pass
         value += self.kernel.data_elbo(state.phi, state.kappa, e_log_psi, self.executor)
         # E[ln p(z | π)] and E[ln p(l | τ)]
         value += float(state.kappa.sum(axis=0) @ e_log_pi)

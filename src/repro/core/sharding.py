@@ -12,31 +12,32 @@ inference engines through per-answer sufficient statistics that are
   crosses a shard boundary.
 * :class:`ShardedSweepKernel` presents the same interface as
   :class:`~repro.core.kernels.SweepKernel` but runs each shard's
-  pattern-deduplicated contractions as an independent
+  label-factored contractions (one :class:`SweepKernel` per shard, over
+  the shard's own incidence matrices) as an independent
   :meth:`~repro.utils.parallel.Executor.map_on` task and merges the
   partial sufficient statistics centrally.
 
 Combine semantics (the parity contract of ``tests/test_sharded.py``):
 
 * **item scores** — shards own disjoint item sets, so the merge is a
-  disjoint scatter; each item's segment is reduced inside one shard with
-  the same per-segment summation order (pattern-major, stable) as the
-  fused serial path.
-* **worker scores / cell statistics / ELBO** — workers and patterns span
-  shards; each shard contributes one ``reduceat``-style contiguous
-  partial per segment, and partials are merged ``+=`` in **fixed shard
-  order** (``k = 0..K-1``, independent of the executor's scheduling,
-  since ``map_on`` preserves task order).  The merge is therefore
-  deterministic for every executor kind; relative to the fused serial
-  path it only reassociates the per-segment sums, keeping trajectories
-  within ``1e-10`` on float64.
+  disjoint scatter; each item's row is reduced inside one shard.
+* **worker scores / cell statistics** — workers span shards; each shard
+  contributes one partial per worker (and one ``(T, M, C)`` /
+  ``(T, M)`` statistics partial), and partials are merged ``+=`` in
+  **fixed shard order** (``k = 0..K-1``, independent of the executor's
+  scheduling, since ``map_on`` preserves task order).  The merge is
+  therefore deterministic for every executor kind; relative to the fused
+  serial path it only reassociates the sums, keeping trajectories within
+  ``1e-10`` on float64.  The ELBO data term is ``Σ counts · E[ln ψ]``
+  over the merged statistics.
 
 Shard-local truncation (DESIGN.md §6 "Shard-local truncation"): with
 ``CPAConfig.adaptive_truncation`` engaged, each shard carries a
 ``t_limit`` sized from its own distinct item-profile count and works on
 the stick-breaking *prefix* ``[0, T_s)`` of the cluster space,
 ``T_s = min(T, t_limit)``: tasks receive the contiguous view
-``e_log_psi[:T_s]`` and windowed ϕ rows, per-shard statistics shrink to
+``e_log_psi[:T_s]`` and windowed ϕ rows, the per-shard worker-label
+product shrinks to ``(U_s·C, T_s)`` and the statistics to
 ``(T_s, M, C)``, and merges scatter the prefixes back into the global
 arrays.  Engines keep ϕ exactly zero outside each item's window
 (``cluster_limits`` + the masking helpers of :mod:`repro.core.kernels`),
@@ -53,8 +54,8 @@ task then carries only the shard index plus the small updated posteriors
 (ϕ/κ rows, the sweep's ``E[ln ψ]``), routed through
 :meth:`~repro.utils.parallel.Executor.map_on`.  For out-of-process lanes
 this cuts per-sweep pickled bytes by an order of magnitude (the shard's
-pattern tables and answer arrays ship once per plan instead of once per
-task per call).  Called without an executor, the kernel runs the same
+incidence matrices ship once per plan instead of once per task per
+call).  Called without an executor, the kernel runs the same
 task functions in-process on its own shard list, so every executor is
 bitwise equal to that path (``tests/test_resident.py``).  Broadcast
 state is evicted when the executor closes.
@@ -69,14 +70,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import (
-    SegmentLayout,
-    SweepKernel,
-    balanced_bounds,
-    dedup_pays_off,
-    segment_sum,
-    unique_patterns,
-)
+from repro.core.kernels import SegmentLayout, SweepKernel, balanced_bounds, segment_sum
 from repro.errors import InferenceError, ValidationError
 from repro.utils.parallel import Executor
 
@@ -111,10 +105,10 @@ class ShardPlan:
     """Item-partition of flat answer arrays into balanced shards.
 
     Boundaries are drawn at item boundaries of the item-sorted layout,
-    targeting equal answer counts per shard (the same balancing rule as
-    ``SweepKernel._pattern_ranges``).  Ranges that contain no answers are
-    dropped, so the realised ``n_shards`` can be below the request —
-    ``K = 1`` always yields exactly one shard covering everything.
+    targeting equal answer counts per shard (:func:`balanced_bounds`).
+    Ranges that contain no answers are dropped, so the realised
+    ``n_shards`` can be below the request — ``K = 1`` always yields
+    exactly one shard covering everything.
     """
 
     def __init__(
@@ -126,12 +120,9 @@ class ShardPlan:
         n_workers: int,
         n_shards: int,
         dtype: np.dtype = np.float64,
-        patterned: Optional[bool] = None,
         shard_truncation=None,
     ) -> None:
-        """The rows are deduplicated once here, and each shard's kernel
-        receives its sub-table instead of sorting its rows again.
-        ``shard_truncation(n_profiles, n_items) -> int`` (normally
+        """``shard_truncation(n_profiles, n_items) -> int`` (normally
         :meth:`repro.core.config.CPAConfig.shard_truncation`) enables
         shard-local truncation adaptation: each shard's ``t_limit`` is
         sized from its count of distinct per-item answer profiles."""
@@ -146,26 +137,6 @@ class ShardPlan:
         self.n_answers = int(items.size)
         self.n_labels = int(indicators.shape[1]) if indicators.ndim == 2 else 0
 
-        # `patterned=False` is the explicit request to skip dedup entirely
-        # (pattern-heavy data) — honour it here too instead of paying the
-        # O(N·C log N) row sort only to discard the tables per shard.
-        dedup = patterned is not False and self.n_answers > 0
-        self.n_patterns = 0
-        if dedup:
-            patterns, pattern_index = unique_patterns(indicators)
-            self.n_patterns = int(patterns.shape[0])
-        if dedup and patterned is None and not dedup_pays_off(
-            self.n_patterns, self.n_answers
-        ):
-            # Plan-level auto fallback mirroring SweepKernel's rule: on
-            # pattern-heavy matrices every shard would discard its derived
-            # sub-table anyway, so pin the direct path instead of deriving
-            # tables shard by shard.  n_patterns reports 0 like SweepKernel
-            # does on its direct path.
-            patterned = False
-            dedup = False
-            self.n_patterns = 0
-
         layout = SegmentLayout(items, self.n_items)
         item_offsets = np.searchsorted(
             layout.sorted_index, np.arange(self.n_items + 1)
@@ -173,7 +144,6 @@ class ShardPlan:
         sorted_items = layout.sorted_index
         sorted_workers = workers[layout.order]
         sorted_x = indicators[layout.order]
-        sorted_pattern = pattern_index[layout.order] if dedup else None
 
         bounds = balanced_bounds(item_offsets, self.n_answers, n_shards)
         self.item_bounds = bounds
@@ -190,18 +160,6 @@ class ShardPlan:
             worker_ids, local_workers = np.unique(
                 sorted_workers[lo:hi], return_inverse=True
             )
-            dedup_tables = {}
-            if dedup:
-                # Shard pattern table derived from the global dedup: local
-                # ids are increasing in global pattern id, so lexicographic
-                # order (and with it the fused path's per-segment summation
-                # order) is preserved.
-                pattern_ids, local_pattern = np.unique(
-                    sorted_pattern[lo:hi], return_inverse=True
-                )
-                dedup_tables = dict(
-                    patterns=patterns[pattern_ids], pattern_index=local_pattern
-                )
             kernel = SweepKernel(
                 local_items,
                 local_workers,
@@ -209,8 +167,6 @@ class ShardPlan:
                 n_items=int(item_ids.size),
                 n_workers=int(worker_ids.size),
                 dtype=self.dtype,
-                patterned=patterned,
-                **dedup_tables,
             )
             t_limit = None
             if shard_truncation is not None:
@@ -273,12 +229,9 @@ def merge_scores(
 # Module-level task functions (picklable for process and remote lanes),
 # run as ``func(shards, task)`` against the lane-resident shard tuple:
 # each task names its shard by index and carries only that shard's
-# per-sweep posterior rows.  Every score task re-establishes the sweep
-# tensor itself; ``begin_sweep`` returns early on the same array object
-# (in-process lanes share one kernel and one tensor) and on an
-# equal-valued one (an out-of-process lane unpickles a fresh ``E[ln ψ]``
-# per task), so each shard evaluates its pattern likelihood once per
-# sweep either way.
+# per-sweep posterior rows.  Every score task re-establishes the sweep's
+# ``E[ln ψ]`` views itself (two ``T·M·C`` rearrangements), so a task
+# never depends on which lane ran the previous one.
 
 
 def _worker_scores_task(shards, task) -> np.ndarray:
@@ -309,12 +262,6 @@ def _cell_statistics_task(shards, task) -> Tuple[np.ndarray, np.ndarray]:
     """Eq. 6 sufficient statistics of one shard."""
     k, phi_rows, kappa_rows = task
     return shards[k].kernel.cell_statistics(phi_rows, kappa_rows)
-
-
-def _data_elbo_task(shards, task) -> float:
-    """ELBO data term of one shard."""
-    k, phi_rows, kappa_rows, e_log_psi = task
-    return shards[k].kernel.data_elbo(phi_rows, kappa_rows, e_log_psi)
 
 
 #: process-unique suffix source for broadcast keys (two live kernels must
@@ -364,7 +311,6 @@ class ShardedSweepKernel:
         n_workers: int,
         dtype: np.dtype = np.float64,
         n_shards: int = 1,
-        patterned: Optional[bool] = None,
         shard_truncation=None,
     ) -> None:
         self.dtype = np.dtype(dtype)
@@ -386,14 +332,12 @@ class ShardedSweepKernel:
             n_workers=n_workers,
             n_shards=n_shards,
             dtype=self.dtype,
-            patterned=patterned,
             shard_truncation=shard_truncation,
         )
         self.n_items = self.plan.n_items
         self.n_workers = self.plan.n_workers
         self.n_answers = self.plan.n_answers
         self.n_labels = self.plan.n_labels
-        self.n_patterns = self.plan.n_patterns
         self.n_shards = self.plan.n_shards
         #: shard-local truncation adaptation is armed (some shard carries
         #: a t_limit); whether it *binds* depends on the global T of each
@@ -404,14 +348,7 @@ class ShardedSweepKernel:
         )
         self._shard_ts_cache: dict = {}
         self._limits_cache: dict = {}
-        self._e_log_psi: Optional[np.ndarray] = None
         self._psi_views: Optional[List[np.ndarray]] = None
-        self._psi_view_cache: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
-        # Identity-keyed row-slice caches: reusing the same sliced arrays
-        # across cell_statistics -> data_elbo lets each shard's joint-mass
-        # cache hit (serial/thread executors share the kernel objects).
-        self._phi_slices: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
-        self._kappa_slices: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
 
     # ------------------------------------------------- shard-local truncation
 
@@ -458,32 +395,17 @@ class ShardedSweepKernel:
         return cached
 
     def _psi_for(self, e_log_psi: np.ndarray) -> List[np.ndarray]:
-        """Per-shard likelihood tensors: prefix views when truncating.
+        """Per-shard ``E[ln ψ]``: prefix views when truncating.
 
         A binding shard receives the contiguous prefix view
-        ``e_log_psi[:T_s]`` — no copy, and its pattern-space tensor and
-        sufficient statistics shrink to ``(·, T_s, M)`` / ``(T_s, M, C)``.
-        Non-binding shards receive the original array object, so the
-        per-sweep identity caches (and bitwise behaviour) match the
-        non-adaptive path exactly.  Views are identity-cached on the
-        input array: repeated calls with the same tensor (the SVI local
-        loop re-enters ``begin_sweep`` every refinement pass) hand the
-        shard kernels the *same* view objects, keeping their per-sweep
-        likelihood caches warm.
+        ``e_log_psi[:T_s]`` — no copy — so its worker-label product and
+        sufficient statistics shrink to ``(U_s·C, T_s)`` /
+        ``(T_s, M, C)``.  Non-binding shards receive the array itself.
         """
         t = int(e_log_psi.shape[0])
-        if not self._binding(t):
-            return [e_log_psi] * len(self.plan.shards)
-        cache = self._psi_view_cache
-        if cache is None or cache[0] is not e_log_psi:
-            self._psi_view_cache = (
-                e_log_psi,
-                [
-                    e_log_psi if t_s >= t else e_log_psi[:t_s]
-                    for t_s in self._shard_ts(t)
-                ],
-            )
-        return self._psi_view_cache[1]
+        return [
+            e_log_psi if t_s >= t else e_log_psi[:t_s] for t_s in self._shard_ts(t)
+        ]
 
     # ------------------------------------------------------------ transport
 
@@ -536,51 +458,35 @@ class ShardedSweepKernel:
     # ---------------------------------------------------------------- sweep
 
     def begin_sweep(self, e_log_psi: np.ndarray) -> None:
-        """Pin the sweep's likelihood tensor; shards evaluate lazily.
+        """Pin the sweep's ``E[ln ψ]``; each shard task rearranges its own.
 
-        Each shard task establishes its pattern-space likelihood on first
-        use, once per sweep: in-process executors hand every task the same
-        tensor object, and a lane-resident shard kernel recognises the
-        equal-valued copy it unpickles for its second score task
-        (:meth:`SweepKernel.begin_sweep`).  Under binding
-        shard-local truncation each truncated shard is pinned to the
-        contiguous prefix view ``e_log_psi[:T_s]`` for the whole sweep.
+        Under binding shard-local truncation each truncated shard is
+        pinned to the contiguous prefix view ``e_log_psi[:T_s]`` for the
+        whole sweep.
         """
-        self._e_log_psi = np.ascontiguousarray(e_log_psi, dtype=self.dtype)
-        self._psi_views = self._psi_for(self._e_log_psi)
+        self._psi_views = self._psi_for(
+            np.ascontiguousarray(e_log_psi, dtype=self.dtype)
+        )
 
     def _item_rows(self, phi: np.ndarray) -> List[np.ndarray]:
-        cache = self._phi_slices
-        if cache is None or cache[0] is not phi:
-            rows = [phi[shard.item_ids] for shard in self.plan.shards]
-            if self._binding(phi.shape[1]):
-                # Window the ϕ rows to each shard's prefix.  The engines
-                # keep ϕ at exactly zero outside the windows, so the
-                # truncated contraction equals the full one.  Contiguous
-                # copies: the rows feed per-pattern BLAS matmuls, which
-                # would otherwise re-pack the strided slice per group.
-                rows = [
-                    r if t_s >= phi.shape[1]
-                    else np.ascontiguousarray(r[:, :t_s])
-                    for r, t_s in zip(rows, self._shard_ts(phi.shape[1]))
-                ]
-            self._phi_slices = (phi, rows)
-        return self._phi_slices[1]
+        """Each shard's ϕ rows, windowed to its prefix ``[:T_s]``.
+
+        The engines keep ϕ at exactly zero outside the windows, so the
+        truncated contraction equals the full one.
+        """
+        return [
+            phi[shard.item_ids, :t_s]
+            for shard, t_s in zip(self.plan.shards, self._shard_ts(phi.shape[1]))
+        ]
 
     def _worker_rows(self, kappa: np.ndarray) -> List[np.ndarray]:
-        cache = self._kappa_slices
-        if cache is None or cache[0] is not kappa:
-            self._kappa_slices = (
-                kappa,
-                [kappa[shard.worker_ids] for shard in self.plan.shards],
-            )
-        return self._kappa_slices[1]
+        return [kappa[shard.worker_ids] for shard in self.plan.shards]
 
     def add_worker_scores(
         self, out: np.ndarray, phi: np.ndarray, executor: Optional[Executor] = None
     ) -> np.ndarray:
         """``out[u] += Σ_{n: u_n=u} Σ_t ϕ[i_n, t] L[n, t, ·]``, shard-merged."""
-        if self._e_log_psi is None:
+        if self._psi_views is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
         tasks = [
             (shard.index, psi, rows)
@@ -607,7 +513,7 @@ class ShardedSweepKernel:
         its (disjoint) item rows; out-of-window columns are left
         untouched — the engines mask them out of the ϕ update entirely.
         """
-        if self._e_log_psi is None:
+        if self._psi_views is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
         tasks = [
             (shard.index, psi, rows)
@@ -670,18 +576,10 @@ class ShardedSweepKernel:
         e_log_psi: np.ndarray,
         executor: Optional[Executor] = None,
     ) -> float:
-        """``E[ln p(x | z, l, ψ)]`` summed over shards in fixed order."""
-        e_log_psi = np.ascontiguousarray(e_log_psi, dtype=self.dtype)
-        tasks = [
-            (shard.index, phi_rows, kappa_rows, psi)
-            for shard, phi_rows, kappa_rows, psi in zip(
-                self.plan.shards,
-                self._item_rows(phi),
-                self._worker_rows(kappa),
-                self._psi_for(e_log_psi),
-            )
-        ]
-        return float(sum(self._fan_out(executor, _data_elbo_task, tasks)))
+        """``E[ln p(x | z, l, ψ)] = Σ counts · E[ln ψ]`` over the merged
+        statistics."""
+        counts, _ = self.cell_statistics(phi, kappa, executor)
+        return float(np.vdot(counts, np.asarray(e_log_psi, dtype=self.dtype)))
 
 
 # -------------------------------------------------------------------- factory

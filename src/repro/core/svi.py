@@ -16,12 +16,11 @@ The MAP phase runs through the same sweep-kernel seam as batch VI
 index spaces, DESIGN.md §6): a fused
 :class:`~repro.core.kernels.SweepKernel`, or a
 :class:`~repro.core.sharding.ShardedSweepKernel` when the config selects
-sharding for the batch's answer count.  With the default
-:class:`~repro.utils.parallel.SerialExecutor` this *is* paper Alg. 2;
-with a parallel executor the kernel fans its contractions out over the
-lanes and reduces the partials centrally, which is Alg. 3's MAP/REDUCE
-shape with the work split by pattern range or item shard instead of by
-worker (DESIGN.md §4.4 "Work partition").
+sharding for the batch's answer count.  A fused kernel runs in the
+calling process, which *is* paper Alg. 2; a sharded kernel fans its
+shards out over the executor's lanes and reduces the partials centrally,
+which is Alg. 3's MAP/REDUCE shape with the work split by item shard
+instead of by worker (DESIGN.md §4.4 "Work partition").
 """
 
 from __future__ import annotations
@@ -68,10 +67,10 @@ class _BatchData:
 
     ``item_local`` / ``worker_local`` index the batch-local item and
     worker spaces (``batch_items`` / ``batch_workers``) that the per-batch
-    sweep kernel runs over; the kernel deduplicates the label-set
-    patterns itself.  Sorting by worker makes each worker's answers a
-    contiguous slice (``worker_offsets``), the layout the frozen seed
-    MAP phase of :mod:`repro.core.reference` chunks on.
+    sweep kernel builds its incidence matrices over.  Sorting by worker
+    makes each worker's answers a contiguous slice (``worker_offsets``),
+    the layout the frozen seed MAP phase of :mod:`repro.core.reference`
+    chunks on.
     """
 
     items: np.ndarray  # (N_b,) global item ids, worker-sorted
@@ -491,10 +490,10 @@ class StochasticInference:
         paper-sized batches fused while bulk arrival increments cross the
         sharded volume threshold.  Cached on batch identity so the
         ``svi_iterations`` local passes and the post-damping statistics
-        share one pattern table (and, when sharded, one shard plan and
-        one broadcast).  The previous batch's kernel is retired here, so
-        a sharded plan cannot stay resident on the lanes for the rest of
-        the stream.
+        share one set of incidence matrices (and, when sharded, one shard
+        plan and one broadcast).  The previous batch's kernel is retired
+        here, so a sharded plan cannot stay resident on the lanes for the
+        rest of the stream.
         """
         cache = self._batch_kernel_cache
         if cache is not None and cache[0] is data:
@@ -561,8 +560,6 @@ class StochasticInference:
         term) and κ's community mass — the batch-VI sweep body on the
         batch-local spaces, minus the Eq. 6 statistics, which
         :meth:`process_batch` takes once under the damped ϕ.
-        ``begin_sweep`` is identity-cached, so the local passes sharing
-        one ``e_log_psi`` evaluate the pattern likelihood once per batch.
         κ is cast to the state dtype, which keeps a float32 state float32
         on every backend, and flushed after the cast: a float64 1e-40 is a
         float32 subnormal.

@@ -47,19 +47,25 @@ def _time_online(
     workers: Sequence[str] = (),
     request_timeout: float = None,
 ) -> float:
+    """Wall-clock seconds of one SVI pass over the stream.
+
+    ``degree > 0`` times a parallel row: the engine runs the sharded
+    kernel (one shard per lane unless ``config.n_shards`` is set) on a
+    ``backend`` executor of that degree, because a fused kernel runs in
+    the calling process and would leave the lanes idle.
+    """
     batches = stream_from_matrix(
         dataset.answers, answers_per_batch=answers_per_batch, seed=11
     )
-    executor = (
-        make_executor(
+    executor = None
+    if degree:
+        config = config.with_overrides(backend="sharded")
+        executor = make_executor(
             backend,
             degree,
             workers=list(workers) or None,
             request_timeout=request_timeout if backend == "remote" else None,
         )
-        if degree
-        else None
-    )
     try:
         engine = StochasticInference(
             config,
@@ -100,8 +106,10 @@ def run(
     ``kernel_backend`` / ``n_shards`` select the sweep-kernel backend
     (``fused``, ``sharded``, or ``auto`` — the latter picks per
     matrix/batch from answer volume and executor degree; DESIGN.md §6)
-    for the offline and online engines, exposed on the CLI as
-    ``--kernel-backend`` / ``--shards``; ``adaptive_truncation``
+    for the serial offline and online engines, exposed on the CLI as
+    ``--kernel-backend`` / ``--shards``; the parallel-online rows always
+    run sharded, one shard per lane unless ``n_shards`` is set
+    (``backend`` names their executor kind); ``adaptive_truncation``
     (CLI: ``--adaptive-truncation``) additionally lets sharded runs size
     per-shard cluster truncations from their own item/answer profiles
     (DESIGN.md §6 "Shard-local truncation").  ``backend="remote"`` with
@@ -189,9 +197,11 @@ def run(
         "(the paper reports up to 32x at millions of answers; the ratio grows "
         "with volume because offline re-scans everything each epoch).",
         "MV remains the cheapest method throughout, as in the paper.",
-        f"Parallel rows use the {backend!r} backend; on this machine real "
-        "gains are bounded by the physical core count (the paper's 16-core "
-        "Spark numbers scale further, per Amdahl's law as §4.3 notes).",
+        f"Parallel rows run the sharded kernel on a {backend!r} executor, "
+        "one shard per lane unless --shards is set; the serial rows use the "
+        f"{kernel_backend!r} kernel backend.  On this machine real gains are "
+        "bounded by the physical core count (the paper's 16-core Spark "
+        "numbers scale further, per Amdahl's law as §4.3 notes).",
     ]
     return ExperimentReport(
         experiment_id="fig7",

@@ -75,9 +75,8 @@ class TestStochasticInference:
 
     @pytest.mark.parametrize("kind", ["thread", "process"])
     def test_serial_and_parallel_identical(self, tiny_dataset, kind):
-        """The MAP phase splits work by pattern range, and every answer's
-        contraction and every reduction runs the same way whatever the
-        lane count, so parallel lanes reproduce the serial stream bitwise."""
+        """A fused batch kernel runs in the calling process whatever the
+        executor, so parallel lanes reproduce the serial stream bitwise."""
         batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=50, seed=2)
         serial = self._engine(tiny_dataset, executor=SerialExecutor())
         serial.fit_stream(batches)

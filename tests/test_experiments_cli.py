@@ -128,6 +128,35 @@ class TestSmallRuns:
         self._check(report, "fig7")
         assert report.data["online_speedup"] > 0
 
+    def test_fig7_parallel_rows_dispatch_to_their_lanes(self, tiny_dataset, monkeypatch):
+        """A parallel-online row hands its work to the executor it builds
+        (``--executor thread --degree 2`` must not time a serial run)."""
+        from repro.core.config import CPAConfig
+        from repro.experiments import fig7_runtime
+
+        dispatched = []
+        real_make = fig7_runtime.make_executor
+
+        def spying_make(*args, **kwargs):
+            executor = real_make(*args, **kwargs)
+            for name in ("map_on", "map_tasks"):
+                def spy(*call_args, _real=getattr(executor, name), _name=name, **kw):
+                    dispatched.append(_name)
+                    return _real(*call_args, **kw)
+
+                setattr(executor, name, spy)
+            return executor
+
+        monkeypatch.setattr(fig7_runtime, "make_executor", spying_make)
+        fig7_runtime._time_online(
+            CPAConfig(seed=0, svi_iterations=1),
+            tiny_dataset,
+            answers_per_batch=60,
+            degree=2,
+            backend="thread",
+        )
+        assert dispatched
+
     def test_fig8(self):
         report = run_experiment(
             "fig8", seeds=(0,), scale=0.25, scenarios=("movie",), no_l_scenarios=("movie",)

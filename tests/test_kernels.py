@@ -1,18 +1,17 @@
 """Kernel-layer tests: segment primitives, pattern dedup, and parity.
 
-The parity classes are the contract of the perf refactor: the fused
-pattern-deduplicated kernels must reproduce the frozen seed
-implementations (:mod:`repro.core.reference`) trajectory-for-trajectory
-within ``1e-8`` on fixed seeds, for both the batch and the stochastic
-engine, and the ELBO must stay non-decreasing across sweeps.
+The sweep-kernel tests check the label-factored contractions against
+naive per-answer einsums, on pooled and on pattern-heavy label sets and
+in both dtypes.  The parity classes are the contract of the perf
+refactor: the fused kernel must reproduce the frozen seed implementations
+(:mod:`repro.core.reference`) trajectory-for-trajectory within ``1e-8``
+on fixed seeds, for both the batch and the stochastic engine, and the
+ELBO must stay non-decreasing across sweeps.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.core import kernels as kernels_module
 from repro.core.config import CPAConfig
 from repro.core.inference import VariationalInference
 from repro.core.kernels import (
@@ -73,23 +72,6 @@ class TestSegmentPrimitives:
         layout.add_to(out, values)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_layout_chunk_heads_accumulate_across_chunks(self):
-        """Chunked reduceat equals the unchunked scatter for any chunk size."""
-        rng = np.random.default_rng(3)
-        index = rng.integers(0, 6, size=100)
-        values = rng.normal(size=(100, 2))
-        layout = SegmentLayout(index, 6)
-        expected = np.zeros((6, 2))
-        np.add.at(expected, index, values)
-        sorted_values = values[layout.order]
-        for chunk in (1, 7, 33, 100, 1000):
-            out = np.zeros((6, 2))
-            for lo in range(0, 100, chunk):
-                hi = min(lo + chunk, 100)
-                starts, seg_ids = layout.chunk_heads(lo, hi)
-                out[seg_ids] += np.add.reduceat(sorted_values[lo:hi], starts, axis=0)
-            np.testing.assert_allclose(out, expected, atol=1e-12)
-
     def test_unique_patterns_roundtrip(self):
         rng = np.random.default_rng(4)
         indicators = (rng.random((50, 6)) < 0.3).astype(float)
@@ -106,7 +88,7 @@ def _random_problem(seed, n=400, n_items=40, n_workers=25, n_labels=8, t=5, m=4)
     rng = np.random.default_rng(seed)
     items = rng.integers(0, n_items, size=n)
     workers = rng.integers(0, n_workers, size=n)
-    # draw label sets from a small pattern pool so dedup is exercised
+    # draw label sets from a small pattern pool, as real crowds answer
     pool = (rng.random((12, n_labels)) < 0.35).astype(float)
     pool[pool.sum(axis=1) == 0, 0] = 1.0
     indicators = pool[rng.integers(0, 12, size=n)]
@@ -116,118 +98,75 @@ def _random_problem(seed, n=400, n_items=40, n_workers=25, n_labels=8, t=5, m=4)
     return items, workers, indicators, phi, kappa, e_log_psi
 
 
+def _pattern_heavy_problem(seed=13):
+    """C = 30 labels with nearly every answer's label set distinct."""
+    rng = np.random.default_rng(seed)
+    n, n_labels = 120, 30
+    items = rng.integers(0, 20, size=n)
+    workers = rng.integers(0, 10, size=n)
+    x = (rng.random((n, n_labels)) < 0.5).astype(float)
+    x[x.sum(axis=1) == 0, 0] = 1.0
+    phi = rng.dirichlet(np.ones(4), size=20)
+    kappa = rng.dirichlet(np.ones(3), size=10)
+    e_log_psi = np.log(rng.dirichlet(np.ones(n_labels), size=(4, 3)))
+    return items, workers, x, phi, kappa, e_log_psi
+
+
+def _problem(seed, pattern_heavy):
+    return _pattern_heavy_problem() if pattern_heavy else _random_problem(seed)
+
+
+#: (kernel dtype, allclose tolerances): a float32 kernel rounds E[ln ψ]
+#: and the incidence products to single precision.
+DTYPES = [(np.float64, dict(atol=1e-10)), (np.float32, dict(rtol=1e-4, atol=1e-4))]
+
+
 class TestSweepKernel:
-    @pytest.mark.parametrize("patterned", [True, False])
+    @pytest.mark.parametrize("pattern_heavy", [True, False])
     @pytest.mark.parametrize("executor_kind", ["serial", "thread"])
-    def test_scores_match_naive(self, patterned, executor_kind):
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(5)
-        kernel = SweepKernel(items, workers, x, 40, 25, patterned=patterned)
-        kernel.begin_sweep(e_log_psi)
+    def test_scores_match_naive(self, pattern_heavy, executor_kind):
+        items, workers, x, phi, kappa, e_log_psi = _problem(5, pattern_heavy)
+        n_items, t = phi.shape
+        n_workers, m = kappa.shape
         like = np.einsum("nc,tmc->ntm", x, e_log_psi)
+        expected_workers = np.zeros((n_workers, m))
+        np.add.at(expected_workers, workers, np.einsum("nt,ntm->nm", phi[items], like))
+        expected_items = np.zeros((n_items, t))
+        np.add.at(expected_items, items, np.einsum("nm,ntm->nt", kappa[workers], like))
         executor = SerialExecutor() if executor_kind == "serial" else ThreadExecutor(3)
         with executor:
-            worker_scores = np.zeros((25, 4))
-            kernel.add_worker_scores(worker_scores, phi, executor)
-            expected = np.zeros((25, 4))
-            np.add.at(expected, workers, np.einsum("nt,ntm->nm", phi[items], like))
-            np.testing.assert_allclose(worker_scores, expected, atol=1e-10)
+            for dtype, tol in DTYPES:
+                kernel = SweepKernel(items, workers, x, n_items, n_workers, dtype=dtype)
+                kernel.begin_sweep(e_log_psi)
+                worker_scores = np.zeros((n_workers, m), dtype=dtype)
+                kernel.add_worker_scores(worker_scores, phi.astype(dtype), executor)
+                np.testing.assert_allclose(worker_scores, expected_workers, **tol)
+                item_scores = np.zeros((n_items, t), dtype=dtype)
+                kernel.add_item_scores(item_scores, kappa.astype(dtype), executor)
+                np.testing.assert_allclose(item_scores, expected_items, **tol)
 
-            item_scores = np.zeros((40, 5))
-            kernel.add_item_scores(item_scores, kappa, executor)
-            expected = np.zeros((40, 5))
-            np.add.at(expected, items, np.einsum("nm,ntm->nt", kappa[workers], like))
-            np.testing.assert_allclose(item_scores, expected, atol=1e-10)
-
-    @pytest.mark.parametrize("patterned", [True, False])
-    def test_cell_statistics_match_naive(self, patterned):
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(6)
-        kernel = SweepKernel(items, workers, x, 40, 25, patterned=patterned)
-        kernel.begin_sweep(e_log_psi)
-        counts, mass = kernel.cell_statistics(phi, kappa)
+    @pytest.mark.parametrize("pattern_heavy", [True, False])
+    def test_cell_statistics_match_naive(self, pattern_heavy):
+        items, workers, x, phi, kappa, e_log_psi = _problem(6, pattern_heavy)
         joint = phi[items][:, :, None] * kappa[workers][:, None, :]
-        np.testing.assert_allclose(
-            counts, np.einsum("ntm,nc->tmc", joint, x), atol=1e-10
-        )
-        np.testing.assert_allclose(mass, joint.sum(axis=0), atol=1e-10)
+        for dtype, tol in DTYPES:
+            kernel = SweepKernel(items, workers, x, len(phi), len(kappa), dtype=dtype)
+            kernel.begin_sweep(e_log_psi)
+            counts, mass = kernel.cell_statistics(phi.astype(dtype), kappa.astype(dtype))
+            assert counts.dtype == mass.dtype == dtype
+            np.testing.assert_allclose(counts, np.einsum("ntm,nc->tmc", joint, x), **tol)
+            np.testing.assert_allclose(mass, joint.sum(axis=0), **tol)
 
-    @pytest.mark.parametrize("patterned", [True, False])
-    def test_data_elbo_matches_naive(self, patterned):
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(7)
-        kernel = SweepKernel(items, workers, x, 40, 25, patterned=patterned)
-        kernel.begin_sweep(e_log_psi)
+    @pytest.mark.parametrize("pattern_heavy", [True, False])
+    def test_data_elbo_matches_naive(self, pattern_heavy):
+        items, workers, x, phi, kappa, e_log_psi = _problem(7, pattern_heavy)
         like = np.einsum("nc,tmc->ntm", x, e_log_psi)
         joint = phi[items][:, :, None] * kappa[workers][:, None, :]
         expected = float(np.sum(joint * like))
-        assert kernel.data_elbo(phi, kappa, e_log_psi) == pytest.approx(
-            expected, abs=1e-9
-        )
-
-    def test_joint_cache_invalidated_by_new_arrays(self):
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(8)
-        kernel = SweepKernel(items, workers, x, 40, 25, patterned=True)
-        kernel.begin_sweep(e_log_psi)
-        kernel.cell_statistics(phi, kappa)
-        phi2 = phi[::-1].copy()  # a different array object and content
-        counts2, _ = kernel.cell_statistics(phi2, kappa)
-        joint2 = phi2[items][:, :, None] * kappa[workers][:, None, :]
-        np.testing.assert_allclose(
-            counts2, np.einsum("ntm,nc->tmc", joint2, x), atol=1e-10
-        )
-
-    def test_auto_patterned_on_pooled_data(self):
-        items, workers, x, *_ = _random_problem(9)
-        kernel = SweepKernel(items, workers, x, 40, 25)
-        assert kernel.patterned  # 12-pattern pool over 400 answers
-
-    def test_begin_sweep_is_identity_cached(self):
-        """The same tensor object re-entering begin_sweep (the SVI local
-        passes) reuses the pattern likelihood; a new object recomputes."""
-        items, workers, x, _, _, e_log_psi = _random_problem(10)
-        kernel = SweepKernel(items, workers, x, 40, 25, patterned=True)
-        kernel.begin_sweep(e_log_psi)
-        first = kernel._pattern_like
-        kernel.begin_sweep(e_log_psi)
-        assert kernel._pattern_like is first
-        shifted = e_log_psi - 1.0
-        kernel.begin_sweep(shifted)
-        assert kernel._pattern_like is not first
-        # L[p] = Σ_c x_pc E[ln ψ_c]: a shift of -1 lowers it by |p|
-        sizes = kernel.patterns.sum(axis=1)[:, None, None]
-        np.testing.assert_allclose(kernel._pattern_like, first - sizes, atol=1e-12)
-        kernel.evict()  # no lane-resident state: retiring is a no-op
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_begin_sweep_reuses_on_equal_values(self, monkeypatch, dtype):
-        """A distinct array equal in value to the last input (what a
-        lane-resident shard kernel unpickles for each score task) reuses
-        the pattern likelihood; changed values re-evaluate it.  A float32
-        kernel compares its float64 inputs before converting them."""
-        calls = []
-        real = kernels_module.answer_log_likelihood
-
-        def counting(x, e_log_psi):
-            calls.append(e_log_psi.dtype)
-            return real(x, e_log_psi)
-
-        monkeypatch.setattr(kernels_module, "answer_log_likelihood", counting)
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(11)
-        kernel = SweepKernel(items, workers, x, 40, 25, dtype=dtype, patterned=True)
-        kernel.begin_sweep(e_log_psi)
-        kernel.begin_sweep(pickle.loads(pickle.dumps(e_log_psi)))
-        kernel.begin_sweep(e_log_psi.copy())
-        assert calls == [np.dtype(dtype)]
-
-        changed = e_log_psi.copy()
-        changed[0, 0, 0] -= 0.5
-        kernel.begin_sweep(changed)
-        assert len(calls) == 2
-        scores = np.zeros((40, 5), dtype=dtype)
-        kernel.add_item_scores(scores, kappa.astype(dtype))
-        like = np.einsum("nc,tmc->ntm", x, changed)
-        expected = np.zeros((40, 5))
-        np.add.at(expected, items, np.einsum("nm,ntm->nt", kappa[workers], like))
-        tol = 1e-10 if dtype == np.float64 else 1e-4
-        np.testing.assert_allclose(scores, expected, rtol=tol, atol=tol)
+        for dtype, tol in [(np.float64, dict(abs=1e-9)), (np.float32, dict(rel=1e-4))]:
+            kernel = SweepKernel(items, workers, x, len(phi), len(kappa), dtype=dtype)
+            value = kernel.data_elbo(phi.astype(dtype), kappa.astype(dtype), e_log_psi)
+            assert value == pytest.approx(expected, **tol)
 
 
 # ---------------------------------------------------------------- parity: VI
@@ -285,24 +224,6 @@ class TestBatchParity:
                 serial.sweep()
                 threaded.sweep()
                 _assert_states_close(serial.state, threaded.state)
-
-    def test_unpatterned_fallback_matches(self, tiny_dataset):
-        config = CPAConfig(seed=4, max_iterations=6)
-        fused = VariationalInference(config, tiny_dataset.answers)
-        fallback = VariationalInference(config, tiny_dataset.answers)
-        fallback.kernel = SweepKernel(
-            fallback.items,
-            fallback.workers,
-            fallback.indicators,
-            n_items=fallback.n_items,
-            n_workers=fallback.n_workers,
-            patterned=False,
-        )
-        for _ in range(3):
-            fused.sweep()
-            fallback.sweep()
-            _assert_states_close(fused.state, fallback.state)
-            assert fused.elbo() == pytest.approx(fallback.elbo(), abs=1e-7, rel=1e-9)
 
 
 # --------------------------------------------------------------- parity: SVI

@@ -11,6 +11,7 @@ survive pickling (process-pool transport).
 """
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from repro.utils.parallel import (
     ThreadExecutor,
     make_executor,
 )
+
+from tests.test_kernels import _pattern_heavy_problem
 
 PARITY = dict(atol=1e-10, rtol=0)
 #: cross-executor determinism: same ops in the same order, so no slack
@@ -78,27 +81,43 @@ class TestShardPlan:
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_partition_is_exact(self, n_shards):
-        """Every answer lands in exactly one shard, content preserved."""
+        """Every answer lands in exactly one shard, content preserved.
+
+        Each shard's ``(item, worker, label)`` triples and ``(item,
+        worker)`` answers are read back from its incidence matrices, with
+        multiplicity (the random problem repeats some pairs).
+        """
         items, workers, x, _ = self._plan()
         plan = ShardPlan(items, workers, x, n_items=40, n_workers=25, n_shards=n_shards)
-        seen = []
+        n_labels = x.shape[1]
+        labels, answers = Counter(), Counter()
         for shard in plan.shards:
-            kernel = shard.kernel
-            for local_item, local_worker, row in zip(
-                kernel.items, kernel.workers, kernel.indicators
+            incidence = shard.kernel.label_incidence.tocoo()
+            for row, local_item, count in zip(
+                incidence.row, incidence.col, incidence.data
             ):
-                seen.append(
-                    (
-                        int(shard.item_ids[local_item]),
-                        int(shard.worker_ids[local_worker]),
-                        tuple(row.astype(int)),
-                    )
+                worker, label = divmod(int(row), n_labels)
+                key = (
+                    int(shard.item_ids[local_item]),
+                    int(shard.worker_ids[worker]),
+                    label,
                 )
-        expected = sorted(
-            (int(i), int(u), tuple(r.astype(int)))
-            for i, u, r in zip(items, workers, x)
+                labels[key] += int(count)
+            incidence = shard.kernel.answer_incidence.tocoo()
+            for local_worker, local_item, count in zip(
+                incidence.row, incidence.col, incidence.data
+            ):
+                key = (
+                    int(shard.item_ids[local_item]),
+                    int(shard.worker_ids[local_worker]),
+                )
+                answers[key] += int(count)
+        assert labels == Counter(
+            (int(i), int(u), int(c))
+            for i, u, row in zip(items, workers, x)
+            for c in np.flatnonzero(row)
         )
-        assert sorted(seen) == expected
+        assert answers == Counter(zip(items.tolist(), workers.tolist()))
 
     def test_item_sets_are_disjoint(self):
         _, _, _, plan = self._plan(n_shards=5)
@@ -132,20 +151,6 @@ class TestShardPlan:
         with pytest.raises(ValidationError):
             ShardPlan(items, workers, x, n_items=40, n_workers=25, n_shards=0)
 
-    def test_shards_inherit_global_pattern_order(self):
-        """Shard tables are lexicographic sub-tables of the global dedup."""
-        items, workers, x, plan = self._plan(n_shards=3)
-        reference = SweepKernel(items, workers, x, 40, 25)
-        for shard in plan.shards:
-            table = shard.kernel.patterns
-            # rows strictly increasing lexicographically = sub-order preserved
-            for j in range(table.shape[0] - 1):
-                a, b = table[j], table[j + 1]
-                assert tuple(a) < tuple(b)
-            # every shard pattern exists in the global table
-            global_rows = {tuple(row) for row in reference.patterns}
-            assert {tuple(row) for row in table} <= global_rows
-
 
 # ------------------------------------------------------------- kernel algebra
 
@@ -153,81 +158,66 @@ class TestShardPlan:
 class TestShardedKernelAlgebra:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_scores_match_naive(self, n_shards):
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(5)
-        kernel = ShardedSweepKernel(
-            items, workers, x, n_items=40, n_workers=25, n_shards=n_shards
-        )
-        kernel.begin_sweep(e_log_psi)
-        like = np.einsum("nc,tmc->ntm", x, e_log_psi)
+        """On pooled and on pattern-heavy (C = 30) label sets."""
+        for items, workers, x, phi, kappa, e_log_psi in (
+            _random_problem(5),
+            _pattern_heavy_problem(),
+        ):
+            (n_items, t), (n_workers, m) = phi.shape, kappa.shape
+            kernel = ShardedSweepKernel(
+                items, workers, x, n_items=n_items, n_workers=n_workers, n_shards=n_shards
+            )
+            kernel.begin_sweep(e_log_psi)
+            like = np.einsum("nc,tmc->ntm", x, e_log_psi)
 
-        worker_scores = np.zeros((25, 4))
-        kernel.add_worker_scores(worker_scores, phi)
-        expected = np.zeros((25, 4))
-        np.add.at(expected, workers, np.einsum("nt,ntm->nm", phi[items], like))
-        np.testing.assert_allclose(worker_scores, expected, **PARITY)
+            worker_scores = np.zeros((n_workers, m))
+            kernel.add_worker_scores(worker_scores, phi)
+            expected = np.zeros((n_workers, m))
+            np.add.at(expected, workers, np.einsum("nt,ntm->nm", phi[items], like))
+            np.testing.assert_allclose(worker_scores, expected, **PARITY)
 
-        item_scores = np.zeros((40, 5))
-        kernel.add_item_scores(item_scores, kappa)
-        expected = np.zeros((40, 5))
-        np.add.at(expected, items, np.einsum("nm,ntm->nt", kappa[workers], like))
-        np.testing.assert_allclose(item_scores, expected, **PARITY)
+            item_scores = np.zeros((n_items, t))
+            kernel.add_item_scores(item_scores, kappa)
+            expected = np.zeros((n_items, t))
+            np.add.at(expected, items, np.einsum("nm,ntm->nt", kappa[workers], like))
+            np.testing.assert_allclose(item_scores, expected, **PARITY)
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_cell_statistics_and_elbo_match_naive(self, n_shards):
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(6)
-        kernel = ShardedSweepKernel(
-            items, workers, x, n_items=40, n_workers=25, n_shards=n_shards
-        )
-        kernel.begin_sweep(e_log_psi)
-        counts, mass = kernel.cell_statistics(phi, kappa)
-        joint = phi[items][:, :, None] * kappa[workers][:, None, :]
-        np.testing.assert_allclose(
-            counts, np.einsum("ntm,nc->tmc", joint, x), **PARITY
-        )
-        np.testing.assert_allclose(mass, joint.sum(axis=0), **PARITY)
-        like = np.einsum("nc,tmc->ntm", x, e_log_psi)
-        assert kernel.data_elbo(phi, kappa, e_log_psi) == pytest.approx(
-            float(np.sum(joint * like)), abs=1e-9
-        )
-
-    def test_unpatterned_fallback_skips_dedup_and_matches_naive(self):
-        """patterned=False must skip the global row sort yet stay exact."""
-        items, workers, x, phi, kappa, e_log_psi = _random_problem(10)
-        kernel = ShardedSweepKernel(
-            items, workers, x, n_items=40, n_workers=25, n_shards=3, patterned=False
-        )
-        assert kernel.n_patterns == 0  # no dedup was paid
-        assert all(not s.kernel.patterned for s in kernel.plan.shards)
-        kernel.begin_sweep(e_log_psi)
-        like = np.einsum("nc,tmc->ntm", x, e_log_psi)
-        worker_scores = kernel.add_worker_scores(np.zeros((25, 4)), phi)
-        expected = np.zeros((25, 4))
-        np.add.at(expected, workers, np.einsum("nt,ntm->nm", phi[items], like))
-        np.testing.assert_allclose(worker_scores, expected, **PARITY)
-        counts, mass = kernel.cell_statistics(phi, kappa)
-        joint = phi[items][:, :, None] * kappa[workers][:, None, :]
-        np.testing.assert_allclose(
-            counts, np.einsum("ntm,nc->tmc", joint, x), **PARITY
-        )
+        """On pooled and on pattern-heavy (C = 30) label sets."""
+        for items, workers, x, phi, kappa, e_log_psi in (
+            _random_problem(6),
+            _pattern_heavy_problem(),
+        ):
+            kernel = ShardedSweepKernel(
+                items, workers, x, n_items=len(phi), n_workers=len(kappa), n_shards=n_shards
+            )
+            kernel.begin_sweep(e_log_psi)
+            counts, mass = kernel.cell_statistics(phi, kappa)
+            joint = phi[items][:, :, None] * kappa[workers][:, None, :]
+            np.testing.assert_allclose(
+                counts, np.einsum("ntm,nc->tmc", joint, x), **PARITY
+            )
+            np.testing.assert_allclose(mass, joint.sum(axis=0), **PARITY)
+            like = np.einsum("nc,tmc->ntm", x, e_log_psi)
+            assert kernel.data_elbo(phi, kappa, e_log_psi) == pytest.approx(
+                float(np.sum(joint * like)), abs=1e-9
+            )
 
     def test_pattern_heavy_auto_fallback_skips_table_derivation(self):
-        """Auto mode pins the direct path when dedup cannot pay off."""
-        rng = np.random.default_rng(13)
-        n, n_labels = 120, 30
-        items = rng.integers(0, 20, size=n)
-        workers = rng.integers(0, 10, size=n)
-        x = (rng.random((n, n_labels)) < 0.5).astype(float)  # ~all rows distinct
-        x[x.sum(axis=1) == 0, 0] = 1.0
-        phi = rng.dirichlet(np.ones(4), size=20)
-        kappa = rng.dirichlet(np.ones(3), size=10)
-        e_log_psi = np.log(rng.dirichlet(np.ones(n_labels), size=(4, 3)))
+        """Pattern-heavy data derives no pattern tables: each shard kernel
+        holds its answers only as the two incidence matrices."""
+        items, workers, x, phi, kappa, e_log_psi = _pattern_heavy_problem()
         kernel = ShardedSweepKernel(items, workers, x, n_items=20, n_workers=10, n_shards=3)
+        assert kernel.n_shards > 1
         for shard in kernel.plan.shards:
-            # shard kernels took the explicit patterned=False branch: no
-            # per-shard row sort ran, no pattern tables were retained
-            assert not shard.kernel.patterned
-            assert shard.kernel.n_patterns == 0
-            assert shard.kernel.patterns.shape[0] == 0
+            local = shard.kernel
+            assert not hasattr(local, "patterns")
+            assert not hasattr(local, "n_patterns")
+            in_shard = np.isin(items, shard.item_ids)
+            # one incidence entry per label given, one per answer
+            assert local.label_incidence.sum() == pytest.approx(x[in_shard].sum())
+            assert local.answer_incidence.sum() == pytest.approx(in_shard.sum())
         kernel.begin_sweep(e_log_psi)
         out = kernel.add_worker_scores(np.zeros((10, 3)), phi)
         like = np.einsum("nc,tmc->ntm", x, e_log_psi)
@@ -239,11 +229,14 @@ class TestShardedKernelAlgebra:
         from repro.errors import InferenceError
 
         items, workers, x, phi, kappa, _ = _random_problem(7)
-        kernel = ShardedSweepKernel(items, workers, x, n_items=40, n_workers=25)
-        with pytest.raises(InferenceError):
-            kernel.add_worker_scores(np.zeros((25, 4)), phi)
-        with pytest.raises(InferenceError):
-            kernel.add_item_scores(np.zeros((40, 5)), kappa)
+        for kernel in (
+            ShardedSweepKernel(items, workers, x, n_items=40, n_workers=25),
+            SweepKernel(items, workers, x, n_items=40, n_workers=25),
+        ):
+            with pytest.raises(InferenceError):
+                kernel.add_worker_scores(np.zeros((25, 4)), phi)
+            with pytest.raises(InferenceError):
+                kernel.add_item_scores(np.zeros((40, 5)), kappa)
 
     def test_factory_selects_backend(self):
         items, workers, x, *_ = _random_problem(8)
@@ -380,22 +373,20 @@ class TestSVIShardParity:
         _assert_states_close(fused.state, sharded.state)
 
     @pytest.mark.parametrize("backend", ["fused", "sharded"])
-    def test_batch_dedups_rows_once(self, tiny_dataset, monkeypatch, backend):
-        """No SVI batch pays for the pattern row sort twice: the batch
-        kernel's dedup serves seeding, every local pass and the
-        post-damping statistics."""
-        import repro.core.kernels as kernels
-        import repro.core.sharding as sharding
+    def test_one_kernel_build_per_batch(self, tiny_dataset, monkeypatch, backend):
+        """No SVI batch builds its incidence matrices twice: the batch
+        kernel serves seeding, every local pass and the post-damping
+        statistics."""
+        import repro.core.svi as svi
 
-        real_unique = kernels.unique_patterns
+        real_build = svi.build_sweep_kernel
         calls = []
 
-        def counting_unique(indicators):
-            calls.append(indicators.shape[0])
-            return real_unique(indicators)
+        def counting_build(config, items, *args, **kwargs):
+            calls.append(np.asarray(items).size)
+            return real_build(config, items, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "unique_patterns", counting_unique)
-        monkeypatch.setattr(sharding, "unique_patterns", counting_unique)
+        monkeypatch.setattr(svi, "build_sweep_kernel", counting_build)
         config = CPAConfig(seed=0, svi_iterations=3, backend=backend, n_shards=2)
         sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
         engine = StochasticInference(config, *sizes)
