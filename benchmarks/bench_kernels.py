@@ -61,9 +61,9 @@ N_LABELS = 12
 #: shard count of the tracked sharded-backend configuration.
 SHARDED_K = 4
 
-#: wide-sparse scenario (DESIGN.md §6 "Shard-local truncation"): many
-#: items, ~2 answers per item, few distinct label patterns — the regime
-#: where per-shard truncations bind.
+#: wide-sparse scenario: many items, ~2 answers per item, few distinct
+#: label patterns — the few-answers-per-item regime of partial-preference
+#: aggregation.
 WIDE_SPARSE_ITEMS = 30_000
 WIDE_SPARSE_ANSWERS_PER_ITEM = 2
 WIDE_SPARSE_K = 8
@@ -148,18 +148,16 @@ def build_wide_sparse_matrix(
 def _shard_statistics_bytes(kernel, n_clusters: int, n_communities: int) -> int:
     """Bytes of per-shard truncation-sized working state across one sweep.
 
-    Per shard: the Eq. 6 sufficient statistics (``(T_s, M, C)`` counts
-    plus ``(T_s, M)`` mass) and the ``(U_s·C, T_s)`` worker-label product
-    ``A ϕ`` — exactly the arrays whose cluster axis shard-local
-    truncation shrinks.  Deterministic, so the recorded reduction is
-    noise-free.
+    Per shard: the Eq. 6 sufficient statistics (``(T, M, C)`` counts
+    plus ``(T, M)`` mass) and the ``(U_s·C, T)`` worker-label product
+    ``A ϕ``.  Deterministic, so the recorded value is noise-free.
     """
     itemsize = np.dtype(kernel.dtype).itemsize
     n_labels = kernel.n_labels
     total = 0
-    for shard, t_s in zip(kernel.plan.shards, kernel._shard_ts(n_clusters)):
-        total += t_s * n_communities * (n_labels + 1) * itemsize
-        total += shard.kernel.n_workers * n_labels * t_s * itemsize
+    for shard in kernel.plan.shards:
+        total += n_clusters * n_communities * (n_labels + 1) * itemsize
+        total += shard.kernel.n_workers * n_labels * n_clusters * itemsize
     return total
 
 
@@ -169,33 +167,21 @@ def bench_wide_sparse(
     dtype: str = "float64",
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Adaptive vs global truncation on the wide-sparse sharded scenario.
+    """One sharded sweep on the wide-sparse scenario, at the global truncation.
 
-    Records one batch-VI sweep (serial, ``WIDE_SPARSE_K`` shards) under
-    shard-local truncation adaptation and under the global truncation,
-    plus the per-shard statistics bytes each pays — the memory reduction
-    the adaptation exists for.  The acceptance bar (ISSUE 5): bytes down,
-    sweep time no worse.
+    Records one batch-VI sweep (serial, ``WIDE_SPARSE_K`` shards) plus
+    the per-shard statistics bytes it pays.  The keys keep their
+    ``widesparse_global_*`` names so the committed ``BENCH_core.json``
+    baseline still gates the sweep time.
     """
     matrix = build_wide_sparse_matrix(seed=seed)
     config = CPAConfig(
-        seed=seed,
-        dtype=dtype,
-        backend="sharded",
-        n_shards=WIDE_SPARSE_K,
-        adaptive_truncation="auto",  # the gate engages: wide and sparse
+        seed=seed, dtype=dtype, backend="sharded", n_shards=WIDE_SPARSE_K
     )
-    adaptive = VariationalInference(config, matrix)
-    global_t = VariationalInference(
-        config.with_overrides(adaptive_truncation="off"), matrix
-    )
-    t, m = adaptive.state.n_clusters, adaptive.state.n_communities
-    shard_ts = adaptive.kernel._shard_ts(t)
-
-    adaptive_sweep = _time_calls(adaptive.sweep, sweeps)
-    global_sweep = _time_calls(global_t.sweep, sweeps)
-    adaptive_bytes = _shard_statistics_bytes(adaptive.kernel, t, m)
-    global_bytes = _shard_statistics_bytes(global_t.kernel, t, m)
+    engine = VariationalInference(config, matrix)
+    t, m = engine.state.n_clusters, engine.state.n_communities
+    global_sweep = _time_calls(engine.sweep, sweeps)
+    global_bytes = _shard_statistics_bytes(engine.kernel, t, m)
     return {
         "n_answers": int(matrix.n_answers),
         "n_items": int(matrix.n_items),
@@ -205,14 +191,9 @@ def bench_wide_sparse(
         "n_communities": int(m),
         "dtype": dtype,
         "scenario": "wide_sparse",
-        "widesparse_n_shards": int(adaptive.kernel.n_shards),
-        "widesparse_shard_truncations": [int(t_s) for t_s in shard_ts],
-        "widesparse_adaptive_sweep_s": adaptive_sweep,
+        "widesparse_n_shards": int(engine.kernel.n_shards),
         "widesparse_global_sweep_s": global_sweep,
-        "widesparse_sweep_ratio": adaptive_sweep / global_sweep,
-        "widesparse_adaptive_stats_bytes": int(adaptive_bytes),
         "widesparse_global_stats_bytes": int(global_bytes),
-        "widesparse_stats_bytes_ratio": float(adaptive_bytes) / float(global_bytes),
     }
 
 
@@ -541,10 +522,6 @@ def merge_best(old: Dict[str, object], new: Dict[str, object]) -> Dict[str, obje
         "sharded_sweep_ratio": ("sharded_sweep_s", "fused_sweep_s"),
         "svi_batch_speedup": ("svi_reference_batch_s", "svi_fused_batch_s"),
         "svi_sharded_batch_ratio": ("svi_sharded_batch_s", "svi_fused_batch_s"),
-        "widesparse_sweep_ratio": (
-            "widesparse_adaptive_sweep_s",
-            "widesparse_global_sweep_s",
-        ),
     }
     for key, (numerator, denominator) in derived.items():
         if numerator in merged and denominator in merged:
@@ -564,10 +541,10 @@ def run_suite(
 ) -> List[Dict[str, object]]:
     """Benchmark every answer volume; returns one record per size.
 
-    ``include_wide_sparse`` appends the wide-sparse shard-local
-    truncation case (:func:`bench_wide_sparse`) as an extra record with
-    its own answer volume; regression re-measurements that only target
-    the standard sizes pass ``False``.
+    ``include_wide_sparse`` appends the wide-sparse sharded case
+    (:func:`bench_wide_sparse`) as an extra record with its own answer
+    volume; regression re-measurements that only target the standard
+    sizes pass ``False``.
     """
     records: List[Dict[str, object]] = []
     for n_answers in sizes:
@@ -618,9 +595,8 @@ def run_suite(
         if verbose:
             print(
                 f"N={record['n_answers']:>7d}  wide-sparse  "
-                f"adaptive sweep {record['widesparse_sweep_ratio']:.2f}x global  "
-                f"stats bytes {record['widesparse_stats_bytes_ratio']:.2f}x "
-                f"(T_s={record['widesparse_shard_truncations']}, "
-                f"T={record['n_clusters']})"
+                f"sharded sweep {record['widesparse_global_sweep_s']:.3f}s  "
+                f"stats bytes {record['widesparse_global_stats_bytes']} "
+                f"(K={record['widesparse_n_shards']}, T={record['n_clusters']})"
             )
     return records

@@ -106,8 +106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run_check,
     )
     from repro.core.kernels import (
-        ADAPTIVE_MAX_ANSWERS_PER_ITEM,
-        ADAPTIVE_MIN_ITEMS,
         SHARDED_ANSWERS_PER_SHARD,
         SHARDED_MAX_AUTO_SHARDS,
         SHARDED_MIN_ANSWERS,
@@ -145,9 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "sharded_min_answers_parallel": SHARDED_MIN_ANSWERS_PARALLEL,
             "answers_per_shard": SHARDED_ANSWERS_PER_SHARD,
             "max_auto_shards": SHARDED_MAX_AUTO_SHARDS,
-            # the adaptive_truncation="auto" gate (shard-local truncation)
-            "adaptive_min_items": ADAPTIVE_MIN_ITEMS,
-            "adaptive_max_answers_per_item": ADAPTIVE_MAX_ANSWERS_PER_ITEM,
         },
         "results": records,
     }

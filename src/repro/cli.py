@@ -112,15 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of answered items when the matrix is in hand",
     )
     run_parser.add_argument(
-        "--adaptive-truncation",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="shard-local truncation adaptation for the sharded kernel "
-        "backend: size each shard's cluster truncation from its own "
-        "item/answer profile ('auto' engages only on wide-but-sparse "
-        "matrices; DESIGN.md §6)",
-    )
-    run_parser.add_argument(
         "--request-timeout",
         type=float,
         default=None,
@@ -186,8 +177,6 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
     if getattr(args, "shards", None) is not None:
         kwargs["n_shards"] = args.shards
         kwargs.setdefault("kernel_backend", "sharded")
-    if getattr(args, "adaptive_truncation", None) is not None:
-        kwargs["adaptive_truncation"] = args.adaptive_truncation
     if getattr(args, "request_timeout", None) is not None:
         kwargs["request_timeout"] = args.request_timeout
     return kwargs

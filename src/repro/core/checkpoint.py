@@ -21,8 +21,7 @@ workers, or labels appearing mid-stream: truncations are re-resolved with
 the same :func:`~repro.core.config.clamp_truncation`-consistent rule as
 :meth:`CPAConfig.resolve_truncations` (never shrinking), existing
 responsibility rows are padded with exact zeros on the new components
-(preserving any :meth:`~repro.core.state.CPAState.localize_clusters`
-windows — the new components sit outside every window), and new rows /
+(so every exact zero a row held stays where it was), and new rows /
 global parameters are initialised exactly as
 :func:`~repro.core.state.initialize_state` would.
 """
@@ -216,9 +215,9 @@ def grow_state(
     grow).  Existing posterior rows are preserved exactly:
 
     * ``phi`` / ``kappa`` rows are padded with **exact zeros** on the new
-      clusters/communities — row sums are untouched, and any
-      ``localize_clusters`` prefix windows remain valid (the new
-      components are appended after every window);
+      clusters/communities — row sums are untouched, and the new
+      components are appended after the old ones, so a row's existing
+      zero pattern is preserved;
     * ``lam`` keeps the old ``(T, M, C)`` block and fills new cells with
       the jittered ``gamma0`` prior, ``zeta`` with ``eta0``, new
       ``rho``/``ups`` sticks with the ``(1, α)`` / ``(1, ε)`` priors, and

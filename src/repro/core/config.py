@@ -17,14 +17,11 @@ import numpy as np
 from repro.errors import ConfigurationError, ValidationError
 from repro.utils.parallel import EXECUTOR_KINDS, Executor, make_executor
 
-#: legal values of :attr:`CPAConfig.adaptive_truncation`.
-ADAPTIVE_TRUNCATION_MODES = ("auto", "on", "off")
-
 
 def clamp_truncation(t: int, space: int) -> int:
     """Clamp a truncation level ``t`` to an index space of ``space`` elements.
 
-    The contract (pinned by ``tests/test_adaptive_truncation.py``):
+    The contract (pinned by ``tests/test_truncation.py``):
 
     * a truncation never exceeds the space it truncates — ``T ≤ n_items``
       and ``M ≤ n_workers`` always hold, so no component can be
@@ -133,21 +130,6 @@ class CPAConfig:
         matrix is in hand (:meth:`resolve_shards` / the kernel factory):
         a ``ShardPlan`` can never realise more shards than answered
         items, and the realised count is what benchmarks record.
-    adaptive_truncation:
-        Shard-local truncation adaptation (DESIGN.md §6 "Shard-local
-        truncation"): when engaged, each shard of a sharded run sizes its
-        own cluster truncation ``T_s ≤ T`` from the shard's distinct
-        item-profile count (:meth:`shard_truncation` — the same
-        ``size // 4 + 2`` rule as :meth:`resolve_truncations`), pays
-        ``(T_s, M, C)`` sufficient statistics instead of ``(T, M, C)``,
-        and the engines constrain each item's cluster posterior to its
-        shard's window.  ``"auto"`` (default) engages only when the
-        backend is sharded **and** the matrix is wide-but-sparse
-        (:func:`repro.core.kernels.adaptive_pays_off`); ``"on"`` engages
-        for every sharded run; ``"off"`` disables it.  When no shard's
-        ``T_s`` falls below the global ``T`` the path is bitwise
-        identical to the global-truncation one; when it binds, results
-        carry a documented approximation (the constrained family).
     executor:
         Executor kind the config describes: ``"serial"`` (default),
         ``"thread"``, ``"process"`` (local child processes running the
@@ -203,7 +185,6 @@ class CPAConfig:
     dtype: str = "float64"
     backend: str = "fused"
     n_shards: int = 0
-    adaptive_truncation: str = "auto"
     executor: str = "serial"
     executor_degree: int = 0
     workers: Tuple[str, ...] = ()
@@ -249,12 +230,6 @@ class CPAConfig:
             )
         if self.n_shards < 0:
             raise ValidationError("n_shards must be non-negative (0 = auto)")
-        if self.adaptive_truncation not in ADAPTIVE_TRUNCATION_MODES:
-            raise ConfigurationError(
-                f"adaptive_truncation must be one of "
-                f"{', '.join(ADAPTIVE_TRUNCATION_MODES)}, "
-                f"got {self.adaptive_truncation!r}"
-            )
         if self.executor not in EXECUTOR_KINDS:
             raise ConfigurationError(
                 f"executor must be one of {', '.join(EXECUTOR_KINDS)}, "
@@ -299,17 +274,32 @@ class CPAConfig:
             request_timeout=self.request_timeout if remote else None,
         )
 
-    def resolve_shards(self, degree: int = 1, n_items: int = 0) -> int:
-        """Concrete shard count for the sharded backend.
+    def resolve_shards(
+        self, degree: int = 1, n_items: int = 0, n_answers: int = 0
+    ) -> int:
+        """Concrete shard count ``K`` for a sharded run.
 
-        Auto mode (``n_shards == 0``) matches the executor's parallel
-        degree so each lane owns one shard; an explicit count is honoured
-        regardless of the executor.  ``n_items`` (when known — callers
-        with a concrete matrix pass the *answered* item count) caps the
-        result: :class:`~repro.core.sharding.ShardPlan` partitions by
-        item, so no request can realise more shards than answered items.
+        An explicit count is honoured regardless of the executor.  Auto
+        mode (``n_shards == 0``) matches the executor's parallel degree so
+        each lane owns one shard; under ``backend="auto"`` it sizes K
+        from the ``n_answers`` volume instead
+        (:func:`repro.core.kernels.auto_shard_count`, at least one shard
+        per lane).  A fresh plan and an elastic re-plan both take K from
+        here, so a fit's partition does not depend on when a lane
+        joined.  ``n_items`` (when known — callers with a concrete matrix
+        pass the *answered* item count) caps the result:
+        :class:`~repro.core.sharding.ShardPlan` partitions by item, so no
+        request can realise more shards than answered items.
         """
-        k = self.n_shards if self.n_shards > 0 else max(1, int(degree))
+        if self.n_shards > 0:
+            k = self.n_shards
+        elif self.backend == "auto":
+            # Local import: kernels imports state, which imports this module.
+            from repro.core.kernels import auto_shard_count
+
+            k = auto_shard_count(int(n_answers), int(degree))
+        else:
+            k = max(1, int(degree))
         if n_items > 0:
             k = min(k, int(n_items))
         return k
@@ -319,67 +309,23 @@ class CPAConfig:
     ) -> tuple[str, int]:
         """Concrete ``(backend, n_shards)`` for a matrix/batch of ``n_answers``.
 
-        Explicit ``"fused"`` / ``"sharded"`` selections pass through
-        (with :meth:`resolve_shards` sizing K for the latter).  ``"auto"``
-        applies the measured rule of :func:`repro.core.kernels.sharded_pays_off`:
-        sharded above the volume crossover (lowered when the executor has
-        parallel lanes), fused below it, with K sized by
-        :func:`repro.core.kernels.auto_shard_count` unless ``n_shards``
-        pins it.  Callers resolve per matrix — the SVI engine per batch —
+        Explicit ``"fused"`` / ``"sharded"`` selections pass through.
+        ``"auto"`` applies the measured rule of
+        :func:`repro.core.kernels.sharded_pays_off`: sharded above the
+        volume crossover (lowered when the executor has parallel lanes),
+        fused below it.  :meth:`resolve_shards` sizes K for every sharded
+        result.  Callers resolve per matrix — the SVI engine per batch —
         so one config serves mixed workloads.  ``n_items`` (the answered
-        item count, when the caller has a concrete matrix) caps K as in
-        :meth:`resolve_shards`.
+        item count, when the caller has a concrete matrix) caps K.
         """
         if self.backend == "fused":
             return "fused", 0
-        if self.backend == "sharded":
-            return "sharded", self.resolve_shards(degree, n_items)
         # Local import: kernels imports state, which imports this module.
-        from repro.core.kernels import auto_shard_count, sharded_pays_off
+        from repro.core.kernels import sharded_pays_off
 
-        if sharded_pays_off(int(n_answers), int(degree)):
-            if self.n_shards > 0:
-                k = self.n_shards
-                if n_items > 0:
-                    k = min(k, int(n_items))
-            else:
-                k = auto_shard_count(int(n_answers), int(degree), int(n_items))
-            return "sharded", max(1, k)
+        if self.backend == "sharded" or sharded_pays_off(int(n_answers), int(degree)):
+            return "sharded", self.resolve_shards(degree, n_items, n_answers)
         return "fused", 0
-
-    def resolve_adaptive_truncation(self, n_items: int, n_answers: int) -> bool:
-        """Whether a sharded run over this matrix adapts per-shard truncations.
-
-        ``"on"`` / ``"off"`` are unconditional; ``"auto"`` engages only on
-        wide-but-sparse matrices (:func:`repro.core.kernels.adaptive_pays_off`
-        — many items, few answers per item), the regime where per-shard
-        item profiles are poor enough that the global ``T`` overpays.
-        Only the sharded backend consults this: the fused kernel has no
-        shard-local statistics to shrink.
-        """
-        if self.adaptive_truncation == "off":
-            return False
-        if self.adaptive_truncation == "on":
-            return True
-        from repro.core.kernels import adaptive_pays_off
-
-        return adaptive_pays_off(int(n_items), int(n_answers))
-
-    def shard_truncation(self, n_profiles: int, n_items: int) -> int:
-        """Cluster truncation ``T_s`` for one shard's item/answer profile.
-
-        The shared sizing rule of shard-local truncation adaptation: the
-        same ``size // 4 + 2`` shape as :meth:`resolve_truncations`, fed
-        with the shard's number of *distinct item answer profiles* (items
-        with identical aggregated answer rows are indistinguishable to
-        the clustering, so profiles — not raw items — bound the clusters
-        a shard's data can support), clamped by :func:`clamp_truncation`
-        to the shard's item count.  The kernel additionally caps the
-        result at the global ``T``, so adaptation can only ever shrink a
-        shard's truncation.
-        """
-        t = min(self.max_truncation, int(n_profiles) // 4 + 2)
-        return clamp_truncation(t, n_items)
 
     def resolve_truncations(self, n_items: int, n_workers: int) -> tuple[int, int]:
         """Concrete ``(T, M)`` for a dataset of the given size.

@@ -37,7 +37,7 @@ from repro.core.expectations import (
     expected_log_psi,
     expected_log_tau,
 )
-from repro.core.kernels import mask_cluster_scores, segment_sum, truncate_rows
+from repro.core.kernels import segment_sum
 from repro.core.sharding import ShardedSweepKernel, build_sweep_kernel
 from repro.core.state import CPAState, initialize_state
 from repro.data.answers import AnswerMatrix
@@ -131,9 +131,6 @@ class VariationalInference:
                 max_truncation=max(
                     config.max_truncation, answers.n_items, answers.n_workers
                 ),
-                # identity-pinned ϕ is incompatible with shard-local
-                # cluster windows (every item must reach its own cluster)
-                adaptive_truncation="off",
             )
         self.config = config
         self.answers = answers
@@ -192,15 +189,6 @@ class VariationalInference:
             self.state.kappa = np.eye(self.n_workers)
         if fix_singleton_clusters:
             self.state.phi = np.eye(self.n_items)
-        # Shard-local truncation (DESIGN.md §6): when the sharded kernel
-        # carries binding per-shard windows, project the initial ϕ onto
-        # them.  With ϕ exactly zero outside every window, each shard's
-        # windowed contractions equal the full ones, so every sweep is an
-        # exact coordinate-ascent step within the constrained family (and
-        # the ELBO stays monotone).
-        self._cluster_limits = self.kernel.cluster_limits(self.state.n_clusters)
-        if self._cluster_limits is not None:
-            self.state.localize_clusters(self._cluster_limits)
         # Make the globals consistent with the seeded responsibilities so
         # the first local sweep sees differentiated profiles instead of
         # the bare prior (which would undo the initialisation).
@@ -256,19 +244,19 @@ class VariationalInference:
         """Re-plan the sharded kernel for the executor's current capacity.
 
         Retires the current plan (evicting its lane-resident broadcast
-        state), rebuilds the kernel with ``n_shards`` shards — default:
-        the config's shard rule applied to the executor's *current*
-        degree — and re-projects the shard-local truncation windows if
-        the new plan carries any.  Merges are fixed-shard-order and
-        deterministic, so two engines that re-plan to the same K at the
-        same sweep boundary stay bitwise identical regardless of lane
-        count (the chaos suite pins this).  Returns the realised shard
-        count.  Safe mid-run: the variational state is K-agnostic; only
-        the work partition changes.
+        state) and rebuilds the kernel with ``n_shards`` shards —
+        default: the K a fresh plan would take at the executor's
+        *current* degree (:meth:`~repro.core.config.CPAConfig.resolve_shards`);
+        the backend itself is never re-resolved.  Merges are
+        fixed-shard-order and deterministic, so two engines that re-plan
+        to the same K at the same sweep boundary stay bitwise identical
+        regardless of lane count (the chaos suite pins this).  Returns the
+        realised shard count.  Safe mid-run: the variational state is
+        K-agnostic; only the work partition changes.
         """
         degree = getattr(self.executor, "degree", 1)
         if n_shards is None:
-            n_shards = self.config.resolve_shards(degree, self.n_items)
+            n_shards = self.config.resolve_shards(degree, self.n_items, self.items.size)
         self.kernel.evict()
         self.kernel = build_sweep_kernel(
             self.config,
@@ -281,9 +269,6 @@ class VariationalInference:
             n_shards=n_shards,
         )
         self._planned_degree = degree
-        self._cluster_limits = self.kernel.cluster_limits(self.state.n_clusters)
-        if self._cluster_limits is not None:
-            self.state.localize_clusters(self._cluster_limits)
         return getattr(self.kernel, "n_shards", 1)
 
     def _maybe_replan(self) -> None:
@@ -334,18 +319,7 @@ class VariationalInference:
                 y = self.truth_indicator[self.truth_mask]
                 supervised = y @ e_log_phi.T + (1.0 - y) @ e_log_phi_c.T
                 phi_scores[self.truth_mask] += supervised
-            if self._cluster_limits is not None:
-                # keep each item inside its shard's cluster window: mask
-                # the scores (finite fill, SIMD-friendly), then project
-                # the normalised rows so ϕ is *exactly* zero outside the
-                # window — the invariant that keeps the windowed kernel
-                # contractions exact
-                mask_cluster_scores(phi_scores, self._cluster_limits)
-                new_phi = truncate_rows(
-                    log_normalize_rows(phi_scores), self._cluster_limits
-                )
-            else:
-                new_phi = log_normalize_rows(phi_scores)
+            new_phi = log_normalize_rows(phi_scores)
             phi_delta = float(np.max(np.abs(new_phi - state.phi)))
             state.phi = new_phi
 

@@ -36,7 +36,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import InferenceError
-from repro.utils.math import flush_subnormals
 from repro.utils.parallel import Executor
 
 
@@ -96,101 +95,6 @@ def auto_shard_count(n_answers: int, degree: int = 1, n_items: int = 0) -> int:
     if n_items > 0:
         k = min(k, int(n_items))
     return k
-
-
-# ------------------------------------------- shard-local truncation adaptation
-#
-# Thresholds behind ``CPAConfig.adaptive_truncation = "auto"`` and the
-# prefix-window helpers shared by both engines (DESIGN.md §6 "Shard-local
-# truncation").  A truncated shard works on the stick-breaking *prefix*
-# [0, T_s) of the global cluster space — truncation levels of a
-# stick-breaking process are always prefix cutoffs, so a shard-local
-# truncation is a shard-local prefix.
-
-#: item-space width below which adaptation never auto-engages — small
-#: spaces already get small global truncations from resolve_truncations.
-ADAPTIVE_MIN_ITEMS = 512
-
-#: answers-per-item density above which a matrix stops counting as
-#: sparse: well-covered items support rich per-shard profiles, so the
-#: per-shard rule would not bind anyway and the window bookkeeping is
-#: pure overhead.
-ADAPTIVE_MAX_ANSWERS_PER_ITEM = 4.0
-
-#: margin subtracted from each row's minimum when masking out-of-window
-#: scores.  Chosen so that (a) the scores stay finite (the SVI µ
-#: parameterisation cannot tolerate -inf), (b) softmax leaks at most
-#: ``exp(-margin) ≈ 1.6e-28`` mass per masked column — far below float64
-#: resolution, and removed *exactly* by the :func:`truncate_rows`
-#: projection the engines apply after normalising — and (c) the masked
-#: arguments stay inside ``np.exp``'s SIMD fast range (large-negative
-#: inputs fall back to a scalar loop, which measurably slows the
-#: row-softmax of wide item spaces).
-MASK_MARGIN = 64.0
-
-
-def adaptive_pays_off(n_items: int, n_answers: int) -> bool:
-    """The ``adaptive_truncation="auto"`` rule: is this matrix wide/sparse?
-
-    Wide (at least :data:`ADAPTIVE_MIN_ITEMS` items) and sparse (at most
-    :data:`ADAPTIVE_MAX_ANSWERS_PER_ITEM` answers per item on average) —
-    the regime where shard-local item profiles are poor enough that
-    per-shard truncations sized from them actually shrink.
-    """
-    return (
-        n_items >= ADAPTIVE_MIN_ITEMS
-        and n_answers <= ADAPTIVE_MAX_ANSWERS_PER_ITEM * n_items
-    )
-
-
-def mask_cluster_scores(
-    scores: np.ndarray, limits: np.ndarray, margin: float = MASK_MARGIN
-) -> np.ndarray:
-    """Constrain per-item cluster scores to prefix windows, in place.
-
-    Row ``i`` keeps columns ``[0, limits[i])`` untouched; columns at and
-    beyond the limit are filled with that row's minimum minus ``margin``,
-    so the subsequent row softmax leaves them at most ``exp(-margin)``
-    mass (≈ 1.6e-28 at the default — engines remove even that exactly
-    via :func:`truncate_rows`) while the scores stay finite — the
-    canonical-µ SVI path subtracts score columns, so ``-inf`` fills
-    would poison it.  ``scores`` must be freshly assembled (masking an
-    already-masked array would ratchet the fill downward); rows with
-    ``limits[i] >= scores.shape[1]`` are left untouched.  Returns
-    ``scores``.
-    """
-    limits = np.asarray(limits)
-    t = scores.shape[1]
-    out_of_window = np.arange(t)[None, :] >= limits[:, None]
-    if not out_of_window.any():
-        return scores
-    fill = scores.min(axis=1) - margin
-    np.copyto(scores, fill[:, None], where=out_of_window)
-    return scores
-
-
-def truncate_rows(probs: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    """Project probability rows onto prefix windows ``[0, limits[i])``.
-
-    Out-of-window mass is dropped and each row renormalised over its
-    window — the exact conditional distribution given the window, which
-    is what restricting the variational family to the window means.  A
-    row with no in-window mass at all becomes uniform over its window.
-    Used to localise the *initial* responsibilities so every later
-    restricted contraction is exact.  Returns a new array of the same
-    dtype, free of subnormals like every κ/ϕ producer.
-    """
-    limits = np.asarray(limits)
-    t = probs.shape[1]
-    mask = np.arange(t)[None, :] < limits[:, None]
-    out = np.where(mask, probs, 0.0).astype(probs.dtype, copy=False)
-    totals = out.sum(axis=1, keepdims=True)
-    empty = totals[:, 0] <= 0
-    if np.any(empty):
-        window = mask[empty]
-        out[empty] = window / window.sum(axis=1, keepdims=True)
-        totals = out.sum(axis=1, keepdims=True)
-    return flush_subnormals(out / totals)
 
 
 def unique_patterns(indicators: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -382,16 +286,6 @@ class SweepKernel:
         # E[ln ψ] of the current sweep as (C·T, M) and (M, C·T) matrices.
         self._e_worker: Optional[np.ndarray] = None
         self._e_item: Optional[np.ndarray] = None
-
-    def cluster_limits(self, n_clusters: int) -> Optional[np.ndarray]:
-        """Per-item cluster-window limits, or ``None`` when unconstrained.
-
-        The fused kernel never truncates shard-locally (there are no
-        shards); the method exists so engines can consult one seam for
-        every backend (:meth:`repro.core.sharding.ShardedSweepKernel.cluster_limits`
-        returns real windows when adaptation binds).
-        """
-        return None
 
     def evict(self) -> None:
         """No-op: a fused kernel holds no lane-resident state.

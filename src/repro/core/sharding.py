@@ -31,20 +31,8 @@ Combine semantics (the parity contract of ``tests/test_sharded.py``):
   ``1e-10`` on float64.  The ELBO data term is ``Σ counts · E[ln ψ]``
   over the merged statistics.
 
-Shard-local truncation (DESIGN.md §6 "Shard-local truncation"): with
-``CPAConfig.adaptive_truncation`` engaged, each shard carries a
-``t_limit`` sized from its own distinct item-profile count and works on
-the stick-breaking *prefix* ``[0, T_s)`` of the cluster space,
-``T_s = min(T, t_limit)``: tasks receive the contiguous view
-``e_log_psi[:T_s]`` and windowed ϕ rows, the per-shard worker-label
-product shrinks to ``(U_s·C, T_s)`` and the statistics to
-``(T_s, M, C)``, and merges scatter the prefixes back into the global
-arrays.  Engines keep ϕ exactly zero outside each item's window
-(``cluster_limits`` + the masking helpers of :mod:`repro.core.kernels`),
-so the windowed contractions are *exact* — coordinate ascent within the
-window-constrained variational family.  When no shard binds
-(``T_s = T`` everywhere) every path below is bitwise identical to the
-non-adaptive one.
+Every shard works on the global cluster truncation ``T``, so a sharded
+run computes the fused posterior up to summation order on every input.
 
 Transport (DESIGN.md §6 "Lane-resident shard state"): the shard kernels
 are **lane-resident** — :class:`ShardedSweepKernel` broadcasts the shard
@@ -70,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import SegmentLayout, SweepKernel, balanced_bounds, segment_sum
+from repro.core.kernels import SegmentLayout, SweepKernel, balanced_bounds
 from repro.errors import InferenceError, ValidationError
 from repro.utils.parallel import Executor
 
@@ -81,20 +69,13 @@ class Shard:
 
     ``kernel`` operates on shard-local index spaces; ``item_ids`` /
     ``worker_ids`` map local rows back to the global spaces (both sorted
-    ascending, so local ids preserve global order).  ``t_limit`` is the
-    shard's own cluster-truncation budget (DESIGN.md §6 "Shard-local
-    truncation"), sized from the shard's item/answer profile at plan
-    time; ``None`` means the shard inherits the global truncation.  The
-    effective ``T_s = min(T, t_limit)`` is resolved against the global
-    ``T`` by :class:`ShardedSweepKernel`, never here — the plan does not
-    know ``T``.
+    ascending, so local ids preserve global order).
     """
 
     index: int
     item_ids: np.ndarray  # (I_s,) global ids of the shard's answered items
     worker_ids: np.ndarray  # (U_s,) global ids of the shard's active workers
     kernel: SweepKernel
-    t_limit: Optional[int] = None
 
     @property
     def n_answers(self) -> int:
@@ -120,12 +101,7 @@ class ShardPlan:
         n_workers: int,
         n_shards: int,
         dtype: np.dtype = np.float64,
-        shard_truncation=None,
     ) -> None:
-        """``shard_truncation(n_profiles, n_items) -> int`` (normally
-        :meth:`repro.core.config.CPAConfig.shard_truncation`) enables
-        shard-local truncation adaptation: each shard's ``t_limit`` is
-        sized from its count of distinct per-item answer profiles."""
         if n_shards <= 0:
             raise ValidationError("n_shards must be positive")
         self.dtype = np.dtype(dtype)
@@ -168,24 +144,12 @@ class ShardPlan:
                 n_workers=int(worker_ids.size),
                 dtype=self.dtype,
             )
-            t_limit = None
-            if shard_truncation is not None:
-                # Distinct per-item answer profiles: items whose summed
-                # indicator rows coincide are indistinguishable to the
-                # clustering, so the profile count — not the raw item
-                # count — bounds the clusters this shard's data supports.
-                profiles = segment_sum(
-                    sorted_x[lo:hi], local_items, int(item_ids.size)
-                )
-                n_profiles = int(np.unique(profiles, axis=0).shape[0])
-                t_limit = int(shard_truncation(n_profiles, int(item_ids.size)))
             self.shards.append(
                 Shard(
                     index=len(self.shards),
                     item_ids=item_ids,
                     worker_ids=worker_ids,
                     kernel=kernel,
-                    t_limit=t_limit,
                 )
             )
         self.n_shards = len(self.shards)
@@ -311,7 +275,6 @@ class ShardedSweepKernel:
         n_workers: int,
         dtype: np.dtype = np.float64,
         n_shards: int = 1,
-        shard_truncation=None,
     ) -> None:
         self.dtype = np.dtype(dtype)
         self._broadcast_key = _next_broadcast_key()
@@ -332,80 +295,14 @@ class ShardedSweepKernel:
             n_workers=n_workers,
             n_shards=n_shards,
             dtype=self.dtype,
-            shard_truncation=shard_truncation,
         )
         self.n_items = self.plan.n_items
         self.n_workers = self.plan.n_workers
         self.n_answers = self.plan.n_answers
         self.n_labels = self.plan.n_labels
         self.n_shards = self.plan.n_shards
-        #: shard-local truncation adaptation is armed (some shard carries
-        #: a t_limit); whether it *binds* depends on the global T of each
-        #: call (see _shard_ts) — when no shard's limit falls below T,
-        #: every code path below is identical to the non-adaptive one.
-        self.adaptive = any(
-            shard.t_limit is not None for shard in self.plan.shards
-        )
-        self._shard_ts_cache: dict = {}
-        self._limits_cache: dict = {}
-        self._psi_views: Optional[List[np.ndarray]] = None
-
-    # ------------------------------------------------- shard-local truncation
-
-    def _shard_ts(self, n_clusters: int) -> List[int]:
-        """Effective per-shard truncations ``T_s = min(T, t_limit)``."""
-        t = int(n_clusters)
-        cached = self._shard_ts_cache.get(t)
-        if cached is None:
-            cached = [
-                t if shard.t_limit is None else max(1, min(t, shard.t_limit))
-                for shard in self.plan.shards
-            ]
-            self._shard_ts_cache[t] = cached
-        return cached
-
-    def _binding(self, n_clusters: int) -> bool:
-        """Does any shard truncate below the global ``T`` at this width?"""
-        return self.adaptive and any(
-            t_s < int(n_clusters) for t_s in self._shard_ts(int(n_clusters))
-        )
-
-    def cluster_limits(self, n_clusters: int) -> Optional[np.ndarray]:
-        """Per-item cluster-window limits at global truncation ``n_clusters``.
-
-        ``None`` when adaptation is off or no shard binds (the engines
-        then run the untouched global-truncation updates).  Otherwise an
-        ``(n_items,)`` int64 array: item ``i`` of a truncated shard may
-        only occupy clusters ``[0, limits[i])``; items outside every
-        shard (unanswered) keep the full window.  Engines feed this to
-        :func:`repro.core.kernels.mask_cluster_scores` /
-        :func:`repro.core.kernels.truncate_rows` so ``ϕ`` rows carry
-        exactly zero mass outside their windows — which is what makes
-        every restricted shard contraction exact.
-        """
-        t = int(n_clusters)
-        if not self._binding(t):
-            return None
-        cached = self._limits_cache.get(t)
-        if cached is None:
-            cached = np.full(self.n_items, t, dtype=np.int64)
-            for shard, t_s in zip(self.plan.shards, self._shard_ts(t)):
-                cached[shard.item_ids] = t_s
-            self._limits_cache[t] = cached
-        return cached
-
-    def _psi_for(self, e_log_psi: np.ndarray) -> List[np.ndarray]:
-        """Per-shard ``E[ln ψ]``: prefix views when truncating.
-
-        A binding shard receives the contiguous prefix view
-        ``e_log_psi[:T_s]`` — no copy — so its worker-label product and
-        sufficient statistics shrink to ``(U_s·C, T_s)`` /
-        ``(T_s, M, C)``.  Non-binding shards receive the array itself.
-        """
-        t = int(e_log_psi.shape[0])
-        return [
-            e_log_psi if t_s >= t else e_log_psi[:t_s] for t_s in self._shard_ts(t)
-        ]
+        #: the sweep's ``E[ln ψ]``, pinned by :meth:`begin_sweep`.
+        self._e_log_psi: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ transport
 
@@ -458,26 +355,11 @@ class ShardedSweepKernel:
     # ---------------------------------------------------------------- sweep
 
     def begin_sweep(self, e_log_psi: np.ndarray) -> None:
-        """Pin the sweep's ``E[ln ψ]``; each shard task rearranges its own.
-
-        Under binding shard-local truncation each truncated shard is
-        pinned to the contiguous prefix view ``e_log_psi[:T_s]`` for the
-        whole sweep.
-        """
-        self._psi_views = self._psi_for(
-            np.ascontiguousarray(e_log_psi, dtype=self.dtype)
-        )
+        """Pin the sweep's ``E[ln ψ]``; each shard task rearranges its own."""
+        self._e_log_psi = np.ascontiguousarray(e_log_psi, dtype=self.dtype)
 
     def _item_rows(self, phi: np.ndarray) -> List[np.ndarray]:
-        """Each shard's ϕ rows, windowed to its prefix ``[:T_s]``.
-
-        The engines keep ϕ at exactly zero outside the windows, so the
-        truncated contraction equals the full one.
-        """
-        return [
-            phi[shard.item_ids, :t_s]
-            for shard, t_s in zip(self.plan.shards, self._shard_ts(phi.shape[1]))
-        ]
+        return [phi[shard.item_ids] for shard in self.plan.shards]
 
     def _worker_rows(self, kappa: np.ndarray) -> List[np.ndarray]:
         return [kappa[shard.worker_ids] for shard in self.plan.shards]
@@ -486,13 +368,11 @@ class ShardedSweepKernel:
         self, out: np.ndarray, phi: np.ndarray, executor: Optional[Executor] = None
     ) -> np.ndarray:
         """``out[u] += Σ_{n: u_n=u} Σ_t ϕ[i_n, t] L[n, t, ·]``, shard-merged."""
-        if self._psi_views is None:
+        if self._e_log_psi is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
         tasks = [
-            (shard.index, psi, rows)
-            for shard, psi, rows in zip(
-                self.plan.shards, self._psi_views, self._item_rows(phi)
-            )
+            (shard.index, self._e_log_psi, rows)
+            for shard, rows in zip(self.plan.shards, self._item_rows(phi))
         ]
         pieces = self._fan_out(executor, _worker_scores_task, tasks)
         return merge_scores(
@@ -506,28 +386,14 @@ class ShardedSweepKernel:
     def add_item_scores(
         self, out: np.ndarray, kappa: np.ndarray, executor: Optional[Executor] = None
     ) -> np.ndarray:
-        """``out[i] += Σ_{n: i_n=i} Σ_m κ[u_n, m] L[n, ·, m]``; disjoint merge.
-
-        Under binding shard-local truncation a truncated shard returns
-        ``(I_s, T_s)`` scores which scatter into the prefix columns of
-        its (disjoint) item rows; out-of-window columns are left
-        untouched — the engines mask them out of the ϕ update entirely.
-        """
-        if self._psi_views is None:
+        """``out[i] += Σ_{n: i_n=i} Σ_m κ[u_n, m] L[n, ·, m]``; disjoint merge."""
+        if self._e_log_psi is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
         tasks = [
-            (shard.index, psi, rows)
-            for shard, psi, rows in zip(
-                self.plan.shards, self._psi_views, self._worker_rows(kappa)
-            )
+            (shard.index, self._e_log_psi, rows)
+            for shard, rows in zip(self.plan.shards, self._worker_rows(kappa))
         ]
         pieces = self._fan_out(executor, _item_scores_task, tasks)
-        if self._binding(out.shape[1]):
-            for shard, t_s, scores in zip(
-                self.plan.shards, self._shard_ts(out.shape[1]), pieces
-            ):
-                out[shard.item_ids, :t_s] += scores
-            return out
         return merge_scores(
             out,
             [
@@ -556,17 +422,6 @@ class ShardedSweepKernel:
             )
         ]
         pieces = self._fan_out(executor, _cell_statistics_task, tasks)
-        if self._binding(t):
-            # Truncated shards return (T_s, M, C) partials; scatter each
-            # into the prefix rows of the global statistics.  Clusters no
-            # shard reaches keep zero counts (λ stays at its prior).
-            dtype = np.result_type(phi, kappa)
-            counts = np.zeros((t, m, self.n_labels), dtype=dtype)
-            mass = np.zeros((t, m), dtype=dtype)
-            for t_s, (piece_counts, piece_mass) in zip(self._shard_ts(t), pieces):
-                counts[:t_s] += piece_counts
-                mass[:t_s] += piece_mass
-            return counts, mass
         return merge_cell_statistics(pieces)
 
     def data_elbo(
@@ -605,11 +460,10 @@ def build_sweep_kernel(
     measured volume thresholds of :mod:`repro.core.kernels`.  A sharded
     selection caps K at the matrix's *answered* item count (an
     item-partitioned plan cannot realise more shards; callers read the
-    realised count back from ``kernel.n_shards``), and engages
-    shard-local truncation adaptation when
-    :meth:`~repro.core.config.CPAConfig.resolve_adaptive_truncation`
-    says the matrix is wide/sparse enough (or the knob forces it).
-    ``CPAConfig`` already validated the backend name.
+    realised count back from ``kernel.n_shards``).  Every shard works on
+    the global cluster truncation, so the backend choice changes only
+    summation order, never the posterior.  ``CPAConfig`` already
+    validated the backend name.
 
     An explicit ``n_shards`` overrides the resolved count and forces the
     sharded backend — the shard re-planning path
@@ -643,11 +497,6 @@ def build_sweep_kernel(
             n_workers=n_workers,
             dtype=dtype,
             n_shards=n_shards,
-            shard_truncation=(
-                config.shard_truncation
-                if config.resolve_adaptive_truncation(n_items, n_answers)
-                else None
-            ),
         )
     return SweepKernel(
         items,

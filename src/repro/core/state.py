@@ -145,25 +145,6 @@ class CPAState:
             out.kappa[perm] = self.kappa
         return out
 
-    def localize_clusters(self, limits: np.ndarray) -> None:
-        """Constrain each item's cluster posterior to a prefix window.
-
-        ``limits[i]`` is item ``i``'s window width: ``ϕ_i`` keeps only
-        clusters ``[0, limits[i])`` and is renormalised (exact
-        conditioning — see :func:`repro.core.kernels.truncate_rows`).
-        This is the state-level entry point of shard-local truncation
-        adaptation (DESIGN.md §6): engines call it once after
-        initialisation so every subsequent windowed shard contraction is
-        exact, and keep ``ϕ`` inside the windows via masked updates.
-        ``µ`` (when initialised) is re-synchronised from the projected
-        ``ϕ``.
-        """
-        from repro.core.kernels import truncate_rows
-
-        self.phi = truncate_rows(self.phi, limits)
-        if self.mu is not None:
-            self.sync_mu_from_phi()
-
     def hard_communities(self) -> np.ndarray:
         """MAP community of each worker (argmax of ``κ``)."""
         return np.argmax(self.kappa, axis=1)

@@ -37,12 +37,7 @@ from repro.core.expectations import (
     expected_log_psi,
     expected_log_tau,
 )
-from repro.core.kernels import (
-    SweepKernel,
-    mask_cluster_scores,
-    segment_sum,
-    truncate_rows,
-)
+from repro.core.kernels import SweepKernel, segment_sum
 from repro.core.natural_gradients import (
     compute_global_targets,
     interpolate,
@@ -302,22 +297,8 @@ class StochasticInference:
             scores = np.tile(e_log_tau, (data.batch_items.size, 1))
             scores += worker_scale * evidence
             scores += self._supervised_scores(data)
-            limits = self._batch_cluster_limits(data)
-            if limits is not None:
-                # Shard-local truncation (DESIGN.md §6): out-of-window
-                # clusters received no evidence from the truncated shard,
-                # so their prior-only scores would wrongly dominate the
-                # in-window (negative log-likelihood) ones.  The mask's
-                # finite fill keeps µ well-defined (µ is shift-invariant
-                # per row); the projection removes the residual
-                # ``exp(-margin)`` leak so the provisional ϕ feeding the
-                # windowed statistics is exactly window-supported.
-                mask_cluster_scores(scores, limits)
-                mu_target = scores[:, :-1] - scores[:, -1:]
-                phi_batch = truncate_rows(log_normalize_rows(scores), limits)
-            else:
-                mu_target = scores[:, :-1] - scores[:, -1:]
-                phi_batch = log_normalize_rows(scores)
+            mu_target = scores[:, :-1] - scores[:, -1:]
+            phi_batch = log_normalize_rows(scores)
 
         # ---- REDUCE: commit locals, damped global steps -------------------
         state.kappa[data.batch_workers] = kappa_batch
@@ -512,41 +493,6 @@ class StochasticInference:
         self._batch_kernel_cache = (data, kernel)
         return kernel
 
-    def _windowed_kernel(
-        self, data: _BatchData, phi_batch: np.ndarray
-    ) -> Tuple[_Kernel, np.ndarray]:
-        """The batch's kernel, plus ``phi_batch`` projected onto its windows.
-
-        The windowed contractions of shard-local truncation assume
-        window-supported ϕ rows; the incoming ϕ (global state sliced to
-        the batch, or the µ-synced commit) leaks mass outside this
-        batch's shard windows, which truncation would silently *drop*
-        instead of condition on.  Projecting first renormalises each row
-        over its window, so the κ update and the Eq. 6 statistics see
-        proper distributions.  Without binding windows ``phi_batch`` is
-        returned as is.
-        """
-        kernel = self._batch_kernel(data)
-        limits = kernel.cluster_limits(self.state.n_clusters)
-        if limits is not None:
-            phi_batch = truncate_rows(phi_batch, limits)
-        return kernel, phi_batch
-
-    def _batch_cluster_limits(self, data: _BatchData) -> Optional[np.ndarray]:
-        """Cluster-window limits of the current batch's kernel.
-
-        ``None`` whenever the batch ran fused, its shard windows do not
-        bind, or no kernel was built for it (an engine that overrides
-        :meth:`_map_reduce` without one) — the local ϕ update is then
-        exactly the historical one.  The limits index *batch-local* item
-        rows, matching the ``scores`` / ``phi_batch`` arrays of the local
-        loop.
-        """
-        cache = self._batch_kernel_cache
-        if cache is None or cache[0] is not data:
-            return None
-        return cache[1].cluster_limits(self.state.n_clusters)
-
     def _map_reduce(
         self,
         data: _BatchData,
@@ -564,7 +510,7 @@ class StochasticInference:
         on every backend, and flushed after the cast: a float64 1e-40 is a
         float32 subnormal.
         """
-        kernel, phi_batch = self._windowed_kernel(data, phi_batch)
+        kernel = self._batch_kernel(data)
         dtype = self.state.lam.dtype
         kernel.begin_sweep(e_log_psi)
         scores = np.tile(e_log_pi, (data.batch_workers.size, 1))
@@ -580,8 +526,9 @@ class StochasticInference:
         self, data: _BatchData, phi_batch: np.ndarray, kappa_batch: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 6 sufficient statistics of one batch (seeding, post-damping)."""
-        kernel, phi_batch = self._windowed_kernel(data, phi_batch)
-        return kernel.cell_statistics(phi_batch, kappa_batch, self.executor)
+        return self._batch_kernel(data).cell_statistics(
+            phi_batch, kappa_batch, self.executor
+        )
 
     def _supervised_scores(self, data: _BatchData) -> np.ndarray:
         """Observed-truth contribution to the batch items' cluster scores."""

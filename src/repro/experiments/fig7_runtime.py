@@ -97,7 +97,6 @@ def run(
     backend: str = "thread",
     kernel_backend: str = "fused",
     n_shards: int = 0,
-    adaptive_truncation: str = "auto",
     workers: Sequence[str] = (),
     request_timeout: float = None,
 ) -> ExperimentReport:
@@ -109,10 +108,7 @@ def run(
     for the serial offline and online engines, exposed on the CLI as
     ``--kernel-backend`` / ``--shards``; the parallel-online rows always
     run sharded, one shard per lane unless ``n_shards`` is set
-    (``backend`` names their executor kind); ``adaptive_truncation``
-    (CLI: ``--adaptive-truncation``) additionally lets sharded runs size
-    per-shard cluster truncations from their own item/answer profiles
-    (DESIGN.md §6 "Shard-local truncation").  ``backend="remote"`` with
+    (``backend`` names their executor kind).  ``backend="remote"`` with
     ``workers=("host:port", ...)`` runs the parallel-online rows on
     remote worker daemons (CLI: ``--executor remote --workers ...``) —
     the multi-node path of DESIGN.md §6 "Remote lanes";
@@ -128,7 +124,6 @@ def run(
         svi_iterations=1,
         backend=kernel_backend,
         n_shards=n_shards,
-        adaptive_truncation=adaptive_truncation,
     )
     methods = ["MV", "EM", "cBCC", "offline", "online"] + [
         f"online-{d}" for d in parallel_degrees

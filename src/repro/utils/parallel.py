@@ -11,7 +11,8 @@ interchangeable executors with that exact contract:
   multicore machines, used by the Fig-7 runtime experiment.
 * :class:`RemoteExecutor` — ``python -m repro.worker`` daemons over TCP.
 
-Executors map a function over *chunks* of an index range so per-task
+Executors map a function over caller-prepared tasks
+(:meth:`Executor.map_tasks`), one task per lane ideally, so per-task
 overhead is amortised, mirroring how Alg. 3 shards the answer matrix by
 worker key.
 
@@ -72,11 +73,11 @@ R = TypeVar("R")
 def split_chunks(n: int, parts: int) -> List[range]:
     """Split ``range(n)`` into at most ``parts`` contiguous, balanced ranges.
 
-    ``n == 0`` yields **no** chunks (``[]``), so :meth:`Executor.map_chunks`
-    over an empty index range returns an empty result list — callers that
-    fold the pieces must treat "no pieces" as the identity of their
-    reduction (all in-repo callers do; ``tests/test_utils_misc.py`` pins
-    the contract so a reduction step cannot be dropped silently).
+    ``n == 0`` yields **no** chunks (``[]``), so a caller that builds one
+    task per chunk gets an empty task list for an empty index range and
+    must treat "no pieces" as the identity of its reduction
+    (``tests/test_utils_misc.py`` pins the contract so a reduction step
+    cannot be dropped silently).
     """
     if n < 0:
         raise ValidationError("n must be non-negative")
@@ -94,7 +95,7 @@ def split_chunks(n: int, parts: int) -> List[range]:
 
 
 class Executor:
-    """Maps work over chunks, explicit task lists, or lane-resident state."""
+    """Maps work over explicit task lists or lane-resident state."""
 
     #: number of parallel lanes the executor exposes (1 for serial).
     degree: int = 1
@@ -102,18 +103,12 @@ class Executor:
     #: executor kind, used by error messages (loud-failure policy).
     kind: str = "abstract"
 
-    def map_chunks(
-        self, func: Callable[[Sequence[int]], R], n: int
-    ) -> List[R]:
-        """Apply ``func`` to each chunk of ``range(n)`` and collect results."""
-        raise NotImplementedError
-
     def map_tasks(self, func: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
         """Apply ``func`` to each prepared task (one task per lane, ideally).
 
-        Unlike :meth:`map_chunks`, the caller pre-slices the data so a
-        process backend ships only each lane's share — the pattern the
-        SVI MAP phase uses.
+        The caller pre-slices the data so a process backend ships only
+        each lane's share — the pattern the frozen SVI MAP phase of
+        :mod:`repro.core.reference` uses.
         """
         raise NotImplementedError
 
@@ -171,7 +166,7 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """Run every chunk in the calling thread (the default backend)."""
+    """Run every task in the calling thread (the default backend)."""
 
     degree = 1
     kind = "serial"
@@ -179,10 +174,6 @@ class SerialExecutor(Executor):
     def __init__(self) -> None:
         self._resident: Dict[str, object] = {}
         self._closed = False
-
-    def map_chunks(self, func: Callable[[Sequence[int]], R], n: int) -> List[R]:
-        self._check_open()
-        return [func(chunk) for chunk in split_chunks(n, 1)]
 
     def map_tasks(self, func: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
         self._check_open()
@@ -210,7 +201,7 @@ class SerialExecutor(Executor):
 
 
 class ThreadExecutor(Executor):
-    """Thread-pool backend; ``degree`` threads over ``degree`` chunks.
+    """Thread-pool backend running tasks on ``degree`` threads.
 
     The pool is created lazily on first use, so constructing an executor
     that is never exercised cannot leak worker threads.  Broadcast state
@@ -233,10 +224,6 @@ class ThreadExecutor(Executor):
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.degree)
         return self._pool
-
-    def map_chunks(self, func: Callable[[Sequence[int]], R], n: int) -> List[R]:
-        chunks = split_chunks(n, self.degree)
-        return list(self._ensure_pool().map(func, chunks))
 
     def map_tasks(self, func: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
         return list(self._ensure_pool().map(func, tasks))
@@ -908,11 +895,6 @@ class RemoteExecutor(Executor):
         return results
 
     # ------------------------------------------------------- lane contract
-
-    def map_chunks(self, func: Callable[[Sequence[int]], R], n: int) -> List[R]:
-        self._check_open()
-        chunks = split_chunks(n, len(self._live_lanes()))
-        return self.map_tasks(func, chunks)
 
     def map_tasks(self, func: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
         self._check_open()

@@ -7,9 +7,9 @@ Contracts under test (ISSUE 7 tentpole + satellite 3):
   freshly initialised and SVI-trained states, including the mixed-dtype
   reality that SVI's symmetry-breaking pass leaves float64 globals under
   a float32 config.
-* **Localized states** — a state shaped by shard-local truncation
-  windows (``localize_clusters``) keeps its exact zero pattern through a
-  round-trip, and growth appends new components *outside* every window.
+* **Localized states** — a state whose ϕ rows carry exact-zero column
+  tails keeps its zero pattern through a round-trip, and growth appends
+  new components after every tail, so the tails stay zero.
 * **Warm resume parity** — an engine restored from a checkpoint taken
   mid-stream continues the SVI trajectory bitwise: cold full-stream run
   and head → checkpoint → restore → tail agree on every array.
@@ -57,6 +57,17 @@ def _random_matrix(seed=0, n_items=40, n_workers=20, n_labels=8, per_item=3):
             labels = tuple(np.flatnonzero(rng.random(n_labels) < 0.3)) or (0,)
             matrix.add(item, int(worker), labels)
     return matrix
+
+
+def _zero_tails(phi, seed=0):
+    """Zero a tail of columns in every other row of ``phi``, in place,
+    then renormalise those rows, so they carry exact zeros."""
+    rng = np.random.default_rng(seed)
+    for row in range(0, phi.shape[0], 2):
+        # keep the row's largest entry inside the prefix, so it has mass
+        limit = max(int(rng.integers(1, phi.shape[1])), int(phi[row].argmax()) + 1)
+        phi[row, limit:] = 0.0
+        phi[row] /= phi[row].sum()
 
 
 def _trained_engine(matrix, dtype="float64", n_batches=3, seed=0):
@@ -150,16 +161,14 @@ class TestRoundTrip:
         _assert_states_bitwise(state, restored)
 
     def test_localized_state_round_trips_with_zero_pattern(self):
-        """A sharded-VI state carries exact zeros outside its cluster
-        windows; the round-trip must reproduce the pattern bit for bit."""
+        """A VI state whose ϕ rows carry exact-zero tails; the round-trip
+        must reproduce the pattern bit for bit."""
         matrix = _random_matrix(seed=2, n_items=120, n_workers=24, per_item=2)
-        config = CPAConfig(
-            seed=0, backend="sharded", n_shards=4, adaptive_truncation="on"
-        )
-        engine = VariationalInference(config, matrix)
+        engine = VariationalInference(CPAConfig(seed=0), matrix)
         for _ in range(3):
             engine.sweep()
         state = engine.state
+        _zero_tails(state.phi)
         zero_mask = state.phi == 0.0
         assert zero_mask.any(), "scenario must produce localized zeros"
         restored, _ = checkpoint_from_bytes(checkpoint_bytes(state))
@@ -336,19 +345,19 @@ class TestGrowth:
         assert new.mu is not None and new.mu.shape == (60, new.n_clusters - 1)
 
     def test_localized_windows_survive_growth(self):
-        """New clusters are appended after every window, so rows localized
+        """New clusters are appended after the old ones, so rows localized
         to a prefix keep their exact zero tail after growth."""
         matrix = _random_matrix(seed=9, n_items=80, n_workers=16, per_item=2)
-        config = CPAConfig(
-            seed=0, backend="sharded", n_shards=4, adaptive_truncation="on"
-        )
+        config = CPAConfig(seed=0)
         engine = VariationalInference(config, matrix)
         for _ in range(2):
             engine.sweep()
         old = engine.state
+        _zero_tails(old.phi, seed=1)
         t_old = old.n_clusters
         zero_tail_rows = np.flatnonzero((old.phi == 0.0).any(axis=1))
         grown = grow_state(old, config, 100, 20, old.n_labels, seed=1)
+        assert zero_tail_rows.size and grown.n_clusters > t_old
         for row in zero_tail_rows:
             np.testing.assert_array_equal(
                 grown.phi[row, :t_old] == 0.0, old.phi[row] == 0.0

@@ -310,28 +310,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "fig7", "--kernel-backend", "gpu"])
 
-    def test_adaptive_truncation_flag_parses_and_reaches_fig7(self):
-        import inspect
-
-        from repro.cli import _accepted_kwargs, _experiment_kwargs, build_parser
-        from repro.experiments.registry import get_experiment
-
-        args = build_parser().parse_args(
-            ["run", "fig7", "--kernel-backend", "sharded",
-             "--adaptive-truncation", "on"]
-        )
-        kwargs = _experiment_kwargs(args)
-        assert kwargs["adaptive_truncation"] == "on"
-        # fig7 accepts the kwarg; experiments without it filter it away
-        assert "adaptive_truncation" in _accepted_kwargs("fig7", kwargs)
-        assert "adaptive_truncation" not in _accepted_kwargs("table3", kwargs)
-        parameters = inspect.signature(get_experiment("fig7").runner).parameters
-        assert parameters["adaptive_truncation"].default == "auto"
-
-    def test_bad_adaptive_truncation_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "fig7", "--adaptive-truncation", "sometimes"])
-
     def test_run_with_kernel_backend_flag_on_plain_experiment(self, capsys):
         assert main(["run", "table1", "--kernel-backend", "sharded"]) == 0
         assert "Motivating example" in capsys.readouterr().out

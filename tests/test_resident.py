@@ -452,6 +452,37 @@ class TestAutoBackend:
             assert auto.sweep() == fused.sweep()
         _assert_states_close(fused.state, auto.state, dict(atol=0, rtol=0))
 
+    def test_auto_replan_keeps_the_fresh_plan_rule(self, tiny_dataset, monkeypatch):
+        """Lanes joining or leaving re-plan an auto-sized plan to the K a
+        fresh plan takes at the new degree (one shard per
+        ``SHARDED_ANSWERS_PER_SHARD`` answers, at least one per lane),
+        not to one shard per lane."""
+        import repro.core.kernels as kernels
+
+        monkeypatch.setattr(kernels, "SHARDED_MIN_ANSWERS", 100)
+        monkeypatch.setattr(kernels, "SHARDED_MIN_ANSWERS_PARALLEL", 100)
+        monkeypatch.setattr(kernels, "SHARDED_ANSWERS_PER_SHARD", 50)
+        config = CPAConfig(seed=0, backend="auto")
+
+        def serial_with_degree(degree):
+            executor = SerialExecutor()
+            executor.degree = degree
+            return executor
+
+        def fresh_k(degree):
+            return VariationalInference(
+                config, tiny_dataset.answers, executor=serial_with_degree(degree)
+            ).kernel.n_shards
+
+        executor = serial_with_degree(2)
+        engine = VariationalInference(config, tiny_dataset.answers, executor=executor)
+        assert engine.kernel.n_shards == 6  # 300 answers / 50 per shard
+        for degree in (3, 1):  # a lane joins, then two leave
+            executor.degree = degree
+            engine.sweep()
+            assert isinstance(engine.kernel, ShardedSweepKernel)
+            assert engine.kernel.n_shards == fresh_k(degree)
+
     def test_auto_svi_routes_small_batches_fused(self, tiny_dataset):
         config = CPAConfig(seed=1, svi_iterations=1, backend="auto")
         sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)

@@ -25,7 +25,10 @@ from repro.core.sharding import (
     build_sweep_kernel,
     merge_cell_statistics,
 )
+from repro.core.model import CPAModel
 from repro.core.svi import StochasticInference, stream_from_matrix
+from repro.data.answers import AnswerMatrix
+from repro.data.dataset import GroundTruth
 from repro.utils.parallel import (
     ProcessExecutor,
     SerialExecutor,
@@ -54,6 +57,33 @@ def _random_problem(seed, n=400, n_items=40, n_workers=25, n_labels=8, t=5, m=4)
     kappa = rng.dirichlet(np.ones(m), size=n_workers)
     e_log_psi = np.log(rng.dirichlet(np.ones(n_labels), size=(t, m)))
     return items, workers, indicators, phi, kappa, e_log_psi
+
+
+THEMES = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+
+
+def _wide_sparse_matrix(seed=0, n_items=900, n_workers=60, n_labels=10,
+                        answers_per_item=2):
+    """Wide-but-sparse themed matrix with ground truth.
+
+    Items belong to one of a handful of label themes; each gets only a
+    couple of (sometimes partial) answers — the few-answers-per-item
+    regime of partial-preference aggregation, where each shard's item
+    profiles support far fewer clusters than the global truncation.
+    """
+    rng = np.random.default_rng(seed)
+    matrix = AnswerMatrix(n_items, n_workers, n_labels)
+    truth = GroundTruth(n_items, n_labels)
+    for item in range(n_items):
+        theme = THEMES[item % len(THEMES)]
+        truth.set(item, theme)
+        for worker in rng.choice(n_workers, size=answers_per_item, replace=False):
+            if rng.random() < 0.75:
+                answer = theme  # full agreement
+            else:
+                answer = (theme[int(rng.integers(2))],)  # partial answer
+            matrix.add(item, int(worker), answer)
+    return matrix, truth
 
 
 def _assert_states_close(a, b, tolerances=PARITY):
@@ -285,31 +315,39 @@ class TestShardedKernelAlgebra:
 
 
 class TestBatchVIShardParity:
-    def _engines(self, dataset, n_shards, executor=None, seed=0):
+    def _engines(self, matrix, n_shards, executor=None, seed=0):
         config = CPAConfig(seed=seed, max_iterations=8)
-        fused = VariationalInference(config, dataset.answers)
+        fused = VariationalInference(config, matrix)
         sharded = VariationalInference(
             config.with_overrides(backend="sharded", n_shards=n_shards),
-            dataset.answers,
+            matrix,
             executor=executor,
         )
         return fused, sharded
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_serial_trajectory_parity(self, tiny_dataset, n_shards):
-        fused, sharded = self._engines(tiny_dataset, n_shards)
-        _assert_states_close(fused.state, sharded.state)
-        for _ in range(5):
-            delta_fused = fused.sweep()
-            delta_sharded = sharded.sweep()
-            assert delta_sharded == pytest.approx(delta_fused, abs=1e-10)
+        """Dense and wide-sparse inputs alike: every shard works on the
+        global truncation, so sharding only reorders the sums."""
+        wide_sparse, _ = _wide_sparse_matrix()
+        for matrix in (tiny_dataset.answers, wide_sparse):
+            fused, sharded = self._engines(matrix, n_shards)
             _assert_states_close(fused.state, sharded.state)
-            assert sharded.elbo() == pytest.approx(fused.elbo(), abs=1e-8, rel=1e-11)
+            for _ in range(5):
+                delta_fused = fused.sweep()
+                delta_sharded = sharded.sweep()
+                assert delta_sharded == pytest.approx(delta_fused, abs=1e-10)
+                _assert_states_close(fused.state, sharded.state)
+                assert sharded.elbo() == pytest.approx(
+                    fused.elbo(), abs=1e-8, rel=1e-11
+                )
 
     @pytest.mark.parametrize("executor_kind", ["thread", "process"])
     def test_parallel_executor_trajectory_parity(self, tiny_dataset, executor_kind):
         with make_executor(executor_kind, 2) as pool:
-            fused, sharded = self._engines(tiny_dataset, 2, executor=pool, seed=3)
+            fused, sharded = self._engines(
+                tiny_dataset.answers, 2, executor=pool, seed=3
+            )
             for _ in range(4):
                 fused.sweep()
                 sharded.sweep()
@@ -333,6 +371,19 @@ class TestBatchVIShardParity:
                 states[kind] = engine.state
         _assert_states_close(states["serial"], states["thread"], EXACT)
         _assert_states_close(states["serial"], states["process"], EXACT)
+
+    def test_wide_sparse_consensus_quality(self):
+        """A K=4 sharded fit solves the themed wide-sparse consensus."""
+        matrix, truth = _wide_sparse_matrix(seed=7)
+        config = CPAConfig(seed=1, backend="sharded", n_shards=4, max_iterations=20)
+        predictions = CPAModel(config).fit(matrix).predict()
+        scores = []
+        for item, labels in predictions.items():
+            true = truth.get(item)
+            if true is None or not (labels or true):
+                continue
+            scores.append(len(labels & true) / len(labels | true))
+        assert float(np.mean(scores)) >= 0.8
 
 
 # --------------------------------------------------------------- parity: SVI

@@ -6,8 +6,8 @@ Contracts under test:
 * **The invariant** — after a batch-VI fit and after an SVI stream, no
   κ/ϕ entry lies strictly between 0 and the smallest normal of the dtype
   the array is stored in, for float64 and float32 states alike.  Every
-  producer (``log_normalize_rows``, ``CPAState.sync_phi_from_mu``,
-  ``kernels.truncate_rows``, the SVI κ cast) flushes; a subnormal left
+  producer (``log_normalize_rows``, ``CPAState.sync_phi_from_mu``, the
+  SVI κ cast) flushes; a subnormal left
   behind would slow every BLAS contraction that reads it.
 * **Exactness** — the fused and the sharded engine, which flush, stay
   within the documented ``1e-8`` of the unflushed seed oracle

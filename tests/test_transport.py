@@ -644,11 +644,6 @@ class TestRemoteExecutor:
             # both lanes actually served tasks
             assert all(s.op_counts.get("map_tasks", 0) >= 1 for s in servers)
 
-    def test_map_chunks_covers_the_range(self):
-        with remote_pool(2) as (executor, _):
-            out = executor.map_chunks(_chunk_to_list, 7)
-            assert sorted(v for piece in out for v in piece) == list(range(7))
-
     def test_broadcast_ships_once_then_map_on_is_small(self):
         with remote_pool(2) as (executor, servers):
             executor.broadcast("plan", np.zeros(1 << 16))
@@ -1270,10 +1265,6 @@ class TestRemoteFactoryValidation:
     def test_bad_addresses_rejected_eagerly(self):
         with pytest.raises(ValidationError):
             RemoteExecutor(["no-port"])
-
-
-def _chunk_to_list(chunk):
-    return list(chunk)
 
 
 def _len_of(payload, task):

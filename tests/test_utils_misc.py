@@ -115,14 +115,12 @@ def _double_task(x):
 
 
 class TestExecutors:
-    def test_serial_map_chunks(self):
-        with SerialExecutor() as ex:
-            out = ex.map_chunks(_square_chunk, 4)
-        assert [v for piece in out for v in piece] == [0, 1, 4, 9]
-
     def test_thread_matches_serial(self):
+        chunks = split_chunks(7, 2)
         with ThreadExecutor(2) as ex:
-            out = ex.map_chunks(_square_chunk, 7)
+            out = ex.map_tasks(_square_chunk, chunks)
+        with SerialExecutor() as ex:
+            assert out == ex.map_tasks(_square_chunk, chunks)
         flat = sorted(v for piece in out for v in piece)
         assert flat == sorted(i * i for i in range(7))
 
@@ -155,13 +153,6 @@ class TestExecutors:
     def test_degree_validation(self):
         with pytest.raises(ValidationError):
             ThreadExecutor(0)
-
-    def test_map_chunks_over_empty_range_returns_no_pieces(self):
-        """split_chunks(0, p) == [] propagates: callers folding map_chunks
-        results must treat "no pieces" as their reduction's identity."""
-        for factory in (SerialExecutor, lambda: ThreadExecutor(2)):
-            with factory() as ex:
-                assert ex.map_chunks(_square_chunk, 0) == []
 
 
 def _payload_plus(payload, task):
