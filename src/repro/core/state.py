@@ -166,20 +166,32 @@ class CPAState:
         safe = np.clip(self.phi, 1e-10, None)
         self.mu = np.log(safe[:, :-1]) - np.log(safe[:, -1:])
 
-    def sync_phi_from_mu(self) -> None:
+    def sync_phi_from_mu(self, rows: Optional[np.ndarray] = None) -> None:
         """Recover ``ϕ`` from ``µ`` via the softmax transform (Eq. 16/17).
 
-        Like every κ/ϕ producer, the result holds no subnormals
-        (:func:`repro.utils.math.flush_subnormals`).
+        With ``rows`` (item indices), only those rows are recomputed and
+        written into ``ϕ`` in place; the others keep their values.  The
+        softmax is row-local, so a row's bits do not depend on which other
+        rows are computed with it: refreshing the rows whose ``µ`` changed
+        equals a full refresh exactly when every other row of ``ϕ`` already
+        is the softmax of its ``µ`` row.  :meth:`sync_mu_from_phi` breaks
+        that (its clip moves the small entries), so the first refresh after
+        it must cover every row.  Like every κ/ϕ producer, the result holds
+        no subnormals (:func:`repro.utils.math.flush_subnormals`).
         """
         if self.mu is None:
             raise ValidationError("mu has not been initialised")
+        mu = self.mu if rows is None else self.mu[rows]
         padded = np.concatenate(
-            [self.mu, np.zeros((self.n_items, 1), dtype=self.mu.dtype)], axis=1
+            [mu, np.zeros((mu.shape[0], 1), dtype=mu.dtype)], axis=1
         )
         padded -= padded.max(axis=1, keepdims=True)
         expd = np.exp(padded)
-        self.phi = flush_subnormals(expd / expd.sum(axis=1, keepdims=True))
+        phi = flush_subnormals(expd / expd.sum(axis=1, keepdims=True))
+        if rows is None:
+            self.phi = phi
+        else:
+            self.phi[rows] = phi
 
 
 def _farthest_point_responsibilities(

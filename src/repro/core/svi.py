@@ -7,9 +7,9 @@ batch triggers
    responsibilities ``κ`` (Eq. 2 on the batch answers), then the
    per-item cluster evidence ``a_it`` (Eq. 15's data term) under the
    fresh ``κ``, plus the Eq. 6 cell statistics;
-2. a **REDUCE phase** — the canonical-µ update of ``ϕ`` (Eqs. 15–17),
-   and damped natural-gradient steps on all globals with learning rate
-   ``ω_b = (1 + b)^-r`` (Eqs. 9–14, 18–20).
+2. a **REDUCE phase** — the canonical-µ update of the batch items' ``ϕ``
+   rows (Eqs. 15–17), and damped natural-gradient steps on all globals
+   with learning rate ``ω_b = (1 + b)^-r`` (Eqs. 9–14, 18–20).
 
 The MAP phase runs through the same sweep-kernel seam as batch VI
 (:func:`~repro.core.sharding.build_sweep_kernel` over the batch-local
@@ -162,6 +162,11 @@ class StochasticInference:
         )
         self.state = initialize_state(config, n_items, n_workers, n_labels, seed=seed)
         self.state.sync_mu_from_phi()
+        # Whether ϕ is softmax(µ) in every row, so a fold may refresh only
+        # the rows it touched (CPAState.sync_phi_from_mu).  Init, seeding,
+        # restore and grow clear it: sync_mu_from_phi's clip moves ϕ's
+        # small entries, and a restored ϕ need not be softmax(µ) either.
+        self._phi_fresh = False
         self._seed = seed
         self._seeded = False
         self._batch_kernel_cache: Optional[Tuple[_BatchData, _Kernel]] = None
@@ -219,6 +224,7 @@ class StochasticInference:
             state.sync_mu_from_phi()
         self.state = state
         self._seeded = seeded
+        self._phi_fresh = False
         self._drop_batch_caches()
 
     def grow(self, n_items: int, n_workers: int, n_labels: int) -> None:
@@ -236,6 +242,7 @@ class StochasticInference:
         )
         if self.state.mu is None:
             self.state.sync_mu_from_phi()
+        self._phi_fresh = False
         if n_labels > self.n_labels or n_items > self.n_items:
             indicator = np.zeros((n_items, n_labels), dtype=np.float64)
             indicator[: self.n_items, : self.n_labels] = self.truth_indicator
@@ -265,7 +272,12 @@ class StochasticInference:
     def process_batch(self, batch: AnswerBatch) -> float:
         """One SVI step (paper Alg. 2 body); returns the learning rate used.
 
-        Empty batches advance the batch counter but change nothing.
+        Empty batches advance the batch counter but change nothing.  Only
+        the batch items' µ rows move, so only their ϕ rows are re-softmaxed
+        — except on the first fold after init, seeding, :meth:`restore` or
+        :meth:`grow`, which refreshes every row (see
+        :meth:`CPAState.sync_phi_from_mu`).  Either way ϕ ends the step
+        bitwise equal to a full refresh.
         """
         data = _prepare_batch(batch, self.config.resolve_dtype(), self.n_labels)
         self.state.batches_seen += 1
@@ -306,7 +318,11 @@ class StochasticInference:
         state.mu[data.batch_items] = interpolate(
             state.mu[data.batch_items], mu_target, rate
         )
-        state.sync_phi_from_mu()
+        if self._phi_fresh:
+            state.sync_phi_from_mu(data.batch_items)
+        else:
+            state.sync_phi_from_mu()
+            self._phi_fresh = True
 
         # Cell statistics are taken under the committed damped ϕ, not the
         # provisional (undamped) ϕ of the local loop, so single noisy batch
@@ -437,6 +453,7 @@ class StochasticInference:
         self.state = seeded
         self.state.batches_seen = batches_seen
         self.state.sync_mu_from_phi()
+        self._phi_fresh = False
 
         # Align the globals with the seeded responsibilities (the online
         # analogue of batch VI's init-consistency pass).

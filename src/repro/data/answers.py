@@ -9,13 +9,16 @@ least one label.
 
 Storage is sparse (a dict keyed by ``(item, worker)``) with per-item and
 per-worker indices maintained incrementally, plus a cached conversion to the
-flat numpy layout used by vectorised inference.
+flat numpy layout used by vectorised inference.  The cached export grows by
+appending when new pairs arrive, and :meth:`AnswerMatrix.from_arrays`
+rebuilds a matrix from an export (the serving snapshot's answer section).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from itertools import islice
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -89,15 +92,18 @@ class AnswerMatrix:
         """Record worker ``worker``'s answer for ``item``.
 
         Overwrites any previous answer by the same worker for the same item
-        (a worker gives one answer per item in the paper's setting).
+        (a worker gives one answer per item in the paper's setting).  A new
+        pair keeps the cached export, which :meth:`to_arrays` extends; an
+        overwrite changes an exported row and drops it.
         """
         item, worker = self._check_indices(item, worker)
         label_set = self._check_labels(labels)
-        if (item, worker) not in self._entries:
+        if (item, worker) in self._entries:
+            self._arrays_cache = None
+        else:
             self._by_item.setdefault(item, []).append(worker)
             self._by_worker.setdefault(worker, []).append(item)
         self._entries[(item, worker)] = label_set
-        self._arrays_cache = None
 
     def remove(self, item: int, worker: int) -> None:
         """Delete the answer of ``worker`` for ``item`` (must exist)."""
@@ -183,35 +189,58 @@ class AnswerMatrix:
     def to_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flatten to ``(item_idx, worker_idx, label_indicators)`` arrays.
 
-        ``label_indicators`` is an ``(n_answers, C)`` float matrix of 0/1
-        rows — the representation consumed by the vectorised inference
-        kernels.  Built entirely with array ops (one flat pass over the
-        label sets feeding a fancy-index assignment); the result is cached
-        until the matrix is next mutated.
+        One row per answer in insertion order; ``label_indicators`` is an
+        ``(n_answers, C)`` float matrix of 0/1 rows — the representation
+        consumed by the vectorised inference kernels.  Built with array ops
+        (one flat pass over the label sets feeding a fancy-index
+        assignment) and cached.  New pairs added since the last export are
+        appended to the cached arrays, so the Python-level work covers only
+        them; an overwrite or :meth:`remove` drops the cache and the next
+        call rebuilds.  Either way the result equals a fresh export.  The
+        returned arrays are never written afterwards: an append builds new
+        arrays, so an earlier result stays valid.
         """
-        if self._arrays_cache is None:
-            n = self.n_answers
-            pairs = np.fromiter(
-                (index for pair in self._entries for index in pair),
-                dtype=np.int64,
-                count=2 * n,
-            ).reshape(n, 2)
-            items = np.ascontiguousarray(pairs[:, 0])
-            workers = np.ascontiguousarray(pairs[:, 1])
-            lengths = np.fromiter(
-                (len(labels) for labels in self._entries.values()),
-                dtype=np.int64,
-                count=n,
+        cache = self._arrays_cache
+        n = len(self._entries)
+        if cache is not None and cache[0].size == n:
+            return cache
+        if cache is None:
+            self._arrays_cache = self._export_rows(
+                self._entries.keys(), self._entries.values(), n
             )
-            flat_labels = np.fromiter(
-                (label for labels in self._entries.values() for label in labels),
-                dtype=np.int64,
-                count=int(lengths.sum()),
-            )
-            indicators = np.zeros((n, self.n_labels), dtype=np.float64)
-            indicators[np.repeat(np.arange(n), lengths), flat_labels] = 1.0
-            self._arrays_cache = (items, workers, indicators)
-        items, workers, indicators = self._arrays_cache
+        else:
+            # New pairs sit at the end of the insertion-ordered dict.
+            tail = list(islice(reversed(self._entries.items()), n - cache[0].size))
+            keys, label_sets = zip(*reversed(tail))
+            new = self._export_rows(keys, label_sets, len(tail))
+            self._arrays_cache = tuple(np.concatenate(parts) for parts in zip(cache, new))
+        return self._arrays_cache
+
+    def _export_rows(
+        self,
+        keys: Iterable[Tuple[int, int]],
+        label_sets: Collection[FrozenSet[int]],
+        n: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Export arrays of ``n`` answers given as ``(item, worker)`` keys
+        and label sets."""
+        pairs = np.fromiter(
+            (index for pair in keys for index in pair),
+            dtype=np.int64,
+            count=2 * n,
+        ).reshape(n, 2)
+        lengths = np.fromiter(
+            (len(labels) for labels in label_sets), dtype=np.int64, count=n
+        )
+        flat_labels = np.fromiter(
+            (label for labels in label_sets for label in labels),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        indicators = np.zeros((n, self.n_labels), dtype=np.float64)
+        indicators[np.repeat(np.arange(n), lengths), flat_labels] = 1.0
+        items = np.ascontiguousarray(pairs[:, 0])
+        workers = np.ascontiguousarray(pairs[:, 1])
         return items, workers, indicators
 
     # ----------------------------------------------------------- transform
@@ -291,8 +320,94 @@ class AnswerMatrix:
             matrix.add(item, worker, labels)
         return matrix
 
+    @classmethod
+    def from_arrays(
+        cls,
+        n_items: int,
+        n_workers: int,
+        n_labels: int,
+        items: np.ndarray,
+        workers: np.ndarray,
+        indicators: np.ndarray,
+    ) -> "AnswerMatrix":
+        """The inverse of :meth:`to_arrays`: ``from_arrays(*sizes, *m.to_arrays())``.
+
+        Row ``k`` is worker ``workers[k]``'s answer to item ``items[k]``,
+        with the labels where ``indicators[k]`` is 1.  Rows are inserted in
+        order, so every order :meth:`iter_answers`, :meth:`workers_for_item`,
+        :meth:`items_for_worker` and :meth:`to_arrays` report is the
+        exported matrix's.  Whole-array checks (shapes, index ranges, 0/1
+        rows with at least one label, no repeated pair) raise
+        :class:`~repro.errors.ValidationError`; copies of the validated
+        arrays seed the export.
+        """
+        matrix = cls(n_items, n_workers, n_labels)
+        items, workers = np.asarray(items), np.asarray(workers)
+        indicators = np.asarray(indicators)
+        n = items.size
+        if (
+            items.ndim != 1
+            or workers.shape != items.shape
+            or indicators.shape != (n, matrix.n_labels)
+        ):
+            raise ValidationError(
+                f"from_arrays expects items and workers of shape (N,) and "
+                f"indicators of shape (N, {matrix.n_labels}); got "
+                f"{items.shape}, {workers.shape} and {indicators.shape}"
+            )
+        if items.dtype.kind not in "iu" or workers.dtype.kind not in "iu":
+            raise ValidationError("item and worker indices must be integers")
+        if indicators.dtype.kind not in "biuf":
+            raise ValidationError("label indicators must be numeric 0/1 values")
+        items = items.astype(np.int64)
+        workers = workers.astype(np.int64)
+        indicators = indicators.astype(np.float64)
+        for name, index, size in (
+            ("item", items, matrix.n_items),
+            ("worker", workers, matrix.n_workers),
+        ):
+            bad = (index < 0) | (index >= size)
+            if bad.any():
+                raise ValidationError(
+                    f"{name} index {int(index[bad][0])} out of range [0, {size})"
+                )
+        present = indicators == 1.0
+        if not (present | (indicators == 0.0)).all():
+            raise ValidationError("label indicators must be 0 or 1")
+        empty = ~present.any(axis=1)
+        if empty.any():
+            raise ValidationError(
+                f"answer row {int(np.argmax(empty))} carries no label"
+            )
+
+        # One frozenset per distinct label set, shared by its answers.
+        # Building every dict view in one pass over the rows beats
+        # vectorised grouping here.
+        codes = np.packbits(present, axis=1)
+        codes = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+        label_sets = [
+            frozenset(np.flatnonzero(present[row]).tolist()) for row in first.tolist()
+        ]
+        entries, by_item, by_worker = matrix._entries, matrix._by_item, matrix._by_worker
+        for item, worker, label_set in zip(items.tolist(), workers.tolist(), which.tolist()):
+            entries[item, worker] = label_sets[label_set]
+            by_item.setdefault(item, []).append(worker)
+            by_worker.setdefault(worker, []).append(item)
+        if len(entries) != n:
+            pairs, counts = np.unique(
+                np.stack([items, workers], axis=1), axis=0, return_counts=True
+            )
+            item, worker = pairs[np.argmax(counts)].tolist()
+            raise ValidationError(
+                f"pair (item={item}, worker={worker}) appears more than once"
+            )
+        matrix._arrays_cache = (items, workers, indicators)
+        return matrix
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AnswerMatrix(items={self.n_items}, workers={self.n_workers}, "
             f"labels={self.n_labels}, answers={self.n_answers})"
         )
+

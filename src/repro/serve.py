@@ -277,12 +277,21 @@ class ConsensusEngine:
         """Serializable snapshot: checkpoint payload + accumulated answers.
 
         Extends the :mod:`repro.core.checkpoint` payload (whose loader
-        ignores unknown keys) with the accumulated answer matrix and the
-        serving counters, so a restored replica serves queries about every
-        item the snapshot had seen.  The answer entries ride *after* the
-        parameter arrays in insertion order, keeping the big arrays at
-        stable byte offsets between snapshots — that is what makes
-        chunk-level dedup effective (:func:`ship_checkpoint`).
+        ignores unknown keys) with the accumulated answers and the serving
+        counters, so a restored replica serves queries about every item
+        the snapshot had seen.  The answer section is the answer matrix's
+        array export (:meth:`AnswerMatrix.to_arrays`, which only appends
+        the answers folded since the last snapshot) written as one record
+        array of ``(item, worker, packed label bits)`` rows in insertion
+        order.  It rides *after* the parameter arrays, which keep stable
+        byte offsets between snapshots, and new answers only append rows,
+        so the earlier rows' pickled bytes stay in place as well — that
+        is what makes chunk-level dedup effective (:func:`ship_checkpoint`).
+
+        A fold writes κ, ϕ and µ in place (ϕ only in the rows it touched),
+        so those three are copied: a payload pickled after the lock is
+        released still describes one step.  The answer section is built
+        fresh, so it shares no memory with the live matrix either.
 
         Pure construction: the ``snapshot_age_*`` metrics are *not*
         touched — a monitoring pull or a bootstrapping replica reading
@@ -292,22 +301,10 @@ class ConsensusEngine:
         """
         with self._lock:
             payload = self.engine.checkpoint()
-            # The checkpoint shares the state's arrays, and a fold writes
-            # κ and µ in place (the others it replaces); copy those two so
-            # a payload pickled after the lock is released cannot mix a
-            # later step's κ/µ with this step's ϕ/λ.
-            for name in ("kappa", "mu"):
+            for name in ("kappa", "phi", "mu"):
                 if payload[name] is not None:
                     payload[name] = payload[name].copy()
-            payload["answers"] = {
-                "n_items": self.answers.n_items,
-                "n_workers": self.answers.n_workers,
-                "n_labels": self.answers.n_labels,
-                "entries": {
-                    (a.item, a.worker): tuple(sorted(a.labels))
-                    for a in self.answers.iter_answers()
-                },
-            }
+            payload["answers"] = _answer_section(self.answers)
             payload["answers_seen"] = self.answers_seen
             payload["answers_applied"] = self.answers_applied
             return payload
@@ -332,11 +329,18 @@ class ConsensusEngine:
         (:meth:`snapshot_payload`) and a bare :mod:`repro.core.checkpoint`
         payload (the documented ``--checkpoint`` warm-start format).
         Either way the snapshot's index spaces must not exceed the
-        engine's; the guard runs up front for both shapes, before any
-        serving state is replaced.  When the payload carries no serving
-        counters, ``answers_seen``/``answers_applied`` are derived from
-        the answer matrix actually being served after the restore, so
+        engine's.  When the payload carries no serving counters,
+        ``answers_seen``/``answers_applied`` are derived from the answer
+        matrix actually being served after the restore, so
         ``answers_behind`` cannot inherit a previous life's counts.
+
+        All or nothing: after the size guard, the answer matrix
+        (:meth:`AnswerMatrix.from_arrays` validates the answer section)
+        and the counters are built, then the SVI engine validates the
+        posterior and swaps it in, and only then are the answers and
+        counters committed.  A snapshot rejected by any of these checks
+        raises :class:`~repro.errors.CheckpointError` and leaves the
+        engine serving what it served before.
         """
         with self._lock:
             meta = payload_meta(payload)
@@ -349,26 +353,71 @@ class ConsensusEngine:
                     "snapshot is larger than the serving engine; start "
                     "the daemon with at least the snapshot's index sizes"
                 )
-            answers_meta = payload.get("answers")
-            if answers_meta is not None:
-                restored = AnswerMatrix.from_mapping(
+            section = payload.get("answers")
+            answers = (
+                self.answers
+                if section is None
+                else _answers_from_section(
+                    section,
                     self.engine.n_items,
                     self.engine.n_workers,
                     self.engine.n_labels,
-                    answers_meta["entries"],
                 )
-                self.answers = restored
+            )
+            answers_seen = int(payload.get("answers_seen", answers.n_answers))
+            answers_applied = int(payload.get("answers_applied", answers.n_answers))
             self.engine.restore(payload)
-            self.answers_seen = int(
-                payload.get("answers_seen", self.answers.n_answers)
-            )
-            self.answers_applied = int(
-                payload.get("answers_applied", self.answers.n_answers)
-            )
+            self.answers = answers
+            self.answers_seen = answers_seen
+            self.answers_applied = answers_applied
             self._pending.clear()
             self._consensus = None
             self._steps_since_snapshot = 0
             self._snapshot_clock = time.monotonic()
+
+
+def _answer_section(answers: AnswerMatrix) -> Dict[str, Any]:
+    """A snapshot's answer section: the sizes and one row per answer.
+
+    The rows form a single record array (``item``, ``worker``, then the
+    label indicators packed to bits), so appending answers appends bytes.
+    """
+    items, workers, indicators = answers.to_arrays()
+    bits = np.packbits(indicators != 0.0, axis=1)
+    fields = [("item", np.int64), ("worker", np.int64), ("labels", np.uint8, bits.shape[1:])]
+    rows = np.empty(items.size, dtype=fields)
+    rows["item"] = items
+    rows["worker"] = workers
+    rows["labels"] = bits
+    return {
+        "n_items": answers.n_items,
+        "n_workers": answers.n_workers,
+        "n_labels": answers.n_labels,
+        "rows": rows,
+    }
+
+
+def _answers_from_section(
+    section: Any, n_items: int, n_workers: int, n_labels: int
+) -> AnswerMatrix:
+    """Rebuild the answer matrix of :func:`_answer_section` over the
+    engine's index spaces (a snapshot from before a label-space growth
+    has zero bits for the new labels)."""
+    rows = section.get("rows") if isinstance(section, dict) else None
+    fields = rows.dtype.names if isinstance(rows, np.ndarray) else None
+    if fields != ("item", "worker", "labels"):
+        raise CheckpointError(
+            "the snapshot's answer format changed: this build reads answers "
+            "as a record array of (item, worker, label bits) rows, not the "
+            "retired 'entries' dict; take the snapshot again with this build"
+        )
+    indicators = np.unpackbits(rows["labels"], axis=1, count=n_labels)
+    try:
+        return AnswerMatrix.from_arrays(
+            n_items, n_workers, n_labels, rows["item"], rows["worker"], indicators
+        )
+    except ValidationError as exc:
+        raise CheckpointError(f"snapshot answers fail validation: {exc}") from exc
 
 
 class ConsensusServer(WorkerServer):

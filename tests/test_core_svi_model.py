@@ -137,6 +137,75 @@ class TestStochasticInference:
             )
 
 
+class TestTouchedRowRefresh:
+    """A fold re-softmaxes only the ϕ rows its batch touched, yet ϕ must
+    end every fold bitwise equal to a full ``sync_phi_from_mu()`` of the
+    same µ.  The first fold after init, a restore or a grow refreshes
+    every row, because ``sync_mu_from_phi``'s clip leaves ϕ ≠ softmax(µ)."""
+
+    @staticmethod
+    def _full_refresh(state):
+        full = state.copy()
+        full.sync_phi_from_mu()
+        return full.phi
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_phi_equals_a_full_refresh_after_every_fold(
+        self, tiny_dataset, dtype, monkeypatch
+    ):
+        from repro.core.state import CPAState
+
+        full_refreshes = []
+        original = CPAState.sync_phi_from_mu
+
+        def recording(state, rows=None):
+            full_refreshes.append(rows is None)
+            original(state, rows)
+
+        config = CPAConfig(seed=0, dtype=dtype)
+        sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
+
+        def make():
+            return StochasticInference(
+                config, *sizes, seed=0, total_answers_hint=tiny_dataset.n_answers
+            )
+
+        batches = stream_from_matrix(tiny_dataset.answers, answers_per_batch=20, seed=5)
+        third = len(batches) // 3
+        assert third >= 3
+        engine = make()
+
+        def fold(batch):
+            full_refreshes.clear()
+            engine.process_batch(batch)
+            was_full = full_refreshes == [True]
+            np.testing.assert_array_equal(
+                engine.state.phi, self._full_refresh(engine.state)
+            )
+            assert engine.state.phi.dtype == np.dtype(dtype)
+            return was_full
+
+        monkeypatch.setattr(CPAState, "sync_phi_from_mu", recording)
+        assert [fold(batch) for batch in batches[:third]] == [True] + [False] * (
+            third - 1
+        )
+
+        # A checkpoint without µ: restore re-derives it from ϕ.
+        payload = engine.checkpoint()
+        payload["mu"] = None
+        engine = make()
+        engine.restore(payload)
+        assert not np.array_equal(engine.state.phi, self._full_refresh(engine.state))
+        assert [fold(batch) for batch in batches[third : 2 * third]] == [True] + [
+            False
+        ] * (third - 1)
+
+        engine.grow(sizes[0] + 5, sizes[1] + 3, sizes[2] + 1)
+        assert not np.array_equal(engine.state.phi, self._full_refresh(engine.state))
+        tail = batches[2 * third :]
+        assert [fold(batch) for batch in tail] == [True] + [False] * (len(tail) - 1)
+
+
 class TestCPAModel:
     def test_unfitted_raises(self):
         model = CPAModel()

@@ -175,3 +175,101 @@ class TestAnswerMatrixProperties:
                 assert matrix.get(item, worker) is not None
         total = sum(len(matrix.items_for_worker(u)) for u in matrix.active_workers())
         assert total == matrix.n_answers
+
+
+def _assert_exports_equal(got, want):
+    for name, a, b in zip(("items", "workers", "indicators"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+_PAIR = st.tuples(st.integers(0, 4), st.integers(0, 3))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _PAIR, st.sets(st.integers(0, 5), min_size=1)),
+        st.tuples(st.just("remove"), _PAIR),
+        st.tuples(st.just("export")),
+    ),
+    max_size=40,
+)
+
+
+class TestExportAppends:
+    @given(_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_cached_export_equals_fresh_export(self, ops):
+        """``to_arrays()`` after any mix of new-pair adds (appended to the
+        cached export), overwrites and removes (which drop it) equals, in
+        values and order, the export a ``copy()`` builds afresh; and
+        an earlier result is never written afterwards."""
+        matrix = AnswerMatrix(5, 4, 6)
+        taken = []
+        for op in ops + [("export",)]:
+            if op[0] == "add":
+                matrix.add(*op[1], op[2])
+            elif op[0] == "remove":
+                if op[1] in matrix:
+                    matrix.remove(*op[1])
+            else:
+                export = matrix.to_arrays()
+                _assert_exports_equal(export, matrix.copy().to_arrays())
+                taken.append((export, tuple(array.copy() for array in export)))
+        for export, frozen in taken:
+            _assert_exports_equal(export, frozen)
+
+
+class TestFromArrays:
+    @given(random_entries(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_reproduces_orders_and_export(self, spec, data):
+        n_items, n_workers, n_labels, entries = spec
+        matrix = AnswerMatrix.from_mapping(n_items, n_workers, n_labels, entries)
+        if entries:
+            removed = data.draw(st.lists(st.sampled_from(sorted(entries)), unique=True))
+            for pair in removed:
+                matrix.remove(*pair)  # removals reorder the per-item lists
+        rebuilt = AnswerMatrix.from_arrays(
+            n_items, n_workers, n_labels, *matrix.to_arrays()
+        )
+        assert list(rebuilt.iter_answers()) == list(matrix.iter_answers())
+        for item in range(n_items):
+            assert rebuilt.workers_for_item(item) == matrix.workers_for_item(item)
+        for worker in range(n_workers):
+            assert rebuilt.items_for_worker(worker) == matrix.items_for_worker(worker)
+        assert rebuilt.answered_items() == matrix.answered_items()
+        assert rebuilt.active_workers() == matrix.active_workers()
+        _assert_exports_equal(rebuilt.to_arrays(), matrix.to_arrays())
+        _assert_exports_equal(rebuilt.copy().to_arrays(), matrix.to_arrays())
+
+    def test_accepts_integer_label_rows_and_copies_its_inputs(self, micro_matrix):
+        items, workers, indicators = micro_matrix.to_arrays()
+        rebuilt = AnswerMatrix.from_arrays(
+            4, 3, 5, items.astype(np.int32), workers, indicators.astype(np.uint8)
+        )
+        _assert_exports_equal(rebuilt.to_arrays(), micro_matrix.to_arrays())
+        floats = AnswerMatrix.from_arrays(4, 3, 5, items, workers, indicators)
+        for own, given_array in zip(floats.to_arrays(), (items, workers, indicators)):
+            assert not np.shares_memory(own, given_array)
+
+    @pytest.mark.parametrize(
+        "items, workers, indicators, match",
+        [
+            ([0, 4], [0, 1], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], "item index 4"),
+            ([0, -1], [0, 1], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], "item index -1"),
+            ([0, 1], [0, 3], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], "worker index 3"),
+            ([0, 1], [0, 1], [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0]], "0 or 1"),
+            ([0, 1], [0, 1], [[0.5, 0, 0, 0, 0], [0, 1, 0, 0, 0]], "0 or 1"),
+            ([0, 1], [0, 1], [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "row 1 carries no label"),
+            ([2, 2], [1, 1], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], r"pair \(item=2, worker=1\)"),
+            ([0, 1], [0], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], "shape"),
+            ([0, 1], [0, 1], [[1, 0, 0, 0], [0, 1, 0, 0]], "shape"),
+            ([[0, 1]], [0, 1], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], "shape"),
+            ([0.0, 1.0], [0, 1], [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], "integers"),
+            ([0, 1], [0, 1], [["1", "0", "0", "0", "0"]] * 2, "numeric"),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, items, workers, indicators, match):
+        with pytest.raises(ValidationError, match=match):
+            AnswerMatrix.from_arrays(
+                4, 3, 5, np.array(items), np.array(workers), np.array(indicators)
+            )

@@ -186,6 +186,9 @@ class TestConsensusEngine:
         replica.restore(payload)
         # the replica answers queries about items it never ingested
         assert replica.answers.n_answers == source.answers.n_answers
+        assert list(replica.answers.iter_answers()) == list(
+            source.answers.iter_answers()
+        )
         assert replica.predict() == source.predict()
         metrics = replica.metrics()
         assert metrics["answers_seen"] == source.answers_seen
@@ -207,6 +210,10 @@ class TestConsensusEngine:
         assert engine.engine.state.batches_seen > taken["batches_seen"]
         for name in ("rho", "ups", "lam", "zeta", "kappa", "phi", "cell_mass", "mu"):
             np.testing.assert_array_equal(payload[name], taken[name], err_msg=name)
+        np.testing.assert_array_equal(
+            payload["answers"]["rows"], taken["answers"]["rows"], err_msg="answers"
+        )
+        assert engine.answers.n_answers > taken["answers"]["rows"].size
 
     def test_snapshot_pull_leaves_staleness_clock_alone(self):
         """Regression (ISSUE 9): a read-only snapshot pull (monitoring, a
@@ -273,6 +280,71 @@ class TestConsensusEngine:
         assert metrics["n_items"] == SIZES["n_items"]
         assert small.answers.n_items == SIZES["n_items"]
         small.predict([0])
+
+    def test_restore_is_all_or_nothing(self):
+        """Regression: a snapshot whose posterior fails validation used to
+        leave its answers behind — the engine then served the rejected
+        snapshot's answers with its old posterior and counters."""
+        matrix = _serving_matrix()
+        batches = _batches(matrix)
+        source = _engine(matrix)
+        for batch in batches[:3]:
+            source.ingest(batch)
+            source.step()
+        target = _engine(matrix)
+        target.ingest(batches[0])
+        target.step()
+        before = target.metrics()
+        answers_before = list(target.answers.iter_answers())
+        predicted_before = target.predict()
+
+        payload = source.snapshot_payload()
+        payload["phi"][0, 0] = np.nan
+        with pytest.raises(CheckpointError, match="validation"):
+            target.restore(payload)
+        after = target.metrics()
+        for key in ("batches_seen", "answers_seen", "answers_applied"):
+            assert after[key] == before[key], key
+        assert list(target.answers.iter_answers()) == answers_before
+        assert target.predict() == predicted_before
+
+    def test_restore_refuses_the_retired_entries_form(self):
+        matrix = _serving_matrix()
+        source = _engine(matrix)
+        for batch in _batches(matrix)[:2]:
+            source.ingest(batch)
+        source.step()
+        payload = source.snapshot_payload()
+        payload["answers"] = {
+            "n_items": matrix.n_items,
+            "n_workers": matrix.n_workers,
+            "n_labels": matrix.n_labels,
+            "entries": {
+                (a.item, a.worker): tuple(sorted(a.labels))
+                for a in source.answers.iter_answers()
+            },
+        }
+        target = _engine(matrix)
+        with pytest.raises(CheckpointError, match="answer format changed"):
+            target.restore(payload)
+        assert target.answers.n_answers == 0
+        assert target.metrics()["batches_seen"] == 0
+
+    def test_restore_rejects_malformed_answer_rows(self):
+        matrix = _serving_matrix()
+        source = _engine(matrix)
+        for batch in _batches(matrix)[:2]:
+            source.ingest(batch)
+        source.step()
+        payload = source.snapshot_payload()
+        rows = payload["answers"]["rows"].copy()
+        rows["worker"][1] = rows["worker"][0]
+        rows["item"][1] = rows["item"][0]
+        payload["answers"] = {**payload["answers"], "rows": rows}
+        target = _engine(matrix)
+        with pytest.raises(CheckpointError, match="appears more than once"):
+            target.restore(payload)
+        assert target.answers.n_answers == 0
 
     def test_restore_bare_payload_derives_counters(self):
         """Regression (ISSUE 9): adopting a payload without serving

@@ -56,18 +56,19 @@ class TestNoSubnormalInvariant:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sync_phi_from_mu_flushes(self, dtype):
         config = CPAConfig(seed=0, dtype=np.dtype(dtype).name)
-        state = initialize_state(config, n_items=2, n_workers=2, n_labels=3)
-        t = state.n_clusters
-        # row 0 puts cluster 0 720 nats above the rest: e^-720 is subnormal
-        # in float64 (and e^-90 already is in float32)
-        mu = np.zeros((2, t - 1), dtype=dtype)
-        mu[0, 0] = 720.0 if dtype == np.float64 else 90.0
-        state.mu = mu
-        state.sync_phi_from_mu()
-        assert state.phi.dtype == dtype
-        assert _subnormals(state.phi) == 0
-        np.testing.assert_array_equal(state.phi[0], np.eye(t, dtype=dtype)[0])
-        np.testing.assert_allclose(state.phi[1], 1.0 / t, rtol=1e-6)
+        for rows in (None, np.array([0, 1])):  # every row, then the rows form
+            state = initialize_state(config, n_items=2, n_workers=2, n_labels=3)
+            t = state.n_clusters
+            # row 0 puts cluster 0 720 nats above the rest: e^-720 is
+            # subnormal in float64 (and e^-90 already is in float32)
+            mu = np.zeros((2, t - 1), dtype=dtype)
+            mu[0, 0] = 720.0 if dtype == np.float64 else 90.0
+            state.mu = mu
+            state.sync_phi_from_mu(rows)
+            assert state.phi.dtype == dtype
+            assert _subnormals(state.phi) == 0
+            np.testing.assert_array_equal(state.phi[0], np.eye(t, dtype=dtype)[0])
+            np.testing.assert_allclose(state.phi[1], 1.0 / t, rtol=1e-6)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_batch_vi_fit(self, dataset, dtype):
