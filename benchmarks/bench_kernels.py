@@ -25,9 +25,9 @@ Measures, at several answer volumes, the wall-clock cost of
   in-process one it extends.  The same function additionally records the
   **content-addressed rebroadcast** cost (DESIGN.md §6 "Elastic fleet"):
   after a chunked broadcast, daemons that dropped their payloads but
-  kept their chunk caches re-arm for the price of a digest probe plus an
-  assemble request — ``remote_rebroadcast_pickled_bytes`` sits orders of
-  magnitude below the full chunked ship it replaces.
+  kept their chunk caches re-arm for the price of one manifest-only
+  ``chunk_assemble`` request — ``remote_rebroadcast_pickled_bytes`` sits
+  orders of magnitude below the full chunked ship it replaces.
 
 The synthetic workload mirrors the paper's partial-agreement structure:
 label sets of 1–3 labels are drawn from a bounded pattern pool with a
@@ -301,8 +301,9 @@ def _measure_rebroadcast_transport(matrix, config: CPAConfig) -> Dict[str, objec
     (``REBROADCAST_CHUNK_BYTES`` chunks), then drops every daemon's
     *payloads* — the chunk caches survive, exactly the state a daemon
     restart or payload-LRU eviction leaves behind — and sweeps again.
-    The stale re-arm goes through the content-addressed store: probe the
-    digest index, ship only missing chunks (none), assemble.  The
+    The stale re-arm goes through the content-addressed store: one
+    ``chunk_assemble`` request carrying the manifest alone, which the
+    daemon assembles from its chunk index.  The
     recorded ratio (re-arm bytes / initial chunked ship) is the saving
     the store exists for (DESIGN.md §6 "Elastic fleet"); byte counts are
     deterministic, so the record is noise-free.

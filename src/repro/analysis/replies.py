@@ -5,12 +5,15 @@ somewhere.  This rule checks the *reply* direction, which R3 cannot see:
 some ops answer with more than the ``("ok", value)`` /
 ``("err", exc, tb)`` envelope.  ``map_on`` answers ``("stale", key)``
 when the resident payload was dropped; ``chunk_assemble`` answers
-``("missing", digests)`` when the chunk cache lost blocks;
-``restore_key`` answers ``("stale", key)`` when the named checkpoint is
-gone.  The transport surfaces those as :class:`StaleBroadcast` /
-:class:`ChunksMissing`, and a call site that does not catch them turns a
-*recoverable* protocol miss into a crashed lane — the exact shape of the
-chunked-broadcast fallback bugs PR 6/9 fixed by hand.
+``("missing", digests)`` when the manifest names chunks the request
+neither carried nor the chunk cache holds (the first, manifest-only
+request of every cold install); ``restore_key`` answers
+``("stale", key)`` when the named checkpoint is gone.  The transport
+surfaces those as :class:`StaleBroadcast` / :class:`ChunksMissing`, and
+a call site that does not catch them turns a *recoverable* protocol
+miss into a crashed lane.  Today one function sends ``chunk_assemble``
+(``transport.ship_chunks``) and handles ``missing`` by carrying the
+named chunks.
 
 Statically:
 

@@ -46,10 +46,6 @@ class BinaryLabelView:
     def n_answers(self) -> int:
         return int(self.items.size)
 
-    def positive_rate(self) -> float:
-        """Fraction of answers voting for the label."""
-        return float(self.votes.mean()) if self.votes.size else 0.0
-
 
 def binary_label_views(matrix: AnswerMatrix) -> Iterator[BinaryLabelView]:
     """Yield the binary view of every label, sharing the flat answer arrays."""

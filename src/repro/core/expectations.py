@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 from scipy.special import digamma
 
-from repro.core.state import CPAState
 from repro.utils.math import stick_breaking_expectations
 
 
@@ -72,20 +71,6 @@ def answer_log_likelihood(
         stop = min(start + chunk_size, n)
         out[start:stop] = (indicators[start:stop] @ flat).reshape(stop - start, t, m)
     return out
-
-
-def state_expectations(
-    state: CPAState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All per-state expectation arrays in one call.
-
-    Returns ``(E[ln π], E[ln τ], E[ln ψ], E[ln φ], E[ln(1-φ)])``.
-    """
-    e_log_pi = expected_log_pi(state.rho)
-    e_log_tau = expected_log_tau(state.ups)
-    e_log_psi = expected_log_psi(state.lam)
-    e_log_phi, e_log_phi_c = expected_log_phi_beta(state.zeta)
-    return e_log_pi, e_log_tau, e_log_psi, e_log_phi, e_log_phi_c
 
 
 def map_estimate_dirichlet(lam: np.ndarray) -> np.ndarray:

@@ -345,13 +345,18 @@ class VariationalInference:
         state.ups[:, 1] = self.config.epsilon + tail[:-1]
 
     def _update_profiles(self) -> None:
-        """Answer-profile posteriors ``λ`` (Eq. 6) and the cell masses."""
+        """Answer-profile posteriors ``λ`` (Eq. 6) and the cell masses.
+
+        The counts are kept with the kernel, ϕ and κ they came from, so
+        :meth:`elbo` can reuse them while those are unchanged.
+        """
         state = self.state
         counts, mass = self.kernel.cell_statistics(
             state.phi, state.kappa, self.executor
         )
         state.lam = self.config.gamma0 + counts
         state.cell_mass = mass
+        self._profile_counts = (self.kernel, state.phi, state.kappa, counts)
 
     def _update_label_profiles(self) -> None:
         """Label-profile posteriors ``ζ`` (Eq. 7, per-label Beta form)."""
@@ -383,8 +388,16 @@ class VariationalInference:
         e_log_phi, e_log_phi_c = expected_log_phi_beta(state.zeta)
 
         value = 0.0
-        # E[ln p(x | z, l, ψ)] = Σ counts · E[ln ψ], one statistics pass
-        value += self.kernel.data_elbo(state.phi, state.kappa, e_log_psi, self.executor)
+        # E[ln p(x | z, l, ψ)] = Σ counts · E[ln ψ]: the last λ update's
+        # counts while the engine still holds its kernel, ϕ and κ (so
+        # right after a sweep), else one statistics pass
+        kernel, phi, kappa, counts = self._profile_counts
+        if kernel is self.kernel and phi is state.phi and kappa is state.kappa:
+            value += float(np.vdot(counts, np.asarray(e_log_psi, dtype=kernel.dtype)))
+        else:
+            value += self.kernel.data_elbo(
+                state.phi, state.kappa, e_log_psi, self.executor
+            )
         # E[ln p(z | π)] and E[ln p(l | τ)]
         value += float(state.kappa.sum(axis=0) @ e_log_pi)
         value += float(state.phi.sum(axis=0) @ e_log_tau)

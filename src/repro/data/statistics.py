@@ -7,7 +7,7 @@ for its real datasets (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -135,11 +135,3 @@ def compute_statistics(dataset: CrowdDataset) -> DatasetStatistics:
         label_correlation=_phi_correlation(indicators),
         worker_skewness=_skewness(active) if active.size else 0.0,
     )
-
-
-def statistics_table(datasets: List[CrowdDataset]) -> str:
-    """Render the Table-3-style statistics table for several datasets."""
-    from repro.utils.tables import format_table
-
-    rows = [compute_statistics(d).as_row() for d in datasets]
-    return format_table(DatasetStatistics.headers(), rows, title="Dataset statistics")

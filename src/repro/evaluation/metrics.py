@@ -33,9 +33,6 @@ class EvaluationResult:
             return 0.0
         return 2 * self.precision * self.recall / (self.precision + self.recall)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return self.precision, self.recall
-
 
 def item_precision_recall(
     predicted: AbstractSet[int], truth: AbstractSet[int]

@@ -19,13 +19,15 @@ Three layers, so each is testable on its own:
   label spaces is absorbed transparently on ingest.
 * :class:`ConsensusServer` — :class:`~repro.utils.transport.WorkerServer`
   with serving ops layered over the shared wire protocol (same framing,
-  same chunk-store ops, same shutdown semantics).  One daemon thread per
+  same chunk-store op, same shutdown semantics).  One daemon thread per
   connection; the engine lock serializes posterior access.
 * :class:`ServeClient` / :func:`ship_checkpoint` — the client side.
   ``ship_checkpoint`` refreshes a replica over the content-addressed
-  chunk store: probe → ship missing chunks → assemble → restore, so a
-  refresh after a few SVI steps costs chunk-*delta* bytes, not a full
-  posterior (the PR 6 broadcast re-arm path, pointed at checkpoints).
+  chunk store through the same client as a lane broadcast
+  (:func:`~repro.utils.transport.ship_chunks`: the manifest, then the
+  missing chunks) and one ``restore_key``, so a refresh after a few SVI
+  steps costs chunk-*delta* bytes and three requests, not a full
+  posterior.
 
 Wire ops added on top of the worker protocol (all framed like any other
 request; see :mod:`repro.utils.transport` for the envelope):
@@ -75,16 +77,16 @@ from repro.utils.transport import (
     DEFAULT_CHUNK_CACHE_BYTES,
     DEFAULT_PAYLOAD_CAP,
     Channel,
-    ChunksMissing,
     StaleBroadcast,
     WorkerServer,
-    chunk_digest,
+    chunk_manifest,
     connect,
     dumps,
+    error_reply,
     handle_request,
     parse_address,
     request,
-    split_chunks,
+    ship_chunks,
 )
 
 #: Registry key a shipped checkpoint is assembled under.
@@ -497,14 +499,7 @@ class ConsensusServer(WorkerServer):
                 self.engine.restore(payload)
                 return ("ok", self.engine.metrics())
         except Exception as exc:  # noqa: BLE001 - forwarded to the client
-            import traceback
-
-            tb_text = traceback.format_exc()
-            try:
-                dumps(exc)
-                return ("err", exc, tb_text)
-            except Exception:  # noqa: BLE001 - unpicklable error ships as repr
-                return ("err", repr(exc), tb_text)
+            return error_reply(exc)
         return handle_request(message, self.registry)
 
 
@@ -535,37 +530,18 @@ def ship_checkpoint(
     """Refresh a replica's checkpoint over the content-addressed chunk store.
 
     ``blob`` is a pickled snapshot payload (``dumps(snapshot_payload())``).
-    The probe → ship-missing → assemble path mirrors the broadcast
-    re-arm of :class:`~repro.utils.parallel.RemoteExecutor`: the replica
-    reports which content chunks it already holds from the *previous*
-    snapshot, only the changed chunks cross the wire, and the assembled
-    payload is adopted via the ``restore_key`` op (unless ``restore``
-    is false, which leaves it armed in the registry).  Returns the byte
-    accounting the serving benchmark records.
+    :func:`~repro.utils.transport.ship_chunks` assembles it under ``key``
+    exactly as a lane broadcast is armed: the replica still holds most
+    content chunks from the *previous* snapshot, so only the changed
+    chunks cross the wire.  The assembled payload is then adopted via the
+    ``restore_key`` op (unless ``restore`` is false, which leaves it
+    armed in the registry).  Returns the byte accounting the serving
+    benchmark records.
     """
-    chunks = split_chunks(blob, chunk_bytes)
-    digests = [chunk_digest(chunk) for chunk in chunks]
-    by_digest = dict(zip(digests, chunks))
-    missing = request(channel, ("chunk_probe", digests), timeout=timeout)
-    shipped_bytes = 0
-    for digest in missing:
-        data = by_digest[digest]
-        request(channel, ("chunk_put", digest, data), timeout=timeout)
-        shipped_bytes += len(data)
-
-    def assemble() -> None:
-        nonlocal shipped_bytes
-        try:
-            request(channel, ("chunk_assemble", key, digests), timeout=timeout)
-        except ChunksMissing as exc:
-            # evicted between probe and assemble: one bounded re-ship, no loop
-            for digest in exc.digests:
-                data = by_digest[digest]
-                request(channel, ("chunk_put", digest, data), timeout=timeout)
-                shipped_bytes += len(data)
-            request(channel, ("chunk_assemble", key, digests), timeout=timeout)
-
-    assemble()
+    manifest = chunk_manifest(blob, chunk_bytes)
+    n_shipped, shipped_bytes = ship_chunks(
+        channel, key, blob, manifest, chunk_bytes, timeout=timeout
+    )
     if restore:
         try:
             request(channel, ("restore_key", key), timeout=timeout)
@@ -575,13 +551,15 @@ def ship_checkpoint(
             # The chunks are still (mostly) resident, so re-assembling and
             # retrying once is cheap; a second eviction is a configuration
             # problem and the StaleBroadcast escapes loudly.
-            assemble()
+            shipped_bytes += ship_chunks(
+                channel, key, blob, manifest, chunk_bytes, timeout=timeout
+            )[1]
             request(channel, ("restore_key", key), timeout=timeout)
     return ShipReport(
         total_bytes=len(blob),
         shipped_bytes=shipped_bytes,
-        n_chunks=len(chunks),
-        n_shipped=len(missing),
+        n_chunks=len(manifest),
+        n_shipped=n_shipped,
     )
 
 

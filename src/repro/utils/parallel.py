@@ -338,11 +338,11 @@ class RemoteExecutor(Executor):
       count, which is what lets the sharded backend re-plan between
       sweeps without restarting inference.
     * **chunked broadcast** (``chunk_bytes > 0``) — payloads above the
-      chunk size are split into content-hashed chunks kept in a
-      client-side object store; a lane is armed by probing which digests
-      its daemon already holds and shipping only the missing ones, so a
-      reconnecting or replacement daemon with a warm chunk cache costs a
-      probe instead of the full blob.
+      chunk size keep a digest manifest next to the retained blob; a
+      lane is armed through :func:`~repro.utils.transport.ship_chunks`,
+      which sends the manifest and then only the chunks its daemon
+      lacks, so a reconnecting or replacement daemon with a warm chunk
+      cache costs one manifest request instead of the full blob.
 
     The executor never owns daemon lifetime: :meth:`close` releases the
     broadcast state it installed and drops its connections, leaving the
@@ -398,11 +398,8 @@ class RemoteExecutor(Executor):
         for address in workers:
             self._attach_lane(address)
         self._payloads: Dict[str, bytes] = {}
-        #: content-addressed object store: chunk digest → raw bytes,
-        #: refcounted across the broadcast keys whose manifests share them.
+        #: chunk digests of the retained blobs that ship chunked.
         self._manifests: Dict[str, List[bytes]] = {}
-        self._chunk_store: Dict[bytes, bytes] = {}
-        self._chunk_refs: Dict[bytes, int] = {}
         #: distinguishes which _dispatch call a harvested late reply
         #: belongs to — replies for finished calls are discarded.
         self._dispatch_token = 0
@@ -657,98 +654,40 @@ class RemoteExecutor(Executor):
     # ----------------------------------------------------- broadcast store
 
     def _store_payload(self, key: str, blob: bytes) -> None:
-        """Retain ``blob`` client-side; chunk it into the object store
-        when it crosses the chunk threshold (small payloads ship
-        monolithically — a probe round-trip would cost more than it
-        saves)."""
-        self._release_chunks(key)
+        """Retain ``blob`` client-side, with its chunk manifest when it
+        crosses the chunk threshold (small payloads ship monolithically —
+        a manifest round-trip would cost more than it saves)."""
         self._payloads[key] = blob
         if self._chunk_bytes > 0 and len(blob) > self._chunk_bytes:
-            digests: List[bytes] = []
-            for chunk in _transport.split_chunks(blob, self._chunk_bytes):
-                digest = _transport.chunk_digest(chunk)
-                digests.append(digest)
-                self._chunk_refs[digest] = self._chunk_refs.get(digest, 0) + 1
-                self._chunk_store.setdefault(digest, chunk)
-            self._manifests[key] = digests
-
-    def _release_chunks(self, key: str) -> None:
-        for digest in self._manifests.pop(key, ()):
-            refs = self._chunk_refs.get(digest, 0) - 1
-            if refs <= 0:
-                self._chunk_refs.pop(digest, None)
-                self._chunk_store.pop(digest, None)
-            else:
-                self._chunk_refs[digest] = refs
+            self._manifests[key] = _transport.chunk_manifest(blob, self._chunk_bytes)
+        else:
+            self._manifests.pop(key, None)
 
     def _install_payload(self, lane: _Lane, key: str) -> None:
         """Arm one connected lane with the payload under ``key``,
         accounting the exact broadcast bytes spent."""
         before = lane.channel.sent_bytes
+        timeout = self._request_timeout or None
         try:
             if key in self._manifests:
-                self._install_chunked(lane, key)
+                _transport.ship_chunks(
+                    lane.channel,
+                    key,
+                    self._payloads[key],
+                    self._manifests[key],
+                    self._chunk_bytes,
+                    timeout=timeout,
+                )
             else:
                 _transport.request(
                     lane.channel,
                     ("broadcast", key, self._payloads[key]),
-                    timeout=self._request_timeout or None,
+                    timeout=timeout,
                 )
         finally:
             if lane.channel is not None:
                 self.broadcast_sent_bytes += lane.channel.sent_bytes - before
         lane.resident_keys.add(key)
-
-    def _install_chunked(self, lane: _Lane, key: str) -> None:
-        """Content-addressed install: probe, ship missing chunks
-        (pipelined), assemble.  A daemon that still holds the chunks —
-        replacement on a warm cache, payload-LRU churn — pays only the
-        probe."""
-        timeout = self._request_timeout or None
-        channel = lane.channel
-        digests = self._manifests[key]
-        missing = _transport.request(
-            channel, ("chunk_probe", list(digests)), timeout=timeout
-        )
-        if not isinstance(missing, list):
-            raise TransportError(
-                f"malformed chunk_probe reply: {missing!r}"
-            )
-        for digest in missing:
-            channel.send(("chunk_put", digest, self._chunk_store[digest]))
-        channel.send(("chunk_assemble", key, list(digests)))
-        # drain all replies before raising anything: the channel must
-        # stay aligned (a TransportError is exempt — the caller drops
-        # the channel, so leftover replies die with it)
-        deferred_error: Optional[BaseException] = None
-        for _ in missing:
-            try:
-                _transport.unwrap_reply(channel.recv(timeout=timeout))
-            except TransportError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - daemon-side put error
-                if deferred_error is None:
-                    deferred_error = exc
-        need_fallback = False
-        try:
-            _transport.unwrap_reply(channel.recv(timeout=timeout))
-        except _transport.ChunksMissing:
-            # evicted between probe and assemble (undersized daemon
-            # cache): one bounded fallback to the monolithic path
-            need_fallback = True
-        except TransportError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - assemble error deferred past drain
-            if deferred_error is None:
-                deferred_error = exc
-        if deferred_error is not None:
-            raise deferred_error
-        if need_fallback:
-            _transport.request(
-                channel,
-                ("broadcast", key, self._payloads[key]),
-                timeout=timeout,
-            )
 
     # ------------------------------------------------------------ dispatch
 
@@ -913,8 +852,8 @@ class RemoteExecutor(Executor):
             # copies must never be addressed again
             lane.resident_keys.discard(key)
         # Lanes are armed sequentially: the chunked install is a
-        # conversation (probe → ship missing → assemble), not a single
-        # push, so cross-lane send pipelining would interleave frames.
+        # conversation of up to three requests, not a single push, so
+        # cross-lane send pipelining would interleave frames.
         # The tradeoff is deliberate — the shared client NIC serialises
         # the bulk transfer anyway, and the dedup typically removes far
         # more wire time than overlap could (DESIGN.md §6).
@@ -955,7 +894,7 @@ class RemoteExecutor(Executor):
         if self._closed:
             return
         self._payloads.pop(key, None)
-        self._release_chunks(key)
+        self._manifests.pop(key, None)
         for lane in self._lanes:
             if lane.channel is None or not lane.health.live:
                 # a suspect's channel owes a reply — skip the wire op
@@ -1057,8 +996,8 @@ class ProcessExecutor(RemoteExecutor):
     handling are the remote client's.  No port is opened: nothing outside
     this process tree can reach a lane.  A lane cannot reconnect, so a
     child that dies is excluded and its tasks land on the survivors.
-    Broadcasts ship whole (``chunk_bytes=0``): a chunk probe only pays
-    for a daemon that outlives its client.
+    Broadcasts ship whole (``chunk_bytes=0``): a chunk manifest only
+    pays for a daemon that outlives its client.
 
     :meth:`close`, or collecting an executor that was never closed,
     kills and joins the children.  Closing the parent ends is not

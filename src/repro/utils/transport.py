@@ -39,25 +39,27 @@ request                             reply
 ``("map_on", key, func, tasks)``    ``("ok", [func(payload, t)...])`` or
                                     ``("stale", key)`` if evicted/unknown
 ``("map_tasks", func, tasks)``      ``("ok", [func(t)...])``
-``("chunk_probe", [digest...])``    ``("ok", [missing digest...])``
-``("chunk_put", digest, data)``     ``("ok", None)`` (digest-verified)
 ``("chunk_assemble", key,           ``("ok", None)`` or ``("missing",
-  [digest...])``                    [digest...])`` if chunks were evicted
+  digests, chunks)``                [digest...])`` naming the manifest
+                                    chunks neither carried nor held
 ``("shutdown",)``                   ``("ok", None)``, then the daemon
                                     stops accepting and exits
 ==================================  ======================================
 
-The three ``chunk_*`` ops form the content-addressed broadcast store
-(DESIGN.md §6 "Elastic fleet"): a large payload is split client-side
-into content-hashed chunks, the daemon reports which digests it already
-holds, and only the missing chunks cross the wire before ``assemble``
-rebuilds the payload under its key.  A daemon whose *payload* LRU
-evicted a key but whose chunk index still holds the bytes is re-armed
-for the price of a probe instead of the full blob.
+``chunk_assemble`` is the whole content-addressed store (DESIGN.md §6
+"Elastic fleet"): a large payload is split client-side into
+content-hashed chunks; ``digests`` is its manifest and ``chunks`` a list
+of carried ``(digest, data)`` pairs.  :func:`ship_chunks`, the store's
+only client, sends the manifest alone first, then exactly the chunks the
+daemon names as missing, and the daemon rebuilds the payload under its
+key.  A daemon whose *payload* LRU evicted a key but whose chunk index
+still holds the bytes is re-armed by one manifest-only request instead
+of the full blob.
 
-A task that raises on the worker replies ``("err", exception,
-traceback_text)``; the client re-raises the exception (or
-:class:`~repro.errors.WorkerFailure` when it does not pickle) — a *task*
+A request that raises on the worker replies ``("err", exception,
+traceback_text)`` (:func:`error_reply`); the client re-raises the
+exception (or :class:`~repro.errors.WorkerFailure` when it does not
+pickle) — a *task*
 failure is the caller's bug and must not be confused with a *lane*
 failure, which is what the retry/exclusion machinery of
 :class:`~repro.utils.parallel.RemoteExecutor` handles.
@@ -102,11 +104,21 @@ def chunk_digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
-def split_chunks(blob: bytes, chunk_bytes: int) -> List[bytes]:
-    """Split ``blob`` into fixed-size content chunks (last may be short)."""
+def split_chunks(blob: bytes, chunk_bytes: int) -> List[memoryview]:
+    """Split ``blob`` into fixed-size content chunks (last may be short).
+
+    The chunks are zero-copy views of ``blob``.
+    """
     if chunk_bytes < 1:
         raise ValidationError("chunk size must be at least 1 byte")
-    return [blob[i : i + chunk_bytes] for i in range(0, len(blob), chunk_bytes)]
+    view = memoryview(blob)
+    return [view[i : i + chunk_bytes] for i in range(0, len(view), chunk_bytes)]
+
+
+def chunk_manifest(blob: bytes, chunk_bytes: int) -> List[bytes]:
+    """The digests of ``blob``'s chunks, in order: what ``chunk_assemble``
+    rebuilds a payload from."""
+    return [chunk_digest(chunk) for chunk in split_chunks(blob, chunk_bytes)]
 
 
 def dumps(obj: object) -> bytes:
@@ -337,7 +349,7 @@ def unwrap_reply(reply: Any) -> Any:
         return reply[1]
     if tag == "stale" and len(reply) == 2:
         raise StaleBroadcast(reply[1])
-    if tag == "missing" and len(reply) == 2:
+    if tag == "missing" and len(reply) == 2 and _is_digest_list(reply[1]):
         raise ChunksMissing(reply[1])
     if tag == "err" and len(reply) == 3:
         _, exc, tb_text = reply
@@ -347,6 +359,90 @@ def unwrap_reply(reply: Any) -> Any:
             )
         raise WorkerFailure(f"remote worker raised: {exc}", tb_text)
     raise TransportError(f"malformed reply envelope: {reply!r}")
+
+
+def _is_digest_list(value: Any) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(digest, bytes) for digest in value
+    )
+
+
+def error_reply(exc: BaseException) -> Tuple:
+    """The ``("err", exc, traceback_text)`` reply to a request that raised;
+    an exception that does not pickle ships as its ``repr``."""
+    tb_text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        dumps(exc)  # only ship exceptions that survive pickling
+        return ("err", exc, tb_text)
+    except Exception:  # noqa: BLE001 - unpicklable error ships as repr
+        return ("err", repr(exc), tb_text)
+
+
+def ship_chunks(
+    channel: Channel,
+    key: str,
+    blob: bytes,
+    manifest: Sequence[bytes],
+    chunk_bytes: int,
+    timeout: Optional[float] = None,
+) -> Tuple[int, int]:
+    """Assemble ``blob`` under ``key`` in the peer's chunk store.
+
+    The store's only client: lane broadcasts
+    (:class:`~repro.utils.parallel.RemoteExecutor`) and replica refreshes
+    (:func:`repro.serve.ship_checkpoint`) both call it.  ``manifest`` is
+    :func:`chunk_manifest` of ``blob`` at ``chunk_bytes``.  At most three
+    ``chunk_assemble`` requests:
+
+    1. the manifest alone — a peer that holds every chunk assembles at
+       once, otherwise it names the missing ones;
+    2. the manifest and exactly the named chunks, which the peer uses
+       directly, so only chunks it held at step 1 and evicted since can
+       still miss;
+    3. only then the manifest and every chunk, which cannot miss.
+
+    Carried chunks are zero-copy slices of ``blob``: the pickled request
+    frame is the only copy.  Returns ``(n_missing, carried_bytes)``: the chunks
+    missing at step 1, once per occurrence in the manifest, and the chunk
+    bytes steps 2 and 3 carried.  A reply naming a chunk the manifest
+    lacks, or a miss at step 3, is a broken peer: :class:`TransportError`.
+    """
+    try:
+        request(channel, ("chunk_assemble", key, manifest, []), timeout=timeout)
+        return 0, 0
+    except ChunksMissing as exc:
+        missing = exc.digests
+    by_digest = dict(zip(manifest, split_chunks(blob, chunk_bytes)))
+
+    def check_known(named: Sequence[bytes]) -> None:
+        if not all(digest in by_digest for digest in named):
+            raise TransportError(
+                f"chunk_assemble reply for {key!r} names a chunk that is "
+                "not in its manifest"
+            )
+
+    def carry(named: Sequence[bytes]) -> List[Tuple[bytes, pickle.PickleBuffer]]:
+        return [(digest, pickle.PickleBuffer(by_digest[digest])) for digest in named]
+
+    check_known(missing)
+    carried_bytes = sum(len(by_digest[digest]) for digest in missing)
+    try:
+        request(
+            channel, ("chunk_assemble", key, manifest, carry(missing)), timeout=timeout
+        )
+        return len(missing), carried_bytes
+    except ChunksMissing as exc:
+        check_known(exc.digests)  # held at step 1, evicted since
+    try:
+        request(
+            channel, ("chunk_assemble", key, manifest, carry(manifest)), timeout=timeout
+        )
+    except ChunksMissing as exc:
+        raise TransportError(
+            f"peer reports {len(exc.digests)} chunk(s) of {key!r} missing "
+            "although every chunk was carried"
+        ) from None
+    return len(missing), carried_bytes + len(blob)
 
 
 class LaneTimeout(TransportError):
@@ -372,9 +468,9 @@ class StaleBroadcast(Exception):
 
 
 class ChunksMissing(Exception):
-    """A worker's ``chunk_assemble`` found some chunks evicted between
-    the probe and the assemble.  Internal control flow — the client
-    re-ships the named chunks (bounded: one fallback, no loop)."""
+    """A worker's ``chunk_assemble`` lacks some manifest chunks.  Internal
+    control flow — :func:`ship_chunks` carries them in its next request
+    (bounded: three requests, no loop)."""
 
     def __init__(self, digests: Sequence[bytes]) -> None:
         super().__init__(f"{len(digests)} chunk(s) missing")
@@ -456,11 +552,11 @@ class PayloadRegistry:
     connection on its own thread against this one shared registry.
 
     Alongside the (count-capped) payload LRU the registry keeps a
-    *byte*-capped chunk index: content-addressed raw chunks from the
-    chunked broadcast protocol, keyed by blake2b-128 digest.  The two
-    caches have independent lifetimes on purpose — evicting a payload
-    does not drop its chunks, which is exactly what lets a re-broadcast
-    after payload eviction cost a probe instead of a re-ship.
+    *byte*-capped chunk index: content-addressed raw chunks carried by
+    ``chunk_assemble``, keyed by blake2b-128 digest.  The two caches have
+    independent lifetimes on purpose — evicting a payload does not drop
+    its chunks, which is exactly what lets a re-broadcast after payload
+    eviction cost one manifest instead of a re-ship.
     """
 
     def __init__(
@@ -515,65 +611,59 @@ class PayloadRegistry:
 
     # ----------------------------------------------------- chunk index
 
-    def put_chunk(self, digest: bytes, data: bytes) -> None:
-        """Store one content-addressed chunk; digest-verified on arrival
-        so a corrupt frame can never poison the content address space."""
-        if chunk_digest(data) != digest:
-            raise ValidationError(
-                "chunk data does not match its digest; refusing to store"
-            )
+    def assemble(
+        self,
+        key: str,
+        digests: Sequence[bytes],
+        chunks: Sequence[Tuple[bytes, bytes]] = (),
+    ) -> Tuple[bytes, ...]:
+        """Rebuild the payload under ``key`` from its manifest ``digests``.
+
+        Each carried ``(digest, data)`` chunk is digest-verified first, so
+        a corrupt frame can never poison the content address space; it
+        is then used directly and kept in the chunk LRU.  Manifest chunks
+        not carried come from the LRU (and are touched there).  Returns
+        the (possibly empty) tuple of digests neither carried nor held,
+        once per occurrence in ``digests``; on any miss no payload is
+        stored.
+        """
+        carried: Dict[bytes, bytes] = {}
+        for digest, data in chunks:
+            if chunk_digest(data) != digest:
+                raise ValidationError(
+                    "chunk data does not match its digest; refusing to store"
+                )
+            carried[digest] = data
         with self._lock:
-            held = self._chunks.pop(digest, None)
-            if held is not None:
-                self._chunk_bytes_held -= len(held)
-            self._chunks[digest] = data
-            self._chunk_bytes_held += len(data)
-            # byte-capped LRU; never evict the chunk just stored, else an
-            # undersized cache would turn every assemble into a livelock
+            pieces: List[bytes] = []
+            missing: List[bytes] = []
+            for digest in digests:
+                data = carried.get(digest)
+                if data is None:
+                    data = self._chunks.pop(digest, None)
+                    if data is None:
+                        missing.append(digest)
+                        continue
+                    self._chunks[digest] = data  # refresh recency
+                pieces.append(data)
+            for digest, data in carried.items():
+                held = self._chunks.pop(digest, None)
+                if held is not None:
+                    self._chunk_bytes_held -= len(held)
+                self._chunks[digest] = data
+                self._chunk_bytes_held += len(data)
+            # byte-capped LRU; the chunk stored last stays, so an
+            # undersized cache degrades to single-chunk residency
             while (
                 self._chunk_bytes_held > self.chunk_cache_bytes
                 and len(self._chunks) > 1
             ):
                 oldest = next(iter(self._chunks))
                 self._chunk_bytes_held -= len(self._chunks.pop(oldest))
-
-    def missing_chunks(self, digests: Sequence[bytes]) -> List[bytes]:
-        """Digests from ``digests`` not held here; held ones are
-        LRU-touched so a probe pins what the assemble is about to use."""
-        missing: List[bytes] = []
-        with self._lock:
-            for digest in digests:
-                data = self._chunks.pop(digest, None)
-                if data is None:
-                    missing.append(digest)
-                else:
-                    self._chunks[digest] = data  # refresh recency
-        return missing
-
-    def assemble(self, key: str, digests: Sequence[bytes]) -> Tuple[bytes, ...]:
-        """Rebuild the payload under ``key`` from held chunks.
-
-        Returns the (possibly empty) tuple of digests still missing; on
-        any miss nothing is stored, and the client re-ships those chunks.
-        """
-        with self._lock:
-            pieces: List[bytes] = []
-            missing: List[bytes] = []
-            for digest in digests:
-                data = self._chunks.pop(digest, None)
-                if data is None:
-                    missing.append(digest)
-                    continue
-                self._chunks[digest] = data  # refresh recency
-                pieces.append(data)
             if missing:
                 return tuple(missing)
-            payload = pickle.loads(b"".join(pieces))
-            self._payloads.pop(key, None)
-            self._payloads[key] = payload
-            while len(self._payloads) > self.cap:
-                self._payloads.pop(next(iter(self._payloads)))
-            return ()
+        self.put(key, pickle.loads(b"".join(pieces)))
+        return ()
 
     def chunk_count(self) -> int:
         with self._lock:
@@ -610,16 +700,9 @@ def handle_request(message: Any, registry: PayloadRegistry) -> Tuple:
         if op == "map_tasks":
             _, func, tasks = message
             return ("ok", [func(task) for task in tasks])
-        if op == "chunk_probe":
-            _, digests = message
-            return ("ok", registry.missing_chunks(digests))
-        if op == "chunk_put":
-            _, digest, data = message
-            registry.put_chunk(digest, data)
-            return ("ok", None)
         if op == "chunk_assemble":
-            _, key, digests = message
-            missing = registry.assemble(key, digests)
+            _, key, digests, chunks = message
+            missing = registry.assemble(key, digests, chunks)
             if missing:
                 return ("missing", list(missing))
             return ("ok", None)
@@ -627,12 +710,7 @@ def handle_request(message: Any, registry: PayloadRegistry) -> Tuple:
             return ("ok", None)
         raise ValidationError(f"unknown request op {op!r}")
     except Exception as exc:  # noqa: BLE001 - forwarded to the client
-        tb_text = traceback.format_exc()
-        try:
-            dumps(exc)  # only ship exceptions that survive pickling
-            return ("err", exc, tb_text)
-        except Exception:  # noqa: BLE001 - unpicklable error ships as repr
-            return ("err", repr(exc), tb_text)
+        return error_reply(exc)
 
 
 class WorkerServer:

@@ -23,8 +23,9 @@ Flags
     Byte budget (in MiB, default 256) for the content-addressed chunk
     cache behind the chunked broadcast protocol.  Chunks outlive the
     payloads assembled from them, so a client re-arming this daemon
-    after payload eviction pays a digest probe instead of a re-ship;
-    0 keeps only the most recent chunk (effectively disabling reuse).
+    after payload eviction sends a digest manifest instead of a
+    re-ship; 0 keeps only the most recent chunk (effectively disabling
+    reuse: every install then carries its chunks).
 """
 
 from __future__ import annotations

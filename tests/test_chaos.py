@@ -328,8 +328,8 @@ class TestElasticMembership:
 
     def test_chunked_rebroadcast_after_payload_churn(self, tiny_dataset):
         """Daemon payload churn mid-fit re-arms from the chunk index: the
-        re-arm costs probe+assemble frames, not a full plan re-ship, and
-        the trajectory stays bitwise serial."""
+        re-arm costs one manifest-only assemble frame, not a full plan
+        re-ship, and the trajectory stays bitwise serial."""
         config = _config(2)
         serial = VariationalInference(config, tiny_dataset.answers)
         with worker_fleet(2) as servers:

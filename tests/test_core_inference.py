@@ -247,6 +247,39 @@ class TestVariationalInference:
         assert np.all(diffs > -1e-6), f"ELBO decreased: {diffs}"
         assert values[-1] > values[0]
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("backend", ["fused", "sharded"])
+    def test_elbo_reuses_the_profile_counts_bitwise(
+        self, tiny_dataset, monkeypatch, backend, dtype
+    ):
+        """While the engine holds the kernel, ϕ and κ of the last λ update,
+        the ELBO's data term comes from that update's counts, bitwise equal
+        to the statistics pass it replaces; a replaced state falls back to
+        the pass."""
+        config = CPAConfig(
+            seed=2, dtype=dtype, backend=backend, n_shards=2 if backend == "sharded" else 0
+        )
+        engine = VariationalInference(config, tiny_dataset.answers)
+        kernel_type = type(engine.kernel)
+        data_pass = kernel_type.data_elbo
+        passes = []
+
+        def counted(kernel, *args, **kwargs):
+            passes.append(kernel)
+            return data_pass(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_type, "data_elbo", counted)
+        for sweeps in (0, 1, 3):  # after init, then after sweeps
+            for _ in range(sweeps):
+                engine.sweep()
+            reused = engine.elbo()
+            assert passes == []
+            engine.state = engine.state.copy()  # same values, new arrays
+            recomputed = engine.elbo()
+            assert passes == [engine.kernel]
+            passes.clear()
+            assert reused == recomputed
+
     def test_run_converges_and_validates(self, tiny_dataset):
         engine = VariationalInference(CPAConfig(seed=2), tiny_dataset.answers)
         result = engine.run(track_elbo=True)

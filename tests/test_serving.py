@@ -36,12 +36,20 @@ from repro.data.streams import AnswerStream
 from repro.errors import CheckpointError, ValidationError
 from repro.serve import (
     CHECKPOINT_KEY,
+    DEFAULT_CHECKPOINT_CHUNK_BYTES,
     ConsensusEngine,
     ConsensusServer,
     ServeClient,
+    ShipReport,
     ship_checkpoint,
 )
-from repro.utils.transport import dumps, request
+from repro.utils.transport import (
+    chunk_digest,
+    chunk_manifest,
+    dumps,
+    request,
+    split_chunks,
+)
 
 network = pytest.mark.network
 
@@ -480,6 +488,47 @@ class TestConsensusServer:
 
                 status = client.status()
                 assert status["batches_seen"] == source.metrics()["batches_seen"]
+                assert client.predict() == source.predict()
+                client.shutdown()
+        finally:
+            server.close()
+
+    def test_warm_refresh_is_three_requests_and_ships_the_chunk_diff(self):
+        """A replica holding the previous snapshot's chunks refreshes in
+        at most three requests (manifest, missing chunks, ``restore_key``),
+        and its report counts exactly the chunks of the new snapshot that
+        the previous one lacks, once per occurrence."""
+        matrix = _serving_matrix(seed=6, n_items=4000, per_item=1)
+        batches = _batches(matrix, answers_per_batch=40)
+        source = _engine(matrix)
+        for batch in batches[:4]:
+            source.ingest(batch)
+        source.step()
+        server = _daemon(matrix, auto_step=False)
+        try:
+            with ServeClient(server.address, timeout=30) as client:
+                old_blob = dumps(source.snapshot_payload())
+                client.push_checkpoint(old_blob)
+                source.ingest(batches[4])
+                source.step()
+                new_blob = dumps(source.snapshot_payload())
+                before = sum(server.op_counts.values())
+                report = client.push_checkpoint(new_blob)
+                assert sum(server.op_counts.values()) - before <= 3
+
+                held = set(chunk_manifest(old_blob, DEFAULT_CHECKPOINT_CHUNK_BYTES))
+                diff = [
+                    len(chunk)
+                    for chunk in split_chunks(new_blob, DEFAULT_CHECKPOINT_CHUNK_BYTES)
+                    if chunk_digest(chunk) not in held
+                ]
+                assert report == ShipReport(
+                    total_bytes=len(new_blob),
+                    shipped_bytes=sum(diff),
+                    n_chunks=len(chunk_manifest(new_blob, DEFAULT_CHECKPOINT_CHUNK_BYTES)),
+                    n_shipped=len(diff),
+                )
+                assert 0 < report.n_shipped < report.n_chunks
                 assert client.predict() == source.predict()
                 client.shutdown()
         finally:

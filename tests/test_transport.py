@@ -431,91 +431,99 @@ class TestChunkHelpers:
         assert len(chunk_digest(b"")) == 16
 
 
+def _carried(blob, chunk_bytes):
+    """``(manifest, chunks)`` of ``blob``: its digests and every chunk as a
+    carried ``(digest, data)`` pair."""
+    chunks = [bytes(chunk) for chunk in split_chunks(blob, chunk_bytes)]
+    digests = [chunk_digest(chunk) for chunk in chunks]
+    return digests, list(zip(digests, chunks))
+
+
 class TestChunkIndex:
     def test_put_verifies_the_digest(self):
         """A corrupt frame must never poison the content address space."""
         registry = PayloadRegistry()
+        digests, chunks = _carried(dumps("payload"), 4)
+        chunks[1] = (chunks[1][0], b"bad!")
         with pytest.raises(ValidationError, match="digest"):
-            registry.put_chunk(chunk_digest(b"aaa"), b"bbb")
+            registry.assemble("plan", digests, chunks)
         assert registry.chunk_count() == 0
+        assert registry.keys() == ()
 
     def test_probe_reports_only_the_missing_digests(self):
         registry = PayloadRegistry()
-        held, absent = b"held-bytes", b"absent-bytes"
-        registry.put_chunk(chunk_digest(held), held)
-        missing = registry.missing_chunks(
-            [chunk_digest(held), chunk_digest(absent)]
+        held, absent = dumps("held"), b"absent-bytes"
+        registry.assemble("other", [chunk_digest(held)], [(chunk_digest(held), held)])
+        missing = registry.assemble(
+            "plan", [chunk_digest(held), chunk_digest(absent), chunk_digest(absent)]
         )
-        assert missing == [chunk_digest(absent)]
+        # once per occurrence in the manifest
+        assert missing == (chunk_digest(absent), chunk_digest(absent))
 
     def test_assemble_rebuilds_the_payload_under_its_key(self):
         registry = PayloadRegistry()
-        blob = dumps(list(range(1000)))
-        digests = []
-        for chunk in split_chunks(blob, 64):
-            digest = chunk_digest(chunk)
-            digests.append(digest)
-            registry.put_chunk(digest, chunk)
-        assert registry.assemble("plan", digests) == ()
+        digests, chunks = _carried(dumps(list(range(1000))), 64)
+        assert registry.assemble("plan", digests, chunks) == ()
         assert registry.get("plan") == list(range(1000))
+        assert registry.chunk_count() == len(set(digests))
 
     def test_assemble_with_missing_chunks_stores_nothing(self):
         registry = PayloadRegistry()
-        digests = [chunk_digest(chunk) for chunk in split_chunks(dumps("p"), 4)]
-        missing = registry.assemble("plan", digests)
-        assert set(missing) == set(digests)
+        digests, chunks = _carried(dumps("p" * 40), 4)
+        # carry all but the first chunk: the carried ones are kept, but no
+        # payload is stored while one is missing
+        missing = registry.assemble("plan", digests, chunks[1:])
+        assert missing == (digests[0],)
         assert registry.keys() == ()
+        assert registry.chunk_count() == len(set(digests[1:]))
 
     def test_chunk_cache_is_byte_capped_lru(self):
         registry = PayloadRegistry(chunk_cache_bytes=100)
-        old, new = b"x" * 60, b"y" * 60
-        registry.put_chunk(chunk_digest(old), old)
-        registry.put_chunk(chunk_digest(new), new)  # 120 > 100: old evicted
-        assert registry.missing_chunks([chunk_digest(old)]) == [chunk_digest(old)]
-        assert registry.missing_chunks([chunk_digest(new)]) == []
+        old, new = dumps(b"x" * 50), dumps(b"y" * 50)
+        assert registry.assemble("old", *_carried(old, len(old))) == ()
+        assert registry.assemble("new", *_carried(new, len(new))) == ()
+        # 2 × ~65 bytes > 100: the older chunk was evicted
+        assert registry.assemble("old", [chunk_digest(old)]) == (chunk_digest(old),)
+        assert registry.assemble("new", [chunk_digest(new)]) == ()
 
     def test_cache_never_evicts_the_chunk_just_stored(self):
-        """An undersized cache must degrade to single-chunk residency, not
-        livelock every assemble by evicting what was just shipped."""
+        """An undersized cache degrades to single-chunk residency rather
+        than dropping what was just shipped."""
         registry = PayloadRegistry(chunk_cache_bytes=10)
-        big = b"z" * 64  # alone over budget
-        registry.put_chunk(chunk_digest(big), big)
-        assert registry.missing_chunks([chunk_digest(big)]) == []
+        big = dumps(b"z" * 64)  # alone over budget
+        assert registry.assemble("plan", *_carried(big, len(big))) == ()
+        registry.drop_payloads()
+        assert registry.assemble("plan", [chunk_digest(big)]) == ()
 
     def test_drop_payloads_keeps_the_chunk_index(self):
         """The two caches have independent lifetimes on purpose: payload
         churn must leave the chunks behind for the cheap re-arm."""
         registry = PayloadRegistry()
-        blob = dumps([1, 2, 3])
-        digests = []
-        for chunk in split_chunks(blob, 8):
-            digest = chunk_digest(chunk)
-            digests.append(digest)
-            registry.put_chunk(digest, chunk)
-        assert registry.assemble("plan", digests) == ()
+        digests, chunks = _carried(dumps([1, 2, 3]), 8)
+        assert registry.assemble("plan", digests, chunks) == ()
         registry.drop_payloads()
         assert len(registry) == 0
-        assert registry.chunk_count() == len(digests)
+        assert registry.chunk_count() == len(set(digests))
         assert registry.assemble("plan", digests) == ()  # re-armed from chunks
+        assert registry.get("plan") == [1, 2, 3]
 
 
 class TestHandleRequestChunkOps:
     def test_probe_put_assemble_cycle(self):
+        """Manifest alone → ``missing``; the named chunks carried → ok;
+        the manifest alone again → ok from the chunk index."""
         registry = PayloadRegistry()
-        blob = dumps(list(range(64)))
-        chunks = split_chunks(blob, 16)
-        digests = [chunk_digest(chunk) for chunk in chunks]
-        assert handle_request(("chunk_probe", digests), registry) == (
-            "ok",
+        digests, chunks = _carried(dumps(list(range(64))), 16)
+        assert handle_request(("chunk_assemble", "plan", digests, []), registry) == (
+            "missing",
             digests,
         )
-        for digest, data in zip(digests, chunks):
-            assert handle_request(("chunk_put", digest, data), registry) == (
-                "ok",
-                None,
-            )
-        assert handle_request(("chunk_probe", digests), registry) == ("ok", [])
-        assert handle_request(("chunk_assemble", "plan", digests), registry) == (
+        assert handle_request(
+            ("chunk_assemble", "plan", digests, chunks), registry
+        ) == ("ok", None)
+        assert registry.get("plan") == list(range(64))
+        registry.drop_payloads()
+        assert handle_request(("chunk_assemble", "plan", digests, []), registry) == (
             "ok",
             None,
         )
@@ -524,17 +532,20 @@ class TestHandleRequestChunkOps:
     def test_assemble_miss_replies_missing_and_unwrap_raises(self):
         registry = PayloadRegistry()
         digests = [chunk_digest(b"gone")]
-        reply = handle_request(("chunk_assemble", "plan", digests), registry)
+        reply = handle_request(("chunk_assemble", "plan", digests, []), registry)
         assert reply == ("missing", digests)
         with pytest.raises(ChunksMissing) as excinfo:
             unwrap_reply(reply)
         assert excinfo.value.digests == tuple(digests)
 
     def test_corrupt_chunk_put_replies_err(self):
+        digest = chunk_digest(b"a")
         reply = handle_request(
-            ("chunk_put", chunk_digest(b"a"), b"b"), PayloadRegistry()
+            ("chunk_assemble", "plan", [digest], [(digest, b"b")]), PayloadRegistry()
         )
         assert reply[0] == "err"
+        assert isinstance(reply[1], ValidationError)
+        assert "digest" in str(reply[1])
 
 
 # ------------------------------------------------------- daemons over TCP
@@ -903,9 +914,10 @@ class TestChunkedBroadcast:
         with remote_pool(2, chunk_bytes=4096) as (executor, servers):
             executor.broadcast("m", payload)
             out = executor.map_on("m", _dot, tasks)
-            # the payload crossed as content-addressed chunks, never as a
-            # monolithic blob
-            assert all(s.op_counts.get("chunk_put", 0) > 1 for s in servers)
+            # the payload crossed as content-addressed chunks (manifest,
+            # then the carried chunks), never as a monolithic blob
+            assert all(s.op_counts.get("chunk_assemble") == 2 for s in servers)
+            assert all(s.registry.chunk_count() > 1 for s in servers)
             assert all("broadcast" not in s.op_counts for s in servers)
         for got, want in zip(out, expected):
             np.testing.assert_array_equal(got, want)
@@ -916,17 +928,17 @@ class TestChunkedBroadcast:
             executor.broadcast("plan", payload)
             shipped = executor.broadcast_sent_bytes
             assert shipped > (1 << 15) * 8
-            puts = servers[0].op_counts.get("chunk_put", 0)
-            assert puts > 1
+            assembles = servers[0].op_counts.get("chunk_assemble", 0)
+            assert assembles == 2
             # the daemon loses its *payloads* but keeps its chunk index
             # (restart with a warm cache, payload-cap churn)
             servers[0].registry.drop_payloads()
             out = executor.map_on("plan", _shape_of, [0])
             assert out == [1 << 15]
             delta = executor.broadcast_sent_bytes - shipped
-            # re-arm = probe + assemble frames only: no chunk re-ships
+            # re-arm = one manifest-only request: no chunk re-ships
             assert 0 < delta < shipped // 10
-            assert servers[0].op_counts.get("chunk_put", 0) == puts
+            assert servers[0].op_counts.get("chunk_assemble", 0) == assembles + 1
 
     def test_replacement_daemon_with_cold_cache_gets_the_chunks(self):
         with worker_fleet(2) as servers:
@@ -935,20 +947,60 @@ class TestChunkedBroadcast:
             executor.broadcast("plan", payload)
             executor.add_worker(servers[1].address)
             assert executor.map_on("plan", _len_of, [0, 1]) == [5000, 5000]
-            assert servers[1].op_counts.get("chunk_put", 0) > 1
+            assert servers[1].op_counts.get("chunk_assemble") == 2
+            assert servers[1].registry.chunk_count() > 1
             executor.close()
 
-    def test_undersized_daemon_chunk_cache_falls_back_to_monolithic(self):
-        """chunk_cache_bytes=0 keeps only the most recent chunk, so every
-        assemble misses; the client must fall back to one bounded
-        monolithic broadcast instead of looping the chunk protocol."""
+    def test_undersized_chunk_cache_installs_from_carried_chunks(self):
+        """chunk_cache_bytes=0 keeps only the most recent chunk, but the
+        daemon assembles from the chunks the request carries: no
+        monolithic broadcast, and no third request."""
         server = WorkerServer(chunk_cache_bytes=0).serve_in_thread()
         try:
             executor = RemoteExecutor([server.address], chunk_bytes=512)
-            payload = bytes(8192)
+            payload = bytes(range(256)) * 32
             executor.broadcast("plan", payload)
             assert executor.map_on("plan", _len_of, [0]) == [8192]
-            assert server.op_counts.get("broadcast") == 1  # the fallback
+            assert server.op_counts.get("chunk_assemble") == 2
+            assert "broadcast" not in server.op_counts
+            assert server.registry.chunk_count() == 1
+            executor.close()
+        finally:
+            server.close()
+
+    def test_chunks_evicted_between_requests_are_all_carried(self, monkeypatch):
+        """A chunk held at the manifest request but evicted before the
+        second one (an undersized cache under concurrent churn) costs one
+        third request that carries every chunk — and cannot miss."""
+        from repro.utils import transport as transport_module
+
+        real = transport_module.handle_request
+        server = WorkerServer().serve_in_thread()
+        requests = []
+
+        def evicting(message, registry):
+            if message[0] == "chunk_assemble":
+                requests.append(len(message[3]))
+                if len(requests) == 2:
+                    registry._chunks.clear()  # churn between steps 1 and 2
+            return real(message, registry)
+
+        try:
+            payload = bytes(range(256)) * 32
+            warm = RemoteExecutor([server.address], chunk_bytes=512)
+            warm.broadcast("plan", payload)
+            warm.close()
+            # half of the chunks change: the daemon holds the other half
+            edited = payload[:4096] + bytes(4096)
+            monkeypatch.setattr(transport_module, "handle_request", evicting)
+            executor = RemoteExecutor([server.address], chunk_bytes=512)
+            executor.broadcast("plan", edited)
+            assert executor.map_on("plan", _len_of, [0]) == [8192]
+            n_chunks = len(executor._manifests["plan"])
+            assert requests[0] == 0  # the manifest alone
+            assert 0 < requests[1] < n_chunks  # exactly the named chunks
+            assert requests[2] == n_chunks  # every chunk
+            assert "broadcast" not in server.op_counts
             executor.close()
         finally:
             server.close()
@@ -958,7 +1010,54 @@ class TestChunkedBroadcast:
             executor.broadcast("plan", bytes(1 << 16))
             assert executor.map_on("plan", _len_of, [0]) == [1 << 16]
             assert servers[0].op_counts.get("broadcast") == 1
-            assert "chunk_put" not in servers[0].op_counts
+            assert "chunk_assemble" not in servers[0].op_counts
+
+
+@network
+class TestMalformedChunkReplies:
+    """A ``missing`` reply the client cannot act on is a broken lane: it
+    fails (and here excludes) the lane instead of raising a task error."""
+
+    @staticmethod
+    def _fleet_with_a_bad_chunk_store(monkeypatch, servers, missing):
+        from repro.utils import transport as transport_module
+
+        real = transport_module.handle_request
+        bad_registry = servers[0].registry
+
+        def bad(message, registry):
+            if registry is bad_registry and message[0] == "chunk_assemble":
+                return ("missing", missing)
+            return real(message, registry)
+
+        monkeypatch.setattr(transport_module, "handle_request", bad)
+        return RemoteExecutor(
+            [s.address for s in servers], chunk_bytes=1024, reconnects=0
+        )
+
+    def test_missing_reply_without_a_digest_list_fails_the_lane(self, monkeypatch):
+        with pytest.raises(TransportError):
+            unwrap_reply(("missing", None))
+        with worker_fleet(2) as servers:
+            executor = self._fleet_with_a_bad_chunk_store(
+                monkeypatch, servers, None
+            )
+            executor.broadcast("plan", list(range(5000)))
+            assert executor.live_workers() == [servers[1].address]
+            assert executor.map_on("plan", _len_of, [0, 1]) == [5000, 5000]
+            executor.close()
+
+    def test_missing_reply_naming_an_unknown_digest_fails_the_lane(
+        self, monkeypatch
+    ):
+        with worker_fleet(2) as servers:
+            executor = self._fleet_with_a_bad_chunk_store(
+                monkeypatch, servers, [chunk_digest(b"never sent")]
+            )
+            executor.broadcast("plan", list(range(5000)))
+            assert executor.live_workers() == [servers[1].address]
+            assert executor.map_on("plan", _len_of, [0, 1]) == [5000, 5000]
+            executor.close()
 
 
 # ------------------------------------------------------ straggler mitigation
