@@ -1,14 +1,17 @@
 """Repo-invariant static analysis for the :mod:`repro` package.
 
-Ten AST-level rules encode the invariants the test suite cannot
+Eight AST-level rules encode the invariants the test suite cannot
 exhaustively check (DESIGN.md §7).  Per-module (first generation):
 replay determinism (R1), lock discipline in the threaded daemon code
-(R2), client/server wire-protocol agreement (R3), the ``repro.errors``
-taxonomy (R4), explicit dtypes in the numeric core (R5), and
-checkpoint-schema sync (R6).  Interprocedural (second generation, fed by
-the shared :mod:`project graph <repro.analysis.graph>`): lock-order
-cycles and blocking-under-lock (R7), config-plumbing completeness (R8),
-resource lifecycle (R9), and reply-shape conformance (R10).  Run with
+(R2), the ``repro.errors`` taxonomy (R4), explicit dtypes in the numeric
+core (R5), and checkpoint-schema sync (R6).  Interprocedural (second
+generation, fed by the shared :mod:`project graph
+<repro.analysis.graph>`): lock-order cycles and blocking-under-lock
+(R7), config-plumbing completeness (R8), and resource lifecycle (R9).
+R3 and R10 re-derived the daemons' ``if op ==`` chains to check the
+clients against them; the daemons now dispatch through one op table
+(:func:`repro.utils.transport.dispatch`), and a conformance test over
+real traffic replaced both rules.  Run with
 ``python -m repro.analysis`` (or ``python -m repro analysis``);
 suppressions live in the checked-in ``BASELINE.json`` next to this
 package.
@@ -37,9 +40,7 @@ from repro.analysis.graph import GraphRule, ProjectGraph, build_graph
 from repro.analysis.lifecycle import ResourceLifecycleRule
 from repro.analysis.lockorder import LockOrderRule
 from repro.analysis.locks import LockDisciplineRule
-from repro.analysis.replies import ReplyShapeRule
 from repro.analysis.taxonomy import ErrorTaxonomyRule
-from repro.analysis.wire import WireProtocolRule
 
 __all__ = [
     "ALL_RULES",
@@ -56,10 +57,8 @@ __all__ = [
     "LockOrderRule",
     "Module",
     "ProjectGraph",
-    "ReplyShapeRule",
     "ResourceLifecycleRule",
     "Rule",
-    "WireProtocolRule",
     "build_graph",
     "collect_modules",
     "load_baseline",

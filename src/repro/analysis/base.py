@@ -2,10 +2,10 @@
 
 The correctness of this system increasingly rests on invariants no test
 can exhaustively check — bitwise replay determinism, lock discipline in
-the threaded daemon code, client/server agreement on the pickled wire
-protocol (DESIGN.md §7).  This package encodes those invariants as
-machine-checked rules, the static-analysis analogue of the perf
-regression gate (``benchmarks/run_perf --check``).
+the threaded daemon code, the ``repro.errors`` taxonomy (DESIGN.md §7).
+This package encodes those invariants as machine-checked rules, the
+static-analysis analogue of the perf regression gate
+(``benchmarks/run_perf --check``).
 
 The framework is deliberately small:
 
@@ -13,9 +13,8 @@ The framework is deliberately small:
   *package-relative* path rules scope on (``core/svi.py``), the raw
   source, its physical lines, and the :mod:`ast` tree.
 * :class:`Rule` — a named check over the whole module set.  Rules see
-  every module at once because two of the invariants are cross-module
-  (wire-protocol completeness, checkpoint-schema sync); per-module rules
-  simply iterate.
+  every module at once because some invariants are cross-module
+  (checkpoint-schema sync); per-module rules simply iterate.
 * :class:`Finding` — one violation: where, what, and a *stable
   suppression key* that survives unrelated edits (no line numbers in the
   key), so the checked-in baseline (:mod:`repro.analysis.baseline`) does

@@ -35,23 +35,19 @@ from repro.analysis.graph import GraphRule, build_graph
 from repro.analysis.lifecycle import ResourceLifecycleRule
 from repro.analysis.lockorder import LockOrderRule
 from repro.analysis.locks import LockDisciplineRule
-from repro.analysis.replies import ReplyShapeRule
 from repro.analysis.taxonomy import ErrorTaxonomyRule
-from repro.analysis.wire import WireProtocolRule
 from repro.errors import AnalysisError
 
 #: the full rule registry, in rule-id order.
 ALL_RULES: List[Rule] = [
     DeterminismRule(),
     LockDisciplineRule(),
-    WireProtocolRule(),
     ErrorTaxonomyRule(),
     DtypeHygieneRule(),
     CheckpointSyncRule(),
     LockOrderRule(),
     ConfigPlumbingRule(),
     ResourceLifecycleRule(),
-    ReplyShapeRule(),
 ]
 
 #: default scan target: the installed ``repro`` package itself.

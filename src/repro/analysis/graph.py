@@ -1,11 +1,10 @@
-"""The shared project graph behind the interprocedural rules (R7-R10).
+"""The shared project graph behind the interprocedural rules (R7, R8).
 
-The first-generation rules (R1-R6) are per-module AST walks; the bug
+The first-generation rules (R1, R2, R4-R6) are per-module AST walks; the bug
 classes this package grew to catch next — lock-order inversions, blocking
 calls reached *through* helper methods while a lock is held, config
-fields nobody reads, reply variants nobody handles — are properties of
-the whole program.  This module builds, once per run, the three shared
-structures those rules consume:
+fields nobody reads — are properties of the whole program.  This module
+builds, once per run, the three shared structures those rules consume:
 
 * **symbol tables** — every class (with its lock attributes, methods and
   base-class names) and every module-level function, addressed by a
@@ -94,7 +93,6 @@ class ProjectGraph:
         #: rel -> project modules it imports (for --diff-base closure).
         self.import_edges: Dict[str, Set[str]] = {}
         self.calls: Dict[str, Set[str]] = {}
-        self.callers: Dict[str, Set[str]] = {}
         #: qname -> [LockSite...] acquisitions lexically inside it.
         self.lock_sites: Dict[str, List[LockSite]] = {}
         #: lock ids under which some self-attribute mutation happens.
@@ -265,7 +263,6 @@ class ProjectGraph:
             if callee is None:
                 continue
             self.calls.setdefault(caller, set()).add(callee)
-            self.callers.setdefault(callee, set()).add(caller)
 
     def _resolve_callee(
         self,
@@ -380,9 +377,6 @@ class ProjectGraph:
 
     def callees_of(self, qname: str) -> Set[str]:
         return self.transitive([qname], self.calls)
-
-    def callers_of(self, qname: str) -> Set[str]:
-        return self.transitive([qname], self.callers)
 
     def module_closure(self, rels: Iterable[str]) -> Set[str]:
         """``--diff-base`` scope: the changed modules plus everything they

@@ -18,8 +18,10 @@ Three layers, so each is testable on its own:
   items it never re-ingested).  Mid-stream growth of the item / worker /
   label spaces is absorbed transparently on ingest.
 * :class:`ConsensusServer` — :class:`~repro.utils.transport.WorkerServer`
-  with serving ops layered over the shared wire protocol (same framing,
-  same chunk-store op, same shutdown semantics).  One daemon thread per
+  whose op table is the lane table (:func:`~repro.utils.transport.lane_ops`:
+  same framing, same chunk-store op, same shutdown semantics) plus the
+  serving ops below, run by the one dispatcher
+  (:func:`~repro.utils.transport.dispatch`).  One daemon thread per
   connection; the engine lock serializes posterior access.
 * :class:`ServeClient` / :func:`ship_checkpoint` — the client side.
   ``ship_checkpoint`` refreshes a replica over the content-addressed
@@ -30,7 +32,9 @@ Three layers, so each is testable on its own:
   posterior.
 
 Wire ops added on top of the worker protocol (all framed like any other
-request; see :mod:`repro.utils.transport` for the envelope):
+request; see :mod:`repro.utils.transport` for the envelope).
+``tests/test_op_tables.py`` drives every client against a writer and a
+read replica and checks that the ops sent are exactly the ops served:
 
 ==========================================  ===============================
 request                                     reply value
@@ -55,6 +59,7 @@ options).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import threading
 import time
@@ -77,13 +82,14 @@ from repro.utils.transport import (
     DEFAULT_CHUNK_CACHE_BYTES,
     DEFAULT_PAYLOAD_CAP,
     Channel,
+    OpTable,
     StaleBroadcast,
     WorkerServer,
     chunk_manifest,
     connect,
+    dispatch,
     dumps,
-    error_reply,
-    handle_request,
+    lane_ops,
     parse_address,
     request,
     ship_chunks,
@@ -425,16 +431,19 @@ def _answers_from_section(
 class ConsensusServer(WorkerServer):
     """The serving daemon: consensus ops layered on the worker protocol.
 
-    Inherits the framing loop, the payload registry, and every base op
-    (ping, broadcast/chunk store, shutdown) from
-    :class:`~repro.utils.transport.WorkerServer`; adds the serving ops of
-    the module docstring.  ``auto_step`` (default) folds the queue after
+    Inherits the framing loop and the payload registry from
+    :class:`~repro.utils.transport.WorkerServer`.  Its op table
+    (``ops``, built once here) is the lane table — ping, broadcast and
+    the chunk store, shutdown — plus the serving ops of the module
+    docstring, and :meth:`handle` runs each request against it.
+    ``auto_step`` (default) folds the queue after
     every ingest, so queries always see the freshest posterior; switch it
     off to batch folds explicitly via the ``step`` op and observe
     non-zero ``answers_behind``.
 
     ``read_only`` turns the daemon into a fleet *read replica*
-    (:mod:`repro.fleet`): ``ingest``/``step`` are refused loudly — the
+    (:mod:`repro.fleet`): its table maps ``ingest``/``step`` to a handler
+    that refuses them loudly — the
     single writer owns the stream and replicas only ever change state
     through the checkpoint-refresh path (``restore``/``restore_key``),
     which keeps every replica bitwise-identical to the snapshot it was
@@ -458,49 +467,47 @@ class ConsensusServer(WorkerServer):
         self.engine = engine
         self.auto_step = auto_step
         self.read_only = read_only
+        #: the op table :meth:`handle` dispatches against: the lane table
+        #: plus the serving ops of the module docstring.
+        self.ops: OpTable = {**lane_ops(self.registry), **self._serving_ops()}
+
+    def _serving_ops(self) -> OpTable:
+        engine, registry = self.engine, self.registry
+
+        def ingest(batch: AnswerBatch) -> Dict[str, Any]:
+            engine.ingest(batch)
+            if self.auto_step:
+                engine.step()
+            return engine.metrics()
+
+        def restore(payload: Dict[str, Any]) -> Dict[str, Any]:
+            engine.restore(payload)
+            return engine.metrics()
+
+        ops: OpTable = {
+            "ingest": ingest,
+            "step": lambda max_batches=0: engine.step(int(max_batches)),
+            "predict": lambda items=None: engine.predict(items),
+            "proba": lambda items=None: engine.label_probabilities(items),
+            "status": engine.metrics,
+            "snapshot": engine.snapshot_payload,
+            "restore": restore,
+            "restore_key": lambda key=CHECKPOINT_KEY: restore(registry.resident(key)),
+        }
+        if self.read_only:
+            for op in ("ingest", "step"):
+                ops[op] = functools.partial(_refuse_on_replica, op)
+        return ops
 
     def handle(self, message: Any) -> Tuple:
-        if not isinstance(message, tuple) or not message:
-            return handle_request(message, self.registry)
-        op = message[0]
-        try:
-            if self.read_only and op in ("ingest", "step"):
-                raise ValidationError(
-                    f"{op!r} refused: this daemon is a read replica; "
-                    "answers go to the fleet's writer"
-                )
-            if op == "ingest":
-                self.engine.ingest(message[1])
-                if self.auto_step:
-                    self.engine.step()
-                return ("ok", self.engine.metrics())
-            if op == "step":
-                max_batches = int(message[1]) if len(message) > 1 else 0
-                return ("ok", self.engine.step(max_batches))
-            if op == "predict":
-                items = message[1] if len(message) > 1 else None
-                return ("ok", self.engine.predict(items))
-            if op == "proba":
-                items = message[1] if len(message) > 1 else None
-                return ("ok", self.engine.label_probabilities(items))
-            if op == "status":
-                return ("ok", self.engine.metrics())
-            if op == "snapshot":
-                return ("ok", self.engine.snapshot_payload())
-            if op == "restore":
-                self.engine.restore(message[1])
-                return ("ok", self.engine.metrics())
-            if op == "restore_key":
-                key = message[1] if len(message) > 1 else CHECKPOINT_KEY
-                try:
-                    payload = self.registry.get(key)
-                except KeyError:
-                    return ("stale", key)
-                self.engine.restore(payload)
-                return ("ok", self.engine.metrics())
-        except Exception as exc:  # noqa: BLE001 - forwarded to the client
-            return error_reply(exc)
-        return handle_request(message, self.registry)
+        return dispatch(message, self.ops)
+
+
+def _refuse_on_replica(op: str, *args: Any) -> None:
+    raise ValidationError(
+        f"{op!r} refused: this daemon is a read replica; "
+        "answers go to the fleet's writer"
+    )
 
 
 @dataclass(frozen=True)

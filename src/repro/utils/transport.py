@@ -26,7 +26,10 @@ provides the channel and the worker side of that pair:
   (:class:`~repro.utils.parallel.ProcessExecutor`) serves
   :func:`handle_request` over a socketpair instead of a listener.
 
-Wire protocol (client → worker request, worker → client reply):
+Wire protocol (client → worker request, worker → client reply).  It is
+one op table, :func:`lane_ops`, which :func:`dispatch` runs a request
+against; the serving daemon (:class:`repro.serve.ConsensusServer`)
+dispatches against the same table plus its serving ops:
 
 ==================================  ======================================
 request                             reply
@@ -62,7 +65,9 @@ exception (or :class:`~repro.errors.WorkerFailure` when it does not
 pickle) — a *task*
 failure is the caller's bug and must not be confused with a *lane*
 failure, which is what the retry/exclusion machinery of
-:class:`~repro.utils.parallel.RemoteExecutor` handles.
+:class:`~repro.utils.parallel.RemoteExecutor` handles.  A frame that
+does not unpickle is a lane failure: :class:`Channel` raises
+:class:`~repro.errors.TransportError` for it.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ import struct
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TransportError, ValidationError, WorkerFailure
 
@@ -170,19 +175,30 @@ class Channel:
     # ------------------------------------------------------------- framing
 
     def send(self, message: object) -> None:
-        """Frame and send one message; :class:`TransportError` on failure."""
-        body = dumps(message)
-        self.send_raw(_HEADER.pack(len(body)) + body)
+        """Frame and send one message; :class:`TransportError` on failure.
 
-    def send_raw(self, data: bytes) -> None:
-        """Send pre-framed bytes (the fault-injection seam uses this)."""
+        The header and the pickled body leave as two buffers, never
+        joined into a copy of the frame."""
+        body = dumps(message)
+        self.send_raw(_HEADER.pack(len(body)), body)
+
+    def send_raw(self, *parts: bytes) -> None:
+        """Send pre-framed bytes, given as one or more buffers, in order
+        (the fault-injection seam uses this)."""
         if self._closed:
             raise TransportError("channel is closed")
+        views = [memoryview(part) for part in parts]
+        total = sum(view.nbytes for view in views)
         try:
-            self._sock.sendall(data)
+            while views:
+                sent = self._sock.sendmsg(views)
+                while views and sent >= views[0].nbytes:
+                    sent -= views.pop(0).nbytes
+                if views:
+                    views[0] = views[0][sent:]  # a partial send resumes here
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
-        self.sent_bytes += len(data)
+        self.sent_bytes += total
 
     def recv(self, timeout: Optional[float] = None) -> Any:
         """Receive one framed message; :class:`TransportError` on EOF/trunc.
@@ -198,7 +214,7 @@ class Channel:
         poll = timeout is not None and timeout <= 0
         deadline = None if timeout is None or poll else time.monotonic() + timeout
         self._fill(_HEADER.size, expect_eof=False, deadline=deadline, poll=poll)
-        (length,) = _HEADER.unpack(bytes(self._rx[: _HEADER.size]))
+        (length,) = _HEADER.unpack_from(self._rx)
         if length > MAX_FRAME_BYTES:
             raise TransportError(
                 f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte "
@@ -216,7 +232,7 @@ class Channel:
         Mid-frame EOF still raises (a truncated frame is never normal)."""
         if not self._fill(_HEADER.size, expect_eof=True):
             return False, None
-        (length,) = _HEADER.unpack(bytes(self._rx[: _HEADER.size]))
+        (length,) = _HEADER.unpack_from(self._rx)
         if length > MAX_FRAME_BYTES:
             raise TransportError(
                 f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
@@ -225,11 +241,28 @@ class Channel:
         return True, self._consume_frame(length)
 
     def _consume_frame(self, length: int) -> Any:
-        """Pop one fully-buffered frame (header + ``length`` body bytes)."""
-        body = bytes(self._rx[_HEADER.size : _HEADER.size + length])
-        del self._rx[: _HEADER.size + length]
-        self.received_bytes += _HEADER.size + length
-        return pickle.loads(body)
+        """Pop one fully-buffered frame (header + ``length`` body bytes).
+
+        The body is unpickled from a view of the receive buffer, released
+        before the buffer shrinks.  A body that does not unpickle is still
+        popped, so the stream stays aligned, and raises
+        :class:`TransportError`: the peer is broken, like one that hangs
+        up mid-frame.
+        """
+        end = _HEADER.size + length
+        error: Optional[Exception] = None
+        with memoryview(self._rx) as buffer, buffer[_HEADER.size : end] as body:
+            try:
+                message = pickle.loads(body)
+            except Exception as exc:  # noqa: BLE001 - any unpickle failure is a bad frame
+                error = exc
+        del self._rx[:end]
+        self.received_bytes += end
+        if error is not None:
+            raise TransportError(
+                f"frame of {length} bytes does not unpickle: {error!r}"
+            ) from error
+        return message
 
     def _fill(
         self,
@@ -589,6 +622,14 @@ class PayloadRegistry:
             self._payloads[key] = payload
             return payload
 
+    def resident(self, key: str) -> Any:
+        """:meth:`get`, raising :class:`StaleBroadcast` for a key the
+        registry does not hold: the ``("stale", key)`` reply."""
+        try:
+            return self.get(key)
+        except KeyError:
+            raise StaleBroadcast(key) from None
+
     def release(self, key: str) -> None:
         with self._lock:
             self._payloads.pop(key, None)
@@ -670,47 +711,69 @@ class PayloadRegistry:
             return len(self._chunks)
 
 
-def handle_request(message: Any, registry: PayloadRegistry) -> Tuple:
-    """Execute one request against ``registry``; returns the reply tuple.
+#: An op table: each op's handler, called as ``handler(*message[1:])``.
+OpTable = Dict[str, Callable[..., Any]]
 
-    Pure function of (message, registry) — the socket server, the process
-    lanes and the in-process harness share it, so protocol behaviour
-    cannot drift between deployment shapes.
+
+def dispatch(message: Any, ops: OpTable) -> Tuple:
+    """Run one request against the op table ``ops``; returns the reply.
+
+    The handler's return value is the ``("ok", value)`` reply.  A handler
+    that raises :class:`StaleBroadcast` or :class:`ChunksMissing` replies
+    ``("stale", key)`` or ``("missing", [digest...])``; any other
+    exception — a malformed frame, an unknown or non-string op and a
+    wrong arity included — is the :func:`error_reply`.
     """
     try:
         if not isinstance(message, tuple) or not message:
             raise ValidationError(f"malformed request frame: {message!r}")
         op = message[0]
-        if op == "ping":
-            return ("ok", "pong")
-        if op == "broadcast":
-            _, key, blob = message
-            registry.put(key, pickle.loads(blob))
-            return ("ok", None)
-        if op == "release":
-            registry.release(message[1])
-            return ("ok", None)
-        if op == "map_on":
-            _, key, func, tasks = message
-            try:
-                payload = registry.get(key)
-            except KeyError:
-                return ("stale", key)
-            return ("ok", [func(payload, task) for task in tasks])
-        if op == "map_tasks":
-            _, func, tasks = message
-            return ("ok", [func(task) for task in tasks])
-        if op == "chunk_assemble":
-            _, key, digests, chunks = message
-            missing = registry.assemble(key, digests, chunks)
-            if missing:
-                return ("missing", list(missing))
-            return ("ok", None)
-        if op == "shutdown":
-            return ("ok", None)
-        raise ValidationError(f"unknown request op {op!r}")
+        handler = ops.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise ValidationError(f"unknown request op {op!r}")
+        return ("ok", handler(*message[1:]))
+    except StaleBroadcast as exc:
+        return ("stale", exc.key)
+    except ChunksMissing as exc:
+        return ("missing", list(exc.digests))
     except Exception as exc:  # noqa: BLE001 - forwarded to the client
         return error_reply(exc)
+
+
+def lane_ops(registry: PayloadRegistry) -> OpTable:
+    """The lane daemon's op table over ``registry``: the wire protocol of
+    the module docstring."""
+
+    def map_on(key: str, func: Callable, tasks: Sequence) -> List:
+        payload = registry.resident(key)
+        return [func(payload, task) for task in tasks]
+
+    def chunk_assemble(
+        key: str, digests: Sequence[bytes], chunks: Sequence[Tuple[bytes, bytes]]
+    ) -> None:
+        missing = registry.assemble(key, digests, chunks)
+        if missing:
+            raise ChunksMissing(missing)
+
+    return {
+        "ping": lambda: "pong",
+        "broadcast": lambda key, blob: registry.put(key, pickle.loads(blob)),
+        "release": registry.release,
+        "map_on": map_on,
+        "map_tasks": lambda func, tasks: [func(task) for task in tasks],
+        "chunk_assemble": chunk_assemble,
+        "shutdown": lambda: None,
+    }
+
+
+def handle_request(message: Any, registry: PayloadRegistry) -> Tuple:
+    """Run one lane request against ``registry``; returns the reply tuple.
+
+    Pure function of (message, registry) — the socket server, the process
+    lanes and the in-process harness share it, so protocol behaviour
+    cannot drift between deployment shapes.
+    """
+    return dispatch(message, lane_ops(registry))
 
 
 class WorkerServer:
@@ -801,11 +864,9 @@ class WorkerServer:
     def handle(self, message: Any) -> Tuple:
         """Dispatch one request; the seam subclasses extend with new ops.
 
-        The base daemon delegates everything to :func:`handle_request`;
-        :class:`repro.serve.ConsensusServer` overrides this to serve its
-        query/ingest ops first and fall back here for the shared protocol
-        (ping, chunk store, shutdown), so the serving daemon inherits the
-        broadcast/chunk machinery unchanged.
+        The base daemon serves the lane table (:func:`handle_request`);
+        :class:`repro.serve.ConsensusServer` overrides this to dispatch
+        against its own table, the lane table plus the serving ops.
         """
         return handle_request(message, self.registry)
 
@@ -819,7 +880,8 @@ class WorkerServer:
                     break  # truncated frame or reset: drop the connection
                 if not alive:
                     break
-                op = message[0] if isinstance(message, tuple) and message else "?"
+                op = message[0] if isinstance(message, tuple) and message else None
+                op = op if isinstance(op, str) else "?"  # e.g. unhashable
                 # one handler thread per connection shares this counter:
                 # read-modify-write must not interleave (lost increments)
                 with self._lock:

@@ -23,9 +23,7 @@ from repro.analysis import (
     ErrorTaxonomyRule,
     LockDisciplineRule,
     LockOrderRule,
-    ReplyShapeRule,
     ResourceLifecycleRule,
-    WireProtocolRule,
     build_graph,
     collect_modules,
     load_baseline,
@@ -193,85 +191,6 @@ class TestLockDisciplineRule:
             "        self._stop.set()\n"
         )
         findings = _scan(tmp_path, {"s.py": source}, LockDisciplineRule())
-        assert findings == []
-
-
-# ------------------------------------------------------------------ R3
-
-
-class TestWireProtocolRule:
-    def test_matched_tables_are_clean(self, tmp_path):
-        findings = _scan(
-            tmp_path,
-            {
-                "server.py": (
-                    "def handle_request(message, registry):\n"
-                    "    op = message[0]\n"
-                    "    if op == 'ping':\n"
-                    "        return ('ok', 'pong')\n"
-                ),
-                "client.py": (
-                    "def ping(channel):\n"
-                    "    return request(channel, ('ping',))\n"
-                ),
-            },
-            WireProtocolRule(),
-        )
-        assert findings == []
-
-    def test_server_only_op_flagged(self, tmp_path):
-        findings = _scan(
-            tmp_path,
-            {
-                "server.py": (
-                    "def handle(self, message):\n"
-                    "    op = message[0]\n"
-                    "    if op == 'ping':\n"
-                    "        return ('ok', 'pong')\n"
-                    "    if op == 'vanish':\n"
-                    "        return ('ok', None)\n"
-                ),
-                "client.py": "def f(c):\n    return c.send(('ping',))\n",
-            },
-            WireProtocolRule(),
-        )
-        assert [f.key for f in findings] == ["R3:server-only:vanish"]
-
-    def test_client_only_op_flagged_including_lambda_factories(self, tmp_path):
-        findings = _scan(
-            tmp_path,
-            {
-                "server.py": (
-                    "def handle(self, message):\n"
-                    "    op = message[0]\n"
-                    "    if op == 'ping':\n"
-                    "        return ('ok', 'pong')\n"
-                ),
-                "client.py": (
-                    "def f(self, tasks):\n"
-                    "    self._request(('ping',))\n"
-                    "    return self._dispatch(lambda t: ('bogus', t), tasks)\n"
-                ),
-            },
-            WireProtocolRule(),
-        )
-        assert [f.key for f in findings] == ["R3:client-only:bogus"]
-
-    def test_reply_tuples_do_not_count_as_client_ops(self, tmp_path):
-        findings = _scan(
-            tmp_path,
-            {
-                "server.py": (
-                    "def handle_request(message, registry):\n"
-                    "    op = message[0]\n"
-                    "    if op == 'ping':\n"
-                    "        return ('ok', 'pong')\n"
-                    "    return ('err', None)\n"
-                ),
-                "client.py": "def f(c):\n    return request(c, ('ping',))\n",
-            },
-            WireProtocolRule(),
-        )
         assert findings == []
 
 
@@ -712,95 +631,6 @@ class TestResourceLifecycleRule:
         )
 
 
-# --------------------------------------------------- R10 (reply variants)
-
-
-_R10_SERVER = """\
-def handle_request(message, registry):
-    op = message[0]
-    if op == "map_on":
-        try:
-            values = registry.apply(message[1], message[2])
-        except KeyError:
-            return ("stale", message[1])
-        return ("ok", values)
-    if op == "chunk_assemble":
-        missing = registry.missing(message[1])
-        if missing:
-            return ("missing", missing)
-        return ("ok", registry.assemble(message[1]))
-    return ("err", message, "")
-"""
-
-_R10_CLIENT_BAD = """\
-class Client:
-    def fetch(self, channel):
-        return request(channel, ("map_on", "key", [1, 2]))
-"""
-
-_R10_CLIENT_GOOD = """\
-class Client:
-    def fetch(self, channel):
-        try:
-            return request(channel, ("map_on", "key", [1, 2]))
-        except StaleBroadcast:
-            return None
-
-
-class Executor:
-    def run(self, channel):
-        # the sender is a lambda body; the handler lives in the
-        # dispatch helper the call graph reaches from here
-        return self._dispatch(channel, lambda: ("map_on", "k", []))
-
-    def _dispatch(self, channel, factory):
-        try:
-            return request(channel, factory())
-        except StaleBroadcast:
-            return None
-"""
-
-
-class TestReplyShapeRule:
-    def test_unhandled_variant_flagged(self, tmp_path):
-        findings = _scan(
-            tmp_path,
-            {"server.py": _R10_SERVER, "client.py": _R10_CLIENT_BAD},
-            ReplyShapeRule(),
-        )
-        assert [f.key for f in findings] == ["R10:map_on:stale:Client.fetch"]
-        assert "StaleBroadcast" in findings[0].message
-
-    def test_handler_direct_or_via_call_graph_passes(self, tmp_path):
-        findings = _scan(
-            tmp_path,
-            {"server.py": _R10_SERVER, "client.py": _R10_CLIENT_GOOD},
-            ReplyShapeRule(),
-        )
-        assert findings == []
-
-    def test_variantless_ops_never_flag(self, tmp_path):
-        findings = _scan(
-            tmp_path,
-            {
-                "server.py": (
-                    "def handle_request(message, registry):\n"
-                    "    op = message[0]\n"
-                    '    if op == "ping":\n'
-                    '        return ("ok", None)\n'
-                    '    return ("err", message, "")\n'
-                ),
-                "client.py": (
-                    "class Client:\n"
-                    "    def ping(self, channel):\n"
-                    '        return request(channel, ("ping",))\n'
-                ),
-            },
-            ReplyShapeRule(),
-        )
-        assert findings == []
-
-
 # --------------------------------------------------------- project graph
 
 
@@ -1163,12 +993,10 @@ class TestFullTreeGate:
         assert [rule.rule_id for rule in ALL_RULES] == [
             "R1",
             "R2",
-            "R3",
             "R4",
             "R5",
             "R6",
             "R7",
             "R8",
             "R9",
-            "R10",
         ]

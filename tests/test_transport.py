@@ -80,6 +80,17 @@ def _dot(payload, task):
     return payload @ task
 
 
+def _explode():
+    raise ValueError("this frame does not unpickle")
+
+
+class _Unpicklable:
+    """Pickles, but unpickling it raises: a corrupt or version-skewed frame."""
+
+    def __reduce__(self):
+        return (_explode, ())
+
+
 # ---------------------------------------------------------------- addresses
 
 
@@ -190,6 +201,20 @@ class TestFraming:
         a.close()
         with pytest.raises(TransportError, match="closed"):
             a.send("x")
+
+
+class TestFrameThatDoesNotUnpickle:
+    def test_is_a_transport_error_and_the_next_frame_still_parses(self):
+        a, b = _channel_pair()
+        a.send_raw(struct.pack(">Q", 9) + b"not a pkl")
+        a.send(_Unpicklable())
+        a.send("next")
+        for _ in range(2):
+            with pytest.raises(TransportError, match="does not unpickle"):
+                b.recv(timeout=5.0)
+        assert b.recv(timeout=5.0) == "next"
+        assert b.received_bytes == a.sent_bytes
+        a.close(), b.close()
 
 
 # ---------------------------------------------------------------- deadlines
@@ -403,7 +428,7 @@ class TestHandleRequest:
         assert handle_request(("release", "ghost"), PayloadRegistry()) == ("ok", None)
 
     def test_unknown_op_and_malformed_frames_reply_err(self):
-        for bad in (("warp", 1), "just-a-string", ()):
+        for bad in (("warp", 1), "just-a-string", (), (["ping"],), ("map_on", "k")):
             reply = handle_request(bad, PayloadRegistry())
             assert reply[0] == "err"
 
@@ -1058,6 +1083,74 @@ class TestMalformedChunkReplies:
             assert executor.live_workers() == [servers[1].address]
             assert executor.map_on("plan", _len_of, [0, 1]) == [5000, 5000]
             executor.close()
+
+
+@network
+class TestBadFrames:
+    def test_lane_whose_replies_do_not_unpickle_is_excluded(self, monkeypatch):
+        from repro.utils import transport as transport_module
+
+        real = transport_module.handle_request
+        with worker_fleet(2) as servers:
+            bad_registry = servers[0].registry
+
+            def bad(message, registry):
+                reply = real(message, registry)
+                if registry is bad_registry and message[0] == "map_on":
+                    return ("ok", _Unpicklable())
+                return reply
+
+            monkeypatch.setattr(transport_module, "handle_request", bad)
+            rng = np.random.default_rng(3)
+            matrix = rng.random((16, 16))
+            vectors = [rng.random(16) for _ in range(8)]
+            expected = [matrix @ vector for vector in vectors]
+            executor = RemoteExecutor([s.address for s in servers])
+            executor.broadcast("m", matrix)
+            for _ in range(2):  # the lane stays out: the next call is served too
+                np.testing.assert_array_equal(
+                    executor.map_on("m", _dot, vectors), expected
+                )
+                assert executor.live_workers() == [servers[1].address]
+            executor.close()
+
+    def test_daemon_drops_a_frame_that_does_not_unpickle_and_serves_on(
+        self, monkeypatch
+    ):
+        import threading
+
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        server = WorkerServer().serve_in_thread()
+        try:
+            other = connect(server.host, server.port)
+            bad = connect(server.host, server.port)
+            bad.send(_Unpicklable())
+            with pytest.raises(TransportError):
+                bad.recv(timeout=5.0)  # the daemon hung up on it
+            bad.close()
+            assert request(other, ("ping",), timeout=5.0) == "pong"
+            fresh = connect(server.host, server.port)
+            assert request(fresh, ("ping",), timeout=5.0) == "pong"
+            other.close(), fresh.close()
+        finally:
+            server.close()
+        for thread in server._threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert uncaught == []
+
+    def test_non_string_op_gets_an_err_reply_and_the_connection_lives(self):
+        server = WorkerServer().serve_in_thread()
+        try:
+            channel = connect(server.host, server.port)
+            with pytest.raises(ValidationError, match="unknown request op"):
+                request(channel, (["ping"],), timeout=5.0)
+            assert request(channel, ("ping",), timeout=5.0) == "pong"
+            assert server.op_counts == {"?": 1, "ping": 1}
+            channel.close()
+        finally:
+            server.close()
 
 
 # ------------------------------------------------------ straggler mitigation
