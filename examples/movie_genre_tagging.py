@@ -13,13 +13,9 @@ import tempfile
 from pathlib import Path
 
 from repro import CPAModel, evaluate_predictions
-from repro.data import (
-    AnswerMatrix,
-    CrowdDataset,
-    GroundTruth,
-    load_dataset_json,
-    save_dataset_json,
-)
+from repro.data.answers import AnswerMatrix
+from repro.data.dataset import CrowdDataset, GroundTruth
+from repro.data.loaders import load_dataset_json, save_dataset_json
 from repro.simulation import generate_dataset, SimulationConfig
 from repro.workers.population import PopulationSpec
 

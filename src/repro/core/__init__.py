@@ -16,25 +16,3 @@ adaptivity (R4).  This package contains:
 * :mod:`repro.core.model` — the high-level :class:`CPAModel` API;
 * :mod:`repro.core.diagnostics` — community/cluster summaries (Fig 9).
 """
-
-from repro.core.config import CPAConfig
-from repro.core.diagnostics import (
-    CommunitySummary,
-    community_summaries,
-    worker_operating_points,
-)
-from repro.core.inference import VariationalInference
-from repro.core.model import CPAModel
-from repro.core.state import CPAState
-from repro.core.svi import StochasticInference
-
-__all__ = [
-    "CPAConfig",
-    "CPAModel",
-    "CPAState",
-    "VariationalInference",
-    "StochasticInference",
-    "CommunitySummary",
-    "community_summaries",
-    "worker_operating_points",
-]

@@ -6,33 +6,3 @@ empty), the ground-truth assignment, and the dataset container tying them to
 label/worker metadata.  It also provides the dataset statistics of Table 3
 and the batch streams consumed by online (SVI) inference.
 """
-
-from repro.data.answers import Answer, AnswerMatrix
-from repro.data.dataset import CrowdDataset, GroundTruth
-from repro.data.loaders import (
-    dataset_from_dict,
-    dataset_to_dict,
-    load_dataset_json,
-    read_answers_csv,
-    save_dataset_json,
-    write_answers_csv,
-)
-from repro.data.statistics import DatasetStatistics, compute_statistics
-from repro.data.streams import AnswerBatch, AnswerStream
-
-__all__ = [
-    "Answer",
-    "AnswerMatrix",
-    "CrowdDataset",
-    "GroundTruth",
-    "dataset_from_dict",
-    "dataset_to_dict",
-    "load_dataset_json",
-    "save_dataset_json",
-    "read_answers_csv",
-    "write_answers_csv",
-    "DatasetStatistics",
-    "compute_statistics",
-    "AnswerBatch",
-    "AnswerStream",
-]

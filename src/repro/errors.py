@@ -21,6 +21,15 @@ class ValidationError(ReproError, ValueError):
     """A function argument violates its documented contract."""
 
 
+class MissingAttributeError(ReproError, AttributeError):
+    """A module has no attribute of the requested name.
+
+    Raised by the lazy export hook of :mod:`repro` (a PEP 562
+    ``__getattr__``), which must raise :class:`AttributeError` so that
+    ``hasattr`` and ``from repro import <submodule>`` keep working.
+    """
+
+
 class ConfigurationError(ValidationError):
     """A configuration value selects an unknown backend, executor, or mode.
 

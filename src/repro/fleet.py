@@ -228,11 +228,12 @@ class FleetManager:
     def _start_once(self) -> "FleetManager":
         """The body of :meth:`start`, already serialized.
 
-        The writer bind and every replica launch (subprocess spawn +
-        port-file poll for process replicas) run *outside* ``_lock``;
-        the state lock is only taken to publish results.  A failed
-        launch leaves ``_started`` false with the writer already
-        published, so :meth:`close` can clean up the partial fleet.
+        The writer bind and every replica launch run *outside* ``_lock``;
+        the state lock is only taken to publish results.  Every process
+        replica is spawned before the first port-file poll, so their
+        start-ups overlap.  A failed launch stops every replica spawned
+        so far and the writer before it re-raises, and leaves
+        ``_started`` false.
         """
         with self._lock:
             if self._started:
@@ -245,8 +246,15 @@ class FleetManager:
         ).serve_in_thread()
         with self._lock:
             self._writer_server = writer
-        for replica in self._replicas:
-            self._launch_replica(replica)
+        try:
+            for replica in self._replicas:
+                self._launch_replica(replica)
+            deadline = time.monotonic() + 30.0
+            for replica in self._replicas:
+                self._await_replica(replica, deadline)
+        except BaseException:  # noqa: BLE001 - re-raised once the partial fleet is stopped
+            self._teardown()
+            raise
         with self._lock:
             self._started = True
             if self.refresh_interval > 0:
@@ -259,6 +267,8 @@ class FleetManager:
         return self
 
     def _launch_replica(self, replica: _Replica) -> None:
+        """Serve a thread replica, or spawn a process replica (which
+        announces its address to :meth:`_await_replica`)."""
         if replica.mode == "thread":
             engine = ConsensusEngine(
                 self.config,
@@ -315,22 +325,22 @@ class FleetManager:
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
             )
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if os.path.exists(port_file) and os.path.getsize(port_file) > 0:
-                    break
+
+    def _await_replica(self, replica: _Replica, deadline: float) -> None:
+        if replica.process is not None:
+            port_file = os.path.join(replica.port_dir, "port")
+            while not (os.path.exists(port_file) and os.path.getsize(port_file) > 0):
                 if replica.process.poll() is not None:
                     raise TransportError(
                         f"replica daemon #{replica.index} exited during "
                         f"startup (code {replica.process.returncode})"
                     )
+                if time.monotonic() > deadline:
+                    raise TransportError(
+                        f"replica daemon #{replica.index} did not announce its "
+                        "port in time"
+                    )
                 time.sleep(0.02)
-            else:
-                replica.process.kill()
-                raise TransportError(
-                    f"replica daemon #{replica.index} did not announce its "
-                    "port in time"
-                )
             with open(port_file, "r", encoding="utf-8") as handle:
                 replica.address = handle.read().strip()
         replica.host, replica.port = parse_address(replica.address)
@@ -1000,15 +1010,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         refresh_interval=args.refresh_interval,
         snapshot_path=args.snapshot,
     )
-    manager.start()
-    addresses = [manager.writer_address] + manager.replica_addresses()
-    if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(addresses) + "\n")
-    print(f"fleet writer listening on {manager.writer_address}", flush=True)
-    for address in addresses[1:]:
-        print(f"fleet replica listening on {address}", flush=True)
     try:
+        manager.start()
+        addresses = [manager.writer_address] + manager.replica_addresses()
+        if args.port_file:
+            with open(args.port_file, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(addresses) + "\n")
+        print(f"fleet writer listening on {manager.writer_address}", flush=True)
+        for address in addresses[1:]:
+            print(f"fleet replica listening on {address}", flush=True)
         while True:
             time.sleep(3600.0)
     except KeyboardInterrupt:

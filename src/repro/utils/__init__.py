@@ -4,40 +4,3 @@ parallel execution, and plain-text table rendering.
 These modules are internal plumbing for the rest of :mod:`repro`; they carry
 no crowdsourcing semantics of their own.
 """
-
-from repro.utils.math import (
-    digamma_expectation_dirichlet,
-    log_normalize_rows,
-    logsumexp,
-    normalize_rows,
-    softmax_rows,
-    stick_breaking_expectations,
-    stick_breaking_weights,
-)
-from repro.utils.random import RandomState, spawn_rngs
-from repro.utils.tables import format_table
-from repro.utils.validation import (
-    check_fraction,
-    check_in_range,
-    check_positive,
-    check_probability_matrix,
-    check_type,
-)
-
-__all__ = [
-    "digamma_expectation_dirichlet",
-    "log_normalize_rows",
-    "logsumexp",
-    "normalize_rows",
-    "softmax_rows",
-    "stick_breaking_expectations",
-    "stick_breaking_weights",
-    "RandomState",
-    "spawn_rngs",
-    "format_table",
-    "check_fraction",
-    "check_in_range",
-    "check_positive",
-    "check_probability_matrix",
-    "check_type",
-]

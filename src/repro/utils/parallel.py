@@ -970,14 +970,14 @@ def _claim_lane(
 def _stop_lanes(
     owner: int,
     children: List[multiprocessing.Process],
-    unclaimed: Dict[int, socket.socket],
+    parent_ends: List[socket.socket],
 ) -> None:
-    """Kill and join the lane children; close unclaimed parent ends."""
+    """Kill and join the lane children; close every parent end, claimed
+    or not (closing one its channel already closed is a no-op)."""
     if os.getpid() != owner:
         return  # a forked lane inherited this finalizer; not its children
-    for sock in unclaimed.values():
+    for sock in parent_ends:
         sock.close()
-    unclaimed.clear()
     for child in children:
         # SIGKILL, not SIGTERM: a forked child inherits the parent's
         # Python signal handlers, and one of them may ignore SIGTERM
@@ -1000,9 +1000,10 @@ class ProcessExecutor(RemoteExecutor):
     pays for a daemon that outlives its client.
 
     :meth:`close`, or collecting an executor that was never closed,
-    kills and joins the children.  Closing the parent ends is not
-    enough: a child forked later holds copies of the earlier lanes'
-    parent ends, so those lanes never see EOF.
+    kills and joins the children and closes every parent end.  Closing
+    the parent ends alone is not enough: a child forked later holds
+    copies of the earlier lanes' parent ends, so those lanes never see
+    EOF.
     """
 
     kind = "process"
@@ -1012,14 +1013,14 @@ class ProcessExecutor(RemoteExecutor):
             raise ValidationError("degree must be positive")
         n_lanes = int(degree or os.cpu_count() or 1)
         children: List[multiprocessing.Process] = []
-        unclaimed: Dict[int, socket.socket] = {}
+        parent_ends: List[socket.socket] = []
         self._children = children
         self._finalizer = weakref.finalize(
-            self, _stop_lanes, os.getpid(), children, unclaimed
+            self, _stop_lanes, os.getpid(), children, parent_ends
         )
         for index in range(n_lanes):
             parent_end, child_end = socket.socketpair()
-            unclaimed[index] = parent_end
+            parent_ends.append(parent_end)
             child = multiprocessing.Process(
                 target=_serve_lane, args=(child_end,), daemon=True
             )
@@ -1028,7 +1029,7 @@ class ProcessExecutor(RemoteExecutor):
             children.append(child)
         super().__init__(
             [f"local:{index}" for index in range(n_lanes)],
-            channel_factory=functools.partial(_claim_lane, unclaimed),
+            channel_factory=functools.partial(_claim_lane, dict(enumerate(parent_ends))),
             chunk_bytes=0,
         )
 

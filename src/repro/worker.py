@@ -26,6 +26,11 @@ Flags
     after payload eviction sends a digest manifest instead of a
     re-ship; 0 keeps only the most recent chunk (effectively disabling
     reuse: every install then carries its chunks).
+
+The module imports the lane stack (:mod:`repro.core.sharding`, with the
+sweep kernels and ``scipy.sparse``) before the daemon binds, so the
+first broadcast of a fit unpickles into modules already loaded instead
+of paying their imports inside the fit (DESIGN.md §6 "Cold start").
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import repro.core.sharding  # noqa: F401 - warm the lane stack before the port is announced
 from repro.utils.transport import (
     DEFAULT_CHUNK_CACHE_BYTES,
     DEFAULT_PAYLOAD_CAP,

@@ -25,7 +25,7 @@ from repro.data.streams import AnswerStream
 from repro.errors import ConfigurationError, TransportError, ValidationError
 from repro.fleet import FleetClient, FleetManager, FleetRouter, _build_parser
 from repro.serve import ConsensusServer, ServeClient
-from repro.utils.transport import LaneHealth
+from repro.utils.transport import LaneHealth, connect, parse_address
 
 network = pytest.mark.network
 
@@ -492,6 +492,31 @@ class TestFleetProcessMode:
                 assert items == w_items
                 np.testing.assert_array_equal(probs, w_probs)
 
+    def test_failed_replica_launch_stops_the_whole_fleet(self, monkeypatch):
+        """A replica that dies during start-up fails ``start()``, and
+        takes the replicas already spawned and the writer down with it:
+        ``__exit__`` never runs when ``__enter__`` raises."""
+        real_popen = subprocess.Popen
+        spawned = []
+
+        def popen(command, **kwargs):
+            if len(spawned) == 1:
+                command = [sys.executable, "-c", "raise SystemExit(3)"]
+            spawned.append(real_popen(command, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr("repro.fleet.subprocess.Popen", popen)
+        manager = _manager(_matrix(), n_replicas=2, replica_mode="process")
+        try:
+            with pytest.raises(TransportError, match="exited during startup"):
+                manager.start()
+            assert len(spawned) == 2
+            assert [proc.poll() is not None for proc in spawned] == [True, True]
+            with pytest.raises(TransportError):
+                connect(*parse_address(manager.writer_address), timeout=5.0)
+        finally:
+            manager.close()
+
 
 @network
 class TestFleetCLI:
@@ -564,6 +589,7 @@ class TestFleetCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 # ---------------------------------------------------- lock-hold discipline

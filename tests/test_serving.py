@@ -719,6 +719,7 @@ class TestServeCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_parser_defaults(self):
         from repro.serve import _build_parser

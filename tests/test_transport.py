@@ -197,10 +197,13 @@ class TestFraming:
         a.close(), b.close()
 
     def test_send_on_closed_channel_raises(self):
-        a, _ = _channel_pair()
+        a, b = _channel_pair()
         a.close()
-        with pytest.raises(TransportError, match="closed"):
-            a.send("x")
+        try:
+            with pytest.raises(TransportError, match="closed"):
+                a.send("x")
+        finally:
+            b.close()
 
 
 class TestFrameThatDoesNotUnpickle:
