@@ -345,8 +345,13 @@ def measure_sweep_transport(
     Uses the Fig-7 runtime configuration (truncations 12/8 — the
     process-lane scalability workload) with the ``SHARDED_K``-shard
     backend.  The shard kernels (their sparse incidence matrices) are
-    broadcast once per plan; a sweep ships only shard indices plus
-    updated posterior rows.
+    broadcast once per plan.  A sweep is then two lane calls per shard:
+    the κ half ships ``E[ln ψ]`` and the token naming the ϕ rows the
+    shard kernel kept from the last statistics pass (here the engine's
+    init pass), and the ϕ half ships ``E[ln ψ]``, ``E[ln τ]`` and the
+    shard's κ rows and gets the shard's ϕ rows and Eq. 6 statistics
+    back.  No ϕ rows are sent, so the results a sweep receives
+    (``remote_sweep_results_pickled_bytes``) outweigh what it sends.
 
     The remote keys measure the same resident sweep over loopback TCP
     against ``REMOTE_WORKERS`` real worker daemons;

@@ -4,7 +4,7 @@ These are the building blocks of both the batch VI (Alg. 1) and the SVI
 (Alg. 2) updates:
 
 * ``E[ln ψ_tm]`` and ``E[ln φ_t]`` under their Dirichlet/Beta posteriors
-  (digamma identities);
+  (digamma identities, :func:`digamma_expectation_dirichlet`);
 * ``E[ln π_m]`` and ``E[ln τ_t]`` under truncated stick-breaking Beta
   posteriors;
 * the answer log-likelihood matrix
@@ -22,7 +22,49 @@ from typing import Optional
 import numpy as np
 from scipy.special import digamma
 
-from repro.utils.math import stick_breaking_expectations
+from repro.errors import ValidationError
+from repro.utils.math import as_floating
+
+
+def digamma_expectation_dirichlet(concentration: np.ndarray) -> np.ndarray:
+    """``E[ln p]`` for ``p ~ Dirichlet(concentration)`` along the last axis.
+
+    This is the Appendix-B identity
+    ``E[ln p_c] = ψ(conc_c) - ψ(Σ_c conc_c)`` with ``ψ`` the digamma
+    function.  Vectorised over any leading axes.
+    """
+    concentration = np.asarray(concentration, dtype=float)
+    if np.any(concentration <= 0):
+        raise ValidationError("Dirichlet concentrations must be strictly positive")
+    total = concentration.sum(axis=-1, keepdims=True)
+    return digamma(concentration) - digamma(total)
+
+
+def stick_breaking_expectations(alpha1: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
+    """``E[ln w_k]`` for truncated stick-breaking weights with Beta posteriors.
+
+    Given per-stick Beta parameters ``(alpha1_k, alpha2_k)`` for sticks
+    ``k = 1..K-1`` (the K-th stick takes all remaining mass), returns the
+    K-vector ``E[ln w_k] = E[ln v_k] + Σ_{j<k} E[ln(1 - v_j)]`` from the
+    paper's Appendix B, where ``v_k ~ Beta(alpha1_k, alpha2_k)``.
+
+    Parameters are arrays of length ``K-1``; the output has length ``K``.
+    """
+    alpha1 = as_floating(alpha1)
+    alpha2 = as_floating(alpha2)
+    if alpha1.shape != alpha2.shape or alpha1.ndim != 1:
+        raise ValidationError("stick parameters must be 1-D arrays of equal length")
+    if np.any(alpha1 <= 0) or np.any(alpha2 <= 0):
+        raise ValidationError("Beta parameters must be strictly positive")
+    total = digamma(alpha1 + alpha2)
+    e_log_v = digamma(alpha1) - total
+    e_log_1mv = digamma(alpha2) - total
+    k = alpha1.shape[0] + 1
+    out = np.empty(k, dtype=alpha1.dtype)
+    cum = np.concatenate([[0.0], np.cumsum(e_log_1mv)])
+    out[:-1] = e_log_v + cum[:-1]
+    out[-1] = cum[-1]
+    return out
 
 
 def expected_log_psi(lam: np.ndarray) -> np.ndarray:

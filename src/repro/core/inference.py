@@ -18,14 +18,17 @@ All data-dependent terms are evaluated through the sweep-kernel seam
 factors the κ update, the ϕ update, the λ/cell-mass statistics and the
 ELBO through sparse worker·label incidence products, in the calling
 process; the sharded backend runs one such kernel per shard over the
-configured :class:`~repro.utils.parallel.Executor`.
+configured :class:`~repro.utils.parallel.Executor`.  A sweep makes two
+kernel calls: the κ update, and the ϕ half
+(:meth:`~repro.core.kernels.SweepKernel.update_phi`), which returns the
+new ϕ with the Eq. 6 statistics taken under it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -173,6 +176,7 @@ class VariationalInference:
         else:
             self.truth_indicator = np.zeros((self.n_items, self.n_labels))
             self.truth_mask = np.zeros(self.n_items, dtype=bool)
+        self._truth_items = np.flatnonzero(self.truth_mask)
 
         item_sig = segment_sum(self.indicators, self.items, self.n_items)
         worker_sig = segment_sum(self.indicators, self.workers, self.n_workers)
@@ -291,7 +295,8 @@ class VariationalInference:
 
         ``E[ln ψ]`` is rearranged once (:meth:`SweepKernel.begin_sweep`)
         and shared by the κ and ϕ updates; no per-answer likelihood
-        tensor is formed for them or for the λ statistics.
+        tensor is formed for them or for the λ statistics, which the ϕ
+        half returns with the new ϕ.
         """
         self._maybe_replan()
         state = self.state
@@ -309,25 +314,31 @@ class VariationalInference:
             kappa_delta = float(np.max(np.abs(new_kappa - state.kappa)))
             state.kappa = new_kappa
 
-        # --- local update: item clusters (corrected Eq. 3) ---------------
+        # --- local update: item clusters (corrected Eq. 3), with λ (Eq. 6)
         phi_delta = 0.0
-        if not self.fix_singleton_clusters:
-            phi_scores = np.tile(e_log_tau, (self.n_items, 1))
-            self.kernel.add_item_scores(phi_scores, state.kappa, self.executor)
-            if self.truth_mask.any():
-                e_log_phi, e_log_phi_c = expected_log_phi_beta(state.zeta)
-                y = self.truth_indicator[self.truth_mask]
-                supervised = y @ e_log_phi.T + (1.0 - y) @ e_log_phi_c.T
-                phi_scores[self.truth_mask] += supervised
-            new_phi = log_normalize_rows(phi_scores)
+        if self.fix_singleton_clusters:
+            self._update_profiles()
+        else:
+            new_phi, counts, mass = self.kernel.update_phi(
+                e_log_tau, state.kappa, self._supervised_scores(), self.executor
+            )
             phi_delta = float(np.max(np.abs(new_phi - state.phi)))
             state.phi = new_phi
+            self._update_profiles((counts, mass))
 
-        # --- global updates (Eqs. 4-7) ------------------------------------
+        # --- global updates (Eqs. 4, 5 and 7) -----------------------------
         self._update_sticks()
-        self._update_profiles()
         self._update_label_profiles()
         return max(kappa_delta, phi_delta)
+
+    def _supervised_scores(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(items, rows)``: the observed-truth term of the ϕ scores,
+        ``None`` without observed truth."""
+        if not self._truth_items.size:
+            return None
+        e_log_phi, e_log_phi_c = expected_log_phi_beta(self.state.zeta)
+        y = self.truth_indicator[self.truth_mask]
+        return self._truth_items, y @ e_log_phi.T + (1.0 - y) @ e_log_phi_c.T
 
     def _update_sticks(self) -> None:
         """Stick posteriors ``ρ`` (Eq. 4) and ``υ`` (Eq. 5)."""
@@ -344,16 +355,22 @@ class VariationalInference:
         state.ups[:, 0] = 1.0 + cluster_mass[:-1]
         state.ups[:, 1] = self.config.epsilon + tail[:-1]
 
-    def _update_profiles(self) -> None:
+    def _update_profiles(
+        self, statistics: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> None:
         """Answer-profile posteriors ``λ`` (Eq. 6) and the cell masses.
 
-        The counts are kept with the kernel, ϕ and κ they came from, so
-        :meth:`elbo` can reuse them while those are unchanged.
+        ``statistics`` is ``(counts, mass)`` under the state's ϕ and κ;
+        by default one statistics pass takes them.  The counts are kept
+        with the kernel, ϕ and κ they came from, so :meth:`elbo` can reuse
+        them while those are unchanged.
         """
         state = self.state
-        counts, mass = self.kernel.cell_statistics(
-            state.phi, state.kappa, self.executor
-        )
+        if statistics is None:
+            statistics = self.kernel.cell_statistics(
+                state.phi, state.kappa, self.executor
+            )
+        counts, mass = statistics
         state.lam = self.config.gamma0 + counts
         state.cell_mass = mass
         self._profile_counts = (self.kernel, state.phi, state.kappa, counts)
@@ -402,10 +419,9 @@ class VariationalInference:
         value += float(state.kappa.sum(axis=0) @ e_log_pi)
         value += float(state.phi.sum(axis=0) @ e_log_tau)
         # E[ln p(y | l, φ)] over observed truth
-        if self.truth_mask.any():
-            y = self.truth_indicator[self.truth_mask]
-            supervised = y @ e_log_phi.T + (1.0 - y) @ e_log_phi_c.T
-            value += float(np.sum(state.phi[self.truth_mask] * supervised))
+        supervised = self._supervised_scores()
+        if supervised is not None:
+            value += float(np.sum(state.phi[self.truth_mask] * supervised[1]))
         # Priors on ψ, φ, π', τ'
         t, m, c = state.lam.shape
         value += float(

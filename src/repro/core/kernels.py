@@ -19,8 +19,11 @@ column ``i``) and ``B`` the ``(U, I)`` answer incidence:
 Every dense product runs on the ``U·C`` worker-label rows, so a pass
 costs ``nnz(A)·T`` sparse work plus ``U·C·T·M`` dense work, independent
 of how many distinct label sets the answers use.  No ``(N, T, M)``
-intermediate is ever materialised.  The kernel runs in the calling
-process; lanes come from the sharded backend
+intermediate is ever materialised.  A sweep's ϕ half
+(:meth:`SweepKernel.update_phi`) takes the Eq. 6 statistics under the
+new ϕ, and the kernel keeps that pass's ``A ϕ`` for the next κ update,
+which reads the same ϕ: one sparse product per sweep fewer.  The kernel
+runs in the calling process; lanes come from the sharded backend
 (:mod:`repro.core.sharding`), which runs one kernel per shard.
 
 Prediction keeps its own pattern-deduplicated path (its log-sum-exp over
@@ -36,6 +39,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import InferenceError
+from repro.utils.math import log_normalize_rows
 from repro.utils.parallel import Executor
 
 
@@ -223,6 +227,19 @@ def grouped_matmul(
     return out
 
 
+def cluster_responsibilities(
+    scores: np.ndarray, supervised: Optional[Tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """ϕ rows from ``(I, T)`` cluster scores: add the observed-truth rows
+    ``supervised = (items, rows)`` into ``scores`` in place, then softmax
+    each row.  Row-local, so a row's bits do not depend on which rows are
+    computed with it."""
+    if supervised is not None:
+        items, rows = supervised
+        scores[items] += rows
+    return log_normalize_rows(scores)
+
+
 # ------------------------------------------------------------- sweep kernel
 
 
@@ -286,13 +303,28 @@ class SweepKernel:
         # E[ln ψ] of the current sweep as (C·T, M) and (M, C·T) matrices.
         self._e_worker: Optional[np.ndarray] = None
         self._e_item: Optional[np.ndarray] = None
+        #: ``(ϕ, A ϕ)`` of the last statistics pass: :meth:`add_worker_scores`
+        #: reuses the product when handed that same ϕ array (so a ϕ given
+        #: to the kernel must not be written in place afterwards).
+        self._held: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: ``(token, ϕ rows)``: the name a lane task gave the rows of its
+        #: last statistics pass (:mod:`repro.core.sharding`).
+        self.named_phi: Optional[Tuple[str, np.ndarray]] = None
+
+    def __getstate__(self) -> dict:
+        # the held product and the rows it came from never travel
+        state = self.__dict__.copy()
+        state["_held"] = None
+        state["named_phi"] = None
+        return state
 
     def evict(self) -> None:
-        """No-op: a fused kernel holds no lane-resident state.
+        """Drop the held ``A ϕ``; a fused kernel holds no lane-resident state.
 
         Mirrors :meth:`repro.core.sharding.ShardedSweepKernel.evict` so
         engines can retire any kernel through one seam.
         """
+        self._held = self.named_phi = None
 
     # ---------------------------------------------------------------- sweep
 
@@ -311,10 +343,18 @@ class SweepKernel:
     def add_worker_scores(
         self, out: np.ndarray, phi: np.ndarray, executor: Optional[Executor] = None
     ) -> np.ndarray:
-        """``out[u] += Σ_{n: u_n=u} Σ_t ϕ[i_n, t] L[n, t, ·]`` (Eq. 2 data term)."""
+        """``out[u] += Σ_{n: u_n=u} Σ_t ϕ[i_n, t] L[n, t, ·]`` (Eq. 2 data term).
+
+        Reuses the last statistics pass's ``A ϕ`` when ``phi`` is the
+        array that pass read.
+        """
         if self._e_worker is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
-        weighted = self.label_incidence @ phi  # (U·C, T)
+        held = self._held
+        if held is not None and held[0] is phi:
+            weighted = held[1]
+        else:
+            weighted = self.label_incidence @ phi  # (U·C, T)
         out += weighted.reshape(self.n_workers, self._e_worker.shape[0]) @ self._e_worker
         return out
 
@@ -335,12 +375,41 @@ class SweepKernel:
     def cell_statistics(
         self, phi: np.ndarray, kappa: np.ndarray, executor: Optional[Executor] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Eq. 6 sufficient statistics ``(counts (T,M,C), mass (T,M))``."""
+        """Eq. 6 sufficient statistics ``(counts (T,M,C), mass (T,M))``.
+
+        Keeps ``(ϕ, A ϕ)`` in place of the previous pass's, for the next
+        :meth:`add_worker_scores` given the same ϕ.
+        """
         t, m = phi.shape[1], kappa.shape[1]
-        weighted = (self.label_incidence @ phi).reshape(self.n_workers, self.n_labels * t)
+        self._held = None  # at most one product alive
+        product = self.label_incidence @ phi
+        self._held = (phi, product)
+        weighted = product.reshape(self.n_workers, self.n_labels * t)
         counts = (weighted.T @ kappa).reshape(self.n_labels, t, m)
         mass = (self.answer_incidence @ phi).T @ kappa
         return np.ascontiguousarray(counts.transpose(1, 2, 0)), mass
+
+    def update_phi(
+        self,
+        e_log_tau: np.ndarray,
+        kappa: np.ndarray,
+        supervised: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        executor: Optional[Executor] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ϕ half of a sweep: corrected Eq. 3, then Eq. 6 under the new ϕ.
+
+        Row ``i`` of the returned ϕ is the softmax of ``E[ln τ]`` plus the
+        item scores under ``kappa``, plus the observed-truth term
+        ``rows[j]`` where ``supervised = (items, rows)`` has
+        ``items[j] == i``.  Returns ``(ϕ, counts, mass)``; the statistics
+        pass keeps ``A ϕ`` for the next κ update.
+        """
+        self._held = self.named_phi = None  # no κ update reads the old ϕ now
+        scores = np.tile(e_log_tau, (self.n_items, 1))
+        self.add_item_scores(scores, kappa)
+        phi = cluster_responsibilities(scores, supervised)
+        counts, mass = self.cell_statistics(phi, kappa)
+        return phi, counts, mass
 
     def data_elbo(
         self,

@@ -100,10 +100,11 @@ class CPAModel:
         """
         answers, dataset_truth = _split_input(data, truth)
         observed = (truth or dataset_truth) if (use_truth or truth is not None) else None
-        engine = VariationalInference(
+        # the engine (its kernel and held products) is gone before the
+        # consensus pass allocates
+        self._result = VariationalInference(
             self.config, answers, truth=observed, seed=seed, executor=executor
-        )
-        self._result = engine.run(track_elbo=track_elbo)
+        ).run(track_elbo=track_elbo)
         self._state = self._result.state
         self._answers = answers
         self._consensus = estimate_consensus(self._state, self.config, self._answers)

@@ -39,14 +39,19 @@ are **lane-resident** — :class:`ShardedSweepKernel` broadcasts the shard
 tuple to the executor once per plan
 (:meth:`~repro.utils.parallel.Executor.broadcast`) and every per-sweep
 task then carries only the shard index plus the small updated posteriors
-(ϕ/κ rows, the sweep's ``E[ln ψ]``), routed through
-:meth:`~repro.utils.parallel.Executor.map_on`.  For out-of-process lanes
-this cuts per-sweep pickled bytes by an order of magnitude (the shard's
-incidence matrices ship once per plan instead of once per task per
-call).  Called without an executor, the kernel runs the same
-task functions in-process on its own shard list, so every executor is
-bitwise equal to that path (``tests/test_resident.py``).  Broadcast
-state is evicted when the executor closes.
+(κ rows, the sweep's ``E[ln ψ]`` and ``E[ln τ]``), routed through
+:meth:`~repro.utils.parallel.Executor.map_on`.  A batch-VI sweep is two
+calls: the κ half (:meth:`ShardedSweepKernel.add_worker_scores`) and the
+ϕ half (:meth:`ShardedSweepKernel.update_phi`), whose tasks softmax
+their shard's ϕ rows and return them with the shard's Eq. 6 statistics.
+Each statistics pass leaves its ϕ rows and their ``A ϕ`` held by the
+lane-side shard kernel under a token the program mints, so the next κ
+half sends the token instead of the rows; a lane that lacks it
+(:class:`HeldRowsMissing`) costs one resend with the rows.  Called
+without an executor, the kernel runs the same task functions in-process
+on its own shard list, so every executor is bitwise equal to that path
+(``tests/test_resident.py``).  Broadcast state is evicted when the
+executor closes.
 """
 
 from __future__ import annotations
@@ -58,9 +63,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import SegmentLayout, SweepKernel, balanced_bounds
+from repro.core.kernels import (
+    SegmentLayout,
+    SweepKernel,
+    balanced_bounds,
+    cluster_responsibilities,
+)
 from repro.errors import InferenceError, ValidationError
 from repro.utils.parallel import Executor
+from repro.utils.random import RandomState
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,8 @@ class ShardPlan:
     targeting equal answer counts per shard (:func:`balanced_bounds`).
     Ranges that contain no answers are dropped, so the realised
     ``n_shards`` can be below the request — ``K = 1`` always yields
-    exactly one shard covering everything.
+    exactly one shard covering everything.  Items with no answer belong
+    to no shard (``unanswered_items``).
     """
 
     def __init__(
@@ -153,6 +165,8 @@ class ShardPlan:
                 )
             )
         self.n_shards = len(self.shards)
+        #: sorted ids of the items no shard holds.
+        self.unanswered_items = np.flatnonzero(item_offsets[1:] == item_offsets[:-1])
 
 
 # --------------------------------------------------------------------- merges
@@ -188,20 +202,59 @@ def merge_scores(
     return out
 
 
+def _local_rows(
+    supervised: Optional[Tuple[np.ndarray, np.ndarray]], item_ids: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The ``(items, rows)`` of ``supervised`` on the sorted ids
+    ``item_ids``, with items as positions in ``item_ids`` (``None`` when
+    no item falls there)."""
+    if supervised is None or item_ids.size == 0:
+        return None
+    items, rows = supervised
+    local = np.minimum(np.searchsorted(item_ids, items), item_ids.size - 1)
+    hit = item_ids[local] == items
+    if not hit.any():
+        return None
+    return local[hit], rows[hit]
+
+
 # ---------------------------------------------------------------------- tasks
 #
 # Module-level task functions (picklable for process and remote lanes),
 # run as ``func(shards, task)`` against the lane-resident shard tuple:
 # each task names its shard by index and carries only that shard's
 # per-sweep posterior rows.  Every score task re-establishes the sweep's
-# ``E[ln ψ]`` views itself (two ``T·M·C`` rearrangements), so a task
-# never depends on which lane ran the previous one.
+# ``E[ln ψ]`` views itself (two ``T·M·C`` rearrangements).  The one
+# piece of lane state a task may read is the ϕ rows the shard kernel
+# last took statistics of, named by the token the program minted for
+# that pass; a lane without them raises :class:`HeldRowsMissing`, so a
+# result never depends on which lane ran the previous task.
+
+
+class HeldRowsMissing(Exception):
+    """A κ-half task named ϕ rows its lane does not hold (a replacement
+    daemon, a plan re-broadcast after eviction, a speculative re-dispatch,
+    a re-armed process lane).  Internal control flow — the kernel resends
+    the call with the rows; it never escapes to callers."""
+
+    def __init__(self, token: str) -> None:
+        super().__init__(token)
+        self.token = token
 
 
 def _worker_scores_task(shards, task) -> np.ndarray:
-    """κ-update data term of one shard, over the shard's worker space."""
+    """κ-update data term of one shard, over the shard's worker space.
+
+    The task carries the shard's ϕ rows, or the token of the rows (and
+    their ``A ϕ``) its kernel holds.
+    """
     k, e_log_psi, phi_rows = task
     kernel = shards[k].kernel
+    if isinstance(phi_rows, str):
+        named = kernel.named_phi
+        if named is None or named[0] != phi_rows:
+            raise HeldRowsMissing(phi_rows)
+        phi_rows = named[1]
     kernel.begin_sweep(e_log_psi)
     out = np.zeros(
         (kernel.n_workers, e_log_psi.shape[1]),
@@ -223,9 +276,24 @@ def _item_scores_task(shards, task) -> np.ndarray:
 
 
 def _cell_statistics_task(shards, task) -> Tuple[np.ndarray, np.ndarray]:
-    """Eq. 6 sufficient statistics of one shard."""
-    k, phi_rows, kappa_rows = task
-    return shards[k].kernel.cell_statistics(phi_rows, kappa_rows)
+    """Eq. 6 sufficient statistics of one shard; the rows stay held under
+    the task's token."""
+    k, phi_rows, kappa_rows, token = task
+    kernel = shards[k].kernel
+    statistics = kernel.cell_statistics(phi_rows, kappa_rows)
+    kernel.named_phi = (token, phi_rows)
+    return statistics
+
+
+def _update_phi_task(shards, task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ϕ half of one shard: its ϕ rows and Eq. 6 statistics; the rows stay
+    held under the task's token."""
+    k, e_log_psi, e_log_tau, kappa_rows, supervised, token = task
+    kernel = shards[k].kernel
+    kernel.begin_sweep(e_log_psi)
+    phi_rows, counts, mass = kernel.update_phi(e_log_tau, kappa_rows, supervised)
+    kernel.named_phi = (token, phi_rows)
+    return phi_rows, counts, mass
 
 
 #: process-unique suffix source for broadcast keys (two live kernels must
@@ -235,6 +303,12 @@ _BROADCAST_KEYS = itertools.count()
 
 def _next_broadcast_key() -> str:
     return f"shard-plan-{next(_BROADCAST_KEYS)}"
+
+
+def _token_prefix() -> str:
+    """A kernel's random token prefix: broadcast keys are unique within
+    one process only, and a daemon may serve several."""
+    return RandomState().bytes(8).hex()
 
 
 def _release_broadcast(executors, key: str) -> None:
@@ -256,7 +330,7 @@ class ShardedSweepKernel:
 
     Presents the same sweep interface (``begin_sweep`` /
     ``add_worker_scores`` / ``add_item_scores`` / ``cell_statistics`` /
-    ``data_elbo``) so :class:`~repro.core.inference.VariationalInference`
+    ``update_phi`` / ``data_elbo``) so :class:`~repro.core.inference.VariationalInference`
     and the per-batch SVI path can select it without code changes; merge
     semantics are documented in the module docstring.
 
@@ -264,6 +338,12 @@ class ShardedSweepKernel:
     per-sweep tasks carry only ``(shard index, posterior rows)`` through
     ``map_on``.  Methods called without an executor run the same task
     functions in-process, with nothing broadcast anywhere.
+
+    Each statistics pass (:meth:`cell_statistics`, :meth:`update_phi`)
+    mints a token and leaves its ϕ rows held by the shard kernels under
+    it; :meth:`add_worker_scores` handed that same ϕ array sends the
+    token instead of the rows, like :meth:`SweepKernel.add_worker_scores`
+    reuses its product.
     """
 
     def __init__(
@@ -303,6 +383,11 @@ class ShardedSweepKernel:
         self.n_shards = self.plan.n_shards
         #: the sweep's ``E[ln ψ]``, pinned by :meth:`begin_sweep`.
         self._e_log_psi: Optional[np.ndarray] = None
+        self._token_prefix = _token_prefix()
+        self._token_serial = 0
+        #: ``(ϕ, token)``: the ϕ whose rows the last statistics pass left
+        #: held on the shard kernels, and their name.
+        self._held: Optional[Tuple[np.ndarray, str]] = None
 
     # ------------------------------------------------------------ transport
 
@@ -314,12 +399,14 @@ class ShardedSweepKernel:
         state = self.__dict__.copy()
         state["_installed"] = None
         state["_finalizer"] = None
+        state["_held"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._installed = weakref.WeakSet()
         self._broadcast_key = _next_broadcast_key()
+        self._token_prefix = _token_prefix()
         self._finalizer = weakref.finalize(
             self, _release_broadcast, self._installed, self._broadcast_key
         )
@@ -352,6 +439,10 @@ class ShardedSweepKernel:
             self._installed.add(executor)
         return executor.map_on(self._broadcast_key, func, tasks)
 
+    def _next_token(self) -> str:
+        self._token_serial += 1
+        return f"{self._token_prefix}-{self._token_serial}"
+
     # ---------------------------------------------------------------- sweep
 
     def begin_sweep(self, e_log_psi: np.ndarray) -> None:
@@ -367,14 +458,27 @@ class ShardedSweepKernel:
     def add_worker_scores(
         self, out: np.ndarray, phi: np.ndarray, executor: Optional[Executor] = None
     ) -> np.ndarray:
-        """``out[u] += Σ_{n: u_n=u} Σ_t ϕ[i_n, t] L[n, t, ·]``, shard-merged."""
+        """``out[u] += Σ_{n: u_n=u} Σ_t ϕ[i_n, t] L[n, t, ·]``, shard-merged.
+
+        ``phi`` travels as a token when it is the ϕ of the last statistics
+        pass; if a lane lost those rows, the call is resent with them.
+        """
         if self._e_log_psi is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
-        tasks = [
-            (shard.index, self._e_log_psi, rows)
-            for shard, rows in zip(self.plan.shards, self._item_rows(phi))
-        ]
-        pieces = self._fan_out(executor, _worker_scores_task, tasks)
+        pieces = None
+        held = self._held
+        if held is not None and held[0] is phi:
+            tasks = [(shard.index, self._e_log_psi, held[1]) for shard in self.plan.shards]
+            try:
+                pieces = self._fan_out(executor, _worker_scores_task, tasks)
+            except HeldRowsMissing:
+                pass
+        if pieces is None:
+            tasks = [
+                (shard.index, self._e_log_psi, rows)
+                for shard, rows in zip(self.plan.shards, self._item_rows(phi))
+            ]
+            pieces = self._fan_out(executor, _worker_scores_task, tasks)
         return merge_scores(
             out,
             [
@@ -404,25 +508,71 @@ class ShardedSweepKernel:
 
     # ------------------------------------------------------------ statistics
 
+    def _no_statistics(self, phi, kappa) -> Tuple[np.ndarray, np.ndarray]:
+        """The statistics of a plan without shards (no answers): zeros."""
+        t, m = phi.shape[1], kappa.shape[1]
+        dtype = np.result_type(phi, kappa)
+        return np.zeros((t, m, self.n_labels), dtype=dtype), np.zeros((t, m), dtype=dtype)
+
     def cell_statistics(
         self, phi: np.ndarray, kappa: np.ndarray, executor: Optional[Executor] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 6 sufficient statistics merged over shards (fixed order)."""
-        t, m = phi.shape[1], kappa.shape[1]
         if not self.plan.shards:
-            dtype = np.result_type(phi, kappa)
-            return (
-                np.zeros((t, m, self.n_labels), dtype=dtype),
-                np.zeros((t, m), dtype=dtype),
-            )
+            return self._no_statistics(phi, kappa)
+        token = self._next_token()
         tasks = [
-            (shard.index, phi_rows, kappa_rows)
+            (shard.index, phi_rows, kappa_rows, token)
             for shard, phi_rows, kappa_rows in zip(
                 self.plan.shards, self._item_rows(phi), self._worker_rows(kappa)
             )
         ]
         pieces = self._fan_out(executor, _cell_statistics_task, tasks)
+        self._held = (phi, token)
         return merge_cell_statistics(pieces)
+
+    def update_phi(
+        self,
+        e_log_tau: np.ndarray,
+        kappa: np.ndarray,
+        supervised: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        executor: Optional[Executor] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`SweepKernel.update_phi` in one task per shard.
+
+        Each task returns its items' ϕ rows and its statistics; the rows
+        scatter disjointly, the statistics merge in fixed shard order, and
+        the items no shard holds get their rows here.
+        """
+        if self._e_log_psi is None:
+            raise InferenceError("begin_sweep must be called before score accumulation")
+        token = self._next_token()
+        tasks = [
+            (
+                shard.index,
+                self._e_log_psi,
+                e_log_tau,
+                kappa_rows,
+                _local_rows(supervised, shard.item_ids),
+                token,
+            )
+            for shard, kappa_rows in zip(self.plan.shards, self._worker_rows(kappa))
+        ]
+        pieces = self._fan_out(executor, _update_phi_task, tasks)
+        phi = np.empty((self.n_items, e_log_tau.shape[0]), dtype=e_log_tau.dtype)
+        for shard, (rows, _, _) in zip(self.plan.shards, pieces):
+            phi[shard.item_ids] = rows
+        unanswered = self.plan.unanswered_items
+        if unanswered.size:
+            phi[unanswered] = cluster_responsibilities(
+                np.tile(e_log_tau, (unanswered.size, 1)),
+                _local_rows(supervised, unanswered),
+            )
+        self._held = (phi, token)
+        if not pieces:
+            return (phi,) + self._no_statistics(phi, kappa)
+        counts, mass = merge_cell_statistics([piece[1:] for piece in pieces])
+        return phi, counts, mass
 
     def data_elbo(
         self,

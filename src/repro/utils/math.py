@@ -1,16 +1,15 @@
-"""Numerical kernels used by the CPA inference engine and the baselines.
+"""Numerical helpers used by the CPA inference engine and the baselines.
 
-The functions here implement the expectation identities of the paper's
-Appendix B (digamma expectations of Dirichlet/Beta variables and the
-stick-breaking expansion of truncated Chinese-Restaurant-Process weights),
-plus generic log-space normalisation helpers.  Everything operates on numpy
-arrays and is vectorised over leading axes.
+Log-space normalisation, the stick-breaking expansion of truncated
+Chinese-Restaurant-Process weights, and guarded logarithms.  Everything
+operates on numpy arrays, is vectorised over leading axes, and needs
+numpy alone: a lane loads this module with its kernels, so the digamma
+identities of Appendix B live in :mod:`repro.core.expectations`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma
 
 from repro.errors import ValidationError
 
@@ -19,7 +18,7 @@ from repro.errors import ValidationError
 EPS = 1e-12
 
 
-def _as_floating(a: np.ndarray) -> np.ndarray:
+def as_floating(a: np.ndarray) -> np.ndarray:
     """View ``a`` as a floating array, preserving float32/float64 inputs.
 
     Integer/bool inputs are promoted to float64 (the historical behaviour);
@@ -38,7 +37,7 @@ def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarr
     Unlike :func:`scipy.special.logsumexp` this keeps the semantics needed by
     the inference loop: all-``-inf`` rows reduce to ``-inf`` without warnings.
     """
-    a = _as_floating(a)
+    a = as_floating(a)
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
     with np.errstate(divide="ignore"):
@@ -70,7 +69,7 @@ def log_normalize_rows(log_weights: np.ndarray) -> np.ndarray:
     evidence at all (e.g. an empty batch in online learning).  The result
     holds no subnormals (:func:`flush_subnormals`).
     """
-    log_weights = _as_floating(log_weights)
+    log_weights = as_floating(log_weights)
     norm = logsumexp(log_weights, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         probs = np.exp(log_weights - norm)
@@ -87,7 +86,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 def normalize_rows(weights: np.ndarray) -> np.ndarray:
     """Normalise non-negative weights row-wise; uniform fallback for zero rows."""
-    weights = _as_floating(weights)
+    weights = as_floating(weights)
     if np.any(weights < 0):
         raise ValidationError("normalize_rows requires non-negative weights")
     totals = weights.sum(axis=-1, keepdims=True)
@@ -95,47 +94,6 @@ def normalize_rows(weights: np.ndarray) -> np.ndarray:
     zero = totals[..., 0] <= 0
     if np.any(zero):
         out[zero] = 1.0 / weights.shape[-1]
-    return out
-
-
-def digamma_expectation_dirichlet(concentration: np.ndarray) -> np.ndarray:
-    """``E[ln p]`` for ``p ~ Dirichlet(concentration)`` along the last axis.
-
-    This is the Appendix-B identity
-    ``E[ln p_c] = ψ(conc_c) - ψ(Σ_c conc_c)`` with ``ψ`` the digamma
-    function.  Vectorised over any leading axes.
-    """
-    concentration = np.asarray(concentration, dtype=float)
-    if np.any(concentration <= 0):
-        raise ValidationError("Dirichlet concentrations must be strictly positive")
-    total = concentration.sum(axis=-1, keepdims=True)
-    return digamma(concentration) - digamma(total)
-
-
-def stick_breaking_expectations(alpha1: np.ndarray, alpha2: np.ndarray) -> np.ndarray:
-    """``E[ln w_k]`` for truncated stick-breaking weights with Beta posteriors.
-
-    Given per-stick Beta parameters ``(alpha1_k, alpha2_k)`` for sticks
-    ``k = 1..K-1`` (the K-th stick takes all remaining mass), returns the
-    K-vector ``E[ln w_k] = E[ln v_k] + Σ_{j<k} E[ln(1 - v_j)]`` from the
-    paper's Appendix B, where ``v_k ~ Beta(alpha1_k, alpha2_k)``.
-
-    Parameters are arrays of length ``K-1``; the output has length ``K``.
-    """
-    alpha1 = _as_floating(alpha1)
-    alpha2 = _as_floating(alpha2)
-    if alpha1.shape != alpha2.shape or alpha1.ndim != 1:
-        raise ValidationError("stick parameters must be 1-D arrays of equal length")
-    if np.any(alpha1 <= 0) or np.any(alpha2 <= 0):
-        raise ValidationError("Beta parameters must be strictly positive")
-    total = digamma(alpha1 + alpha2)
-    e_log_v = digamma(alpha1) - total
-    e_log_1mv = digamma(alpha2) - total
-    k = alpha1.shape[0] + 1
-    out = np.empty(k, dtype=alpha1.dtype)
-    cum = np.concatenate([[0.0], np.cumsum(e_log_1mv)])
-    out[:-1] = e_log_v + cum[:-1]
-    out[-1] = cum[-1]
     return out
 
 

@@ -935,17 +935,17 @@ def _serve_lane(sock: socket.socket) -> None:
 
     Module-level so spawn start methods can import it.  The child holds
     its own :class:`~repro.utils.transport.PayloadRegistry` and serves it
-    with :func:`~repro.utils.transport.handle_request`, the worker side
-    of a ``python -m repro.worker`` daemon.
+    through the lane op table (:func:`~repro.utils.transport.lane_ops`),
+    the worker side of a ``python -m repro.worker`` daemon.
     """
     channel = _transport.Channel(sock)
-    registry = _transport.PayloadRegistry()
+    ops = _transport.lane_ops(_transport.PayloadRegistry())
     try:
         while True:
             alive, message = channel.recv_or_eof()
             if not alive:
                 return
-            channel.send(_transport.handle_request(message, registry))
+            channel.send(_transport.dispatch(message, ops))
     except TransportError:
         return
     finally:

@@ -23,8 +23,8 @@ provides the channel and the worker side of that pair:
   repro.worker --listen host:port`` (:mod:`repro.worker`) runs one as a
   standalone process; the loopback test harness runs the same class on
   a background thread in-process.  A process lane
-  (:class:`~repro.utils.parallel.ProcessExecutor`) serves
-  :func:`handle_request` over a socketpair instead of a listener.
+  (:class:`~repro.utils.parallel.ProcessExecutor`) serves the same op
+  table over a socketpair instead of a listener.
 
 Wire protocol (client → worker request, worker → client reply).  It is
 one op table, :func:`lane_ops`, which :func:`dispatch` runs a request
@@ -769,8 +769,9 @@ def lane_ops(registry: PayloadRegistry) -> OpTable:
 def handle_request(message: Any, registry: PayloadRegistry) -> Tuple:
     """Run one lane request against ``registry``; returns the reply tuple.
 
-    Pure function of (message, registry) — the socket server, the process
-    lanes and the in-process harness share it, so protocol behaviour
+    Pure function of (message, registry), for one-off requests; the
+    daemons and process lanes build :func:`lane_ops` once and
+    :func:`dispatch` every request against it, so protocol behaviour
     cannot drift between deployment shapes.
     """
     return dispatch(message, lane_ops(registry))
@@ -795,6 +796,8 @@ class WorkerServer:
         chunk_cache_bytes: int = DEFAULT_CHUNK_CACHE_BYTES,
     ) -> None:
         self.registry = PayloadRegistry(payload_cap, chunk_cache_bytes)
+        #: the op table :meth:`handle` dispatches against, built once.
+        self.ops: OpTable = lane_ops(self.registry)
         self._listener = socket.create_server((host, port))
         # accept() with a short timeout: closing a socket does not wake a
         # thread blocked in accept() on Linux, so the loop polls the
@@ -862,13 +865,13 @@ class WorkerServer:
         return Channel(conn)
 
     def handle(self, message: Any) -> Tuple:
-        """Dispatch one request; the seam subclasses extend with new ops.
+        """Dispatch one request against :attr:`ops`.
 
-        The base daemon serves the lane table (:func:`handle_request`);
-        :class:`repro.serve.ConsensusServer` overrides this to dispatch
-        against its own table, the lane table plus the serving ops.
+        The base daemon serves the lane table (:func:`lane_ops`);
+        :class:`repro.serve.ConsensusServer` sets :attr:`ops` to the lane
+        table plus the serving ops.
         """
-        return handle_request(message, self.registry)
+        return dispatch(message, self.ops)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         channel = self._make_channel(conn)

@@ -55,11 +55,11 @@ class TestBatchVIKills:
         config = _config(n_shards)
         serial = VariationalInference(config, tiny_dataset.answers)
         with worker_fleet(2) as servers:
-            # init issues one map_on (seeding statistics), each sweep three
-            # (worker scores, item scores, cell statistics): kill_after=5
-            # murders the daemon *inside* sweep 2
+            # init issues one map_on (seeding statistics), each sweep two
+            # (the κ half, then the ϕ half): kill_after=4 murders the
+            # daemon *inside* sweep 2
             executor = KillAfterMapOn(
-                [s.address for s in servers], victim=servers[0], kill_after=5
+                [s.address for s in servers], victim=servers[0], kill_after=4
             )
             remote = VariationalInference(
                 config, tiny_dataset.answers, executor=executor
@@ -191,7 +191,7 @@ class TestStragglerChaos:
     def test_mid_sweep_hang_delays_but_stays_bitwise_equal(self, tiny_dataset):
         config = _config(3)
         serial = VariationalInference(config, tiny_dataset.answers)
-        # init issues one map_on dispatch, each sweep three: occurrence 4
+        # init issues one map_on dispatch, each sweep two: occurrence 4
         # hangs the victim inside sweep 2
         victim = StallingWorkerServer(stall_at=[("map_on", 4)]).serve_in_thread()
         survivor = WorkerServer().serve_in_thread()

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,14 @@ NEVER_IN_A_DAEMON = {
 }
 
 
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def _loaded_modules(entry_point: str) -> set:
     """Modules a fresh interpreter holds after ``import entry_point``."""
     script = (
@@ -44,13 +53,9 @@ def _loaded_modules(entry_point: str) -> set:
         "print(json.dumps([name for name, module in sys.modules.items() "
         "if module is not None]))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     result = subprocess.run(
         [sys.executable, "-c", script],
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -67,6 +72,43 @@ class TestEntryPoints:
         assert not loaded & (
             NEVER_IN_A_DAEMON | {"scipy.special", "repro.data"}
         )
+
+    @pytest.mark.network
+    def test_a_lane_imports_nothing_during_a_fit(self, tiny_dataset, tmp_path):
+        """Under ``-X importtime`` a lane prints no import line after its
+        port file appears, across a sharded fit that exercises every lane
+        task of a sweep."""
+        from repro.core.config import CPAConfig
+        from repro.core.inference import VariationalInference
+        from repro.utils.parallel import RemoteExecutor
+
+        port_file, log = tmp_path / "lane.port", tmp_path / "lane.log"
+        with open(log, "wb") as stderr:
+            lane = subprocess.Popen(
+                [sys.executable, "-X", "importtime", "-m", "repro.worker",
+                 "--port-file", str(port_file)],
+                env=_env(),
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+            )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (port_file.exists() and port_file.read_text().strip()):
+                assert lane.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            at_start = log.read_text().count("import time:")
+            executor = RemoteExecutor([port_file.read_text().strip()])
+            config = CPAConfig(seed=4, backend="sharded", n_shards=2)
+            engine = VariationalInference(config, tiny_dataset.answers, executor=executor)
+            for _ in range(2):
+                engine.sweep()
+            executor.close()
+        finally:
+            lane.terminate()
+            lane.wait(timeout=30)
+        lines = log.read_text().splitlines()
+        assert sum("import time:" in line for line in lines) > 100  # traced
+        assert [line for line in lines if "import time:" in line][at_start:] == []
 
     @pytest.mark.parametrize("entry_point", ["repro.serve", "repro.fleet"])
     def test_a_serving_daemon_loads_no_experiment_stack(self, entry_point):

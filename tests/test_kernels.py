@@ -169,6 +169,75 @@ class TestSweepKernel:
             assert value == pytest.approx(expected, **tol)
 
 
+class TestHeldProduct:
+    """A statistics pass keeps ``(ϕ, A ϕ)``; the next worker scores reuse
+    the product only for that same ϕ array."""
+
+    @staticmethod
+    def _worker_scores(kernel, phi, e_log_psi):
+        kernel.begin_sweep(e_log_psi)
+        out = np.zeros((kernel.n_workers, e_log_psi.shape[1]))
+        return kernel.add_worker_scores(out, phi)
+
+    def test_reuse_is_bitwise_equal_to_a_fresh_kernel(self):
+        items, workers, x, phi, kappa, e_log_psi = _random_problem(8)
+        sizes = (len(phi), len(kappa))
+        held = SweepKernel(items, workers, x, *sizes)
+        held.cell_statistics(phi, kappa)
+        assert held._held[0] is phi
+        fresh = SweepKernel(items, workers, x, *sizes)
+        np.testing.assert_array_equal(
+            self._worker_scores(held, phi, e_log_psi),
+            self._worker_scores(fresh, phi, e_log_psi),
+        )
+        # a copy with one row changed is not the held ϕ: no stale reuse
+        edited = phi.copy()
+        edited[items[0]] = edited[items[0], ::-1]
+        np.testing.assert_array_equal(
+            self._worker_scores(held, edited, e_log_psi),
+            self._worker_scores(SweepKernel(items, workers, x, *sizes), edited, e_log_psi),
+        )
+
+    def test_product_is_replaced_dropped_and_never_pickled(self):
+        import pickle
+
+        items, workers, x, phi, kappa, _ = _random_problem(9)
+        kernel = SweepKernel(items, workers, x, len(phi), len(kappa))
+        kernel.cell_statistics(phi, kappa)
+        other = phi[::-1].copy()
+        kernel.cell_statistics(other, kappa)
+        assert kernel._held[0] is other  # one product per kernel
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone._held is None and clone.named_phi is None
+        kernel.evict()
+        assert kernel._held is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_update_phi_is_the_program_side_phi_update(self, dtype):
+        """``update_phi`` equals item scores plus E[ln τ] and the truth
+        rows, softmaxed, then the statistics under the new ϕ: bitwise."""
+        from repro.utils.math import log_normalize_rows
+
+        items, workers, x, phi, kappa, e_log_psi = _random_problem(10)
+        kappa = kappa.astype(dtype)
+        e_log_tau = np.log(np.full(phi.shape[1], 1.0 / phi.shape[1], dtype=dtype))
+        truth_items = np.array([1, 4, 7])
+        truth_rows = np.random.default_rng(3).normal(size=(3, phi.shape[1]))
+        kernel = SweepKernel(items, workers, x, len(phi), len(kappa), dtype=dtype)
+        kernel.begin_sweep(e_log_psi)
+        new_phi, counts, mass = kernel.update_phi(
+            e_log_tau, kappa, (truth_items, truth_rows)
+        )
+        scores = np.tile(e_log_tau, (len(phi), 1))
+        kernel.add_item_scores(scores, kappa)
+        scores[truth_items] += truth_rows
+        expected = log_normalize_rows(scores)
+        np.testing.assert_array_equal(new_phi, expected)
+        expected_counts, expected_mass = kernel.cell_statistics(expected, kappa)
+        np.testing.assert_array_equal(counts, expected_counts)
+        np.testing.assert_array_equal(mass, expected_mass)
+
+
 # ---------------------------------------------------------------- parity: VI
 
 PARITY = dict(atol=1e-8, rtol=1e-9)

@@ -9,6 +9,10 @@ Contracts under test:
   executor kind and shard count, on both engines.
 * **Transport shape** — after the one broadcast, no shard kernel ever
   rides inside a ``map_on`` task payload, however many sweeps run.
+* **Held rows** — a batch-VI sweep is two ``map_on`` calls, and its κ
+  half names the ϕ rows each lane already holds by token instead of
+  sending them; a lane that lost them costs one resend with the rows and
+  changes no bit of the fit.
 * **Eviction** — broadcast state is released on ``Executor.close()``
   (and on plan retirement via ``ShardedSweepKernel.evict``): no leaked
   lane memory between fits, and no process lane outlives its executor.
@@ -38,12 +42,19 @@ from repro.core.svi import StochasticInference, stream_from_matrix
 from repro.errors import ConfigurationError
 from repro.utils.parallel import (
     ProcessExecutor,
+    RemoteExecutor,
     SerialExecutor,
     ThreadExecutor,
     make_executor,
 )
 
-from tests.test_sharded import _assert_states_close, _random_problem
+from repro.utils.transport import WorkerServer
+
+from tests.test_sharded import (
+    _assert_states_close,
+    _random_problem,
+    _wide_sparse_matrix,
+)
 from tests.transport_harness import worker_fleet
 
 SHARD_COUNTS = [1, 2, 7]
@@ -380,6 +391,86 @@ class TestProcessLaneFaults:
                 serial.process_batch(batch)
             assert pool.degree == 1
             _assert_states_close(lanes.state, serial.state, dict(atol=0, rtol=0))
+
+
+# ------------------------------------------------------------------ held rows
+
+
+class _CountingRemote(RemoteExecutor):
+    """Remote executor that counts its ``map_on`` calls."""
+
+    def __init__(self, workers, **kwargs):
+        super().__init__(workers, **kwargs)
+        self.map_on_calls = 0
+
+    def map_on(self, key, func, tasks):
+        self.map_on_calls += 1
+        return super().map_on(key, func, tasks)
+
+
+#: many items over few workers and small truncations: one shard's ϕ rows
+#: outweigh everything a steady-state sweep sends to both lanes.
+HELD_CONFIG = CPAConfig(
+    seed=2,
+    backend="sharded",
+    n_shards=2,
+    truncation_clusters=10,
+    truncation_communities=5,
+    max_iterations=4,
+)
+
+
+@pytest.mark.network
+class TestHeldRows:
+    SWEEPS = 4
+
+    def test_a_sweep_is_two_lane_calls_and_sends_no_phi_rows(self):
+        matrix, _ = _wide_sparse_matrix()
+        with worker_fleet(2) as servers:
+            executor = RemoteExecutor([s.address for s in servers])
+            engine = VariationalInference(HELD_CONFIG, matrix, executor=executor)
+            for _ in range(self.SWEEPS - 1):
+                engine.sweep()
+            sent = executor.sent_bytes
+            engine.sweep()
+            sent = executor.sent_bytes - sent
+            # the init statistics pass, then the κ and ϕ halves per sweep
+            assert [s.op_counts["map_on"] for s in servers] == [
+                1 + 2 * self.SWEEPS
+            ] * 2
+            shard_rows = min(
+                engine.state.phi[shard.item_ids].nbytes
+                for shard in engine.kernel.plan.shards
+            )
+            assert sent < shard_rows
+            executor.close()
+
+    @pytest.mark.parametrize("loss", ["plan_evicted", "cold_replacement"])
+    def test_a_lane_that_lost_its_rows_costs_one_resend(self, no_executor, loss):
+        matrix, _ = _wide_sparse_matrix()
+        local = VariationalInference(HELD_CONFIG, matrix)
+        with worker_fleet(2) as servers:
+            executor = _CountingRemote([s.address for s in servers])
+            lanes = VariationalInference(HELD_CONFIG, matrix, executor=executor)
+            replacement = None
+            try:
+                for sweep in range(self.SWEEPS):
+                    if sweep == 2 and loss == "plan_evicted":
+                        servers[0].registry.drop_payloads()
+                    if sweep == 2 and loss == "cold_replacement":
+                        servers[0].kill()
+                        replacement = WorkerServer(
+                            host=servers[0].host, port=servers[0].port
+                        ).serve_in_thread()
+                    assert lanes.sweep() == local.sweep()
+                # one extra call: the κ half resent with the rows
+                assert executor.map_on_calls == 1 + 2 * self.SWEEPS + 1
+                assert len(executor.live_workers()) == 2
+                _assert_states_close(lanes.state, local.state, dict(atol=0, rtol=0))
+            finally:
+                executor.close()
+                if replacement is not None:
+                    replacement.close()
 
 
 # -------------------------------------------------------------- auto backend

@@ -833,24 +833,20 @@ class TestRemoteExecutor:
         """A daemon violating the reply-shape contract (fewer results than
         tasks) must be distrusted and excluded — never zip-truncated into
         an endless silent re-dispatch loop."""
-        from repro.utils import transport as transport_module
-
-        real = transport_module.handle_request
         with worker_fleet(2) as servers:
-            evil_registry = servers[0].registry
+            real = servers[0].handle
 
-            def evil(message, registry):
-                reply = real(message, registry)
+            def evil(message):
+                reply = real(message)
                 if (
-                    registry is evil_registry
-                    and message[0] == "map_tasks"
+                    message[0] == "map_tasks"
                     and reply[0] == "ok"
                     and len(reply[1]) > 1
                 ):
                     return ("ok", reply[1][:-1])  # drop one result
                 return reply
 
-            monkeypatch.setattr(transport_module, "handle_request", evil)
+            monkeypatch.setattr(servers[0], "handle", evil)
             executor = RemoteExecutor([s.address for s in servers])
             assert executor.map_tasks(_double, list(range(8))) == [
                 2 * i for i in range(8)
@@ -859,18 +855,15 @@ class TestRemoteExecutor:
             executor.close()
 
     def test_malformed_err_envelope_excludes_the_lane(self, monkeypatch):
-        from repro.utils import transport as transport_module
-
-        real = transport_module.handle_request
         with worker_fleet(2) as servers:
-            evil_registry = servers[0].registry
+            real = servers[0].handle
 
-            def evil(message, registry):
-                if registry is evil_registry and message[0] == "map_tasks":
+            def evil(message):
+                if message[0] == "map_tasks":
                     return ("err", "boom")  # wrong arity: protocol violation
-                return real(message, registry)
+                return real(message)
 
-            monkeypatch.setattr(transport_module, "handle_request", evil)
+            monkeypatch.setattr(servers[0], "handle", evil)
             executor = RemoteExecutor([s.address for s in servers])
             assert executor.map_tasks(_double, list(range(6))) == [
                 2 * i for i in range(6)
@@ -882,17 +875,14 @@ class TestRemoteExecutor:
         """A worker 'err' reply to an in-dispatch re-broadcast raises, but
         only after every already-sent lane was drained — the next call on
         those lanes must not read this call's leftover replies."""
-        from repro.utils import transport as transport_module
-
-        real = transport_module.handle_request
         with worker_fleet(2) as servers:
-            evil_registry = servers[1].registry
+            real = servers[1].handle
             broadcasts = {"count": 0}
 
-            def evil(message, registry):
-                if registry is evil_registry and message[0] == "map_on":
+            def evil(message):
+                if message[0] == "map_on":
                     return ("stale", message[1])  # claim the key is gone
-                if registry is evil_registry and message[0] == "broadcast":
+                if message[0] == "broadcast":
                     broadcasts["count"] += 1
                     if broadcasts["count"] > 1:
                         return (
@@ -900,9 +890,9 @@ class TestRemoteExecutor:
                             ValueError("refusing re-broadcast"),
                             "fake traceback",
                         )
-                return real(message, registry)
+                return real(message)
 
-            monkeypatch.setattr(transport_module, "handle_request", evil)
+            monkeypatch.setattr(servers[1], "handle", evil)
             executor = RemoteExecutor([s.address for s in servers])
             executor.broadcast("base", 100)
             with pytest.raises(ValueError, match="refusing re-broadcast"):
@@ -1000,18 +990,16 @@ class TestChunkedBroadcast:
         """A chunk held at the manifest request but evicted before the
         second one (an undersized cache under concurrent churn) costs one
         third request that carries every chunk — and cannot miss."""
-        from repro.utils import transport as transport_module
-
-        real = transport_module.handle_request
         server = WorkerServer().serve_in_thread()
+        real = server.handle
         requests = []
 
-        def evicting(message, registry):
+        def evicting(message):
             if message[0] == "chunk_assemble":
                 requests.append(len(message[3]))
                 if len(requests) == 2:
-                    registry._chunks.clear()  # churn between steps 1 and 2
-            return real(message, registry)
+                    server.registry._chunks.clear()  # churn between steps 1 and 2
+            return real(message)
 
         try:
             payload = bytes(range(256)) * 32
@@ -1020,7 +1008,7 @@ class TestChunkedBroadcast:
             warm.close()
             # half of the chunks change: the daemon holds the other half
             edited = payload[:4096] + bytes(4096)
-            monkeypatch.setattr(transport_module, "handle_request", evicting)
+            monkeypatch.setattr(server, "handle", evicting)
             executor = RemoteExecutor([server.address], chunk_bytes=512)
             executor.broadcast("plan", edited)
             assert executor.map_on("plan", _len_of, [0]) == [8192]
@@ -1048,17 +1036,14 @@ class TestMalformedChunkReplies:
 
     @staticmethod
     def _fleet_with_a_bad_chunk_store(monkeypatch, servers, missing):
-        from repro.utils import transport as transport_module
+        real = servers[0].handle
 
-        real = transport_module.handle_request
-        bad_registry = servers[0].registry
-
-        def bad(message, registry):
-            if registry is bad_registry and message[0] == "chunk_assemble":
+        def bad(message):
+            if message[0] == "chunk_assemble":
                 return ("missing", missing)
-            return real(message, registry)
+            return real(message)
 
-        monkeypatch.setattr(transport_module, "handle_request", bad)
+        monkeypatch.setattr(servers[0], "handle", bad)
         return RemoteExecutor(
             [s.address for s in servers], chunk_bytes=1024, reconnects=0
         )
@@ -1091,19 +1076,16 @@ class TestMalformedChunkReplies:
 @network
 class TestBadFrames:
     def test_lane_whose_replies_do_not_unpickle_is_excluded(self, monkeypatch):
-        from repro.utils import transport as transport_module
-
-        real = transport_module.handle_request
         with worker_fleet(2) as servers:
-            bad_registry = servers[0].registry
+            real = servers[0].handle
 
-            def bad(message, registry):
-                reply = real(message, registry)
-                if registry is bad_registry and message[0] == "map_on":
+            def bad(message):
+                reply = real(message)
+                if message[0] == "map_on":
                     return ("ok", _Unpicklable())
                 return reply
 
-            monkeypatch.setattr(transport_module, "handle_request", bad)
+            monkeypatch.setattr(servers[0], "handle", bad)
             rng = np.random.default_rng(3)
             matrix = rng.random((16, 16))
             vectors = [rng.random(16) for _ in range(8)]

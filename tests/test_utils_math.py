@@ -1,4 +1,5 @@
-"""Unit and property tests for :mod:`repro.utils.math`."""
+"""Unit and property tests for :mod:`repro.utils.math` and the digamma
+identities of :mod:`repro.core.expectations`."""
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.expectations import (
+    digamma_expectation_dirichlet,
+    stick_breaking_expectations,
+)
 from repro.errors import ValidationError
 from repro.utils.math import (
     clip_probability,
-    digamma_expectation_dirichlet,
     entropy_categorical,
     log_normalize_rows,
     logsumexp,
     normalize_rows,
     safe_log,
-    stick_breaking_expectations,
     stick_breaking_weights,
     total_variation,
 )

@@ -310,10 +310,10 @@ class StallingWorkerServer(WorkerServer):
 class KillAfterMapOn(RemoteExecutor):
     """Kill a daemon after the N-th ``map_on`` dispatch (then count on).
 
-    A batch-VI sweep issues several ``map_on`` calls (worker scores,
-    item scores, cell statistics), so ``kill_after=1`` on sweep *k*
-    murders the worker between two lane calls of the same sweep — the
-    deterministic mid-sweep crash.
+    A batch-VI sweep issues two ``map_on`` calls (the κ half, then the
+    ϕ half), so a kill after the first call of sweep *k* murders the
+    worker between two lane calls of the same sweep — the deterministic
+    mid-sweep crash.
     """
 
     def __init__(self, workers, victim: WorkerServer, kill_after: int, **kwargs):
