@@ -13,6 +13,14 @@ per-seed ratios (working tree over REF), how many pairs the working tree
 won, and whether the gap between the medians exceeds REF's interquartile
 range.  It also reports, per seed, whether F1 was identical.
 
+Each run also records what the host took from it: the CPU steal over
+the run (field 8 of ``/proc/stat``'s ``cpu`` line, summed over the
+host's CPUs, in seconds) and the CPU seconds of the run's process tree
+(``getrusage(RUSAGE_CHILDREN)`` deltas), printed per seed.  A pair in
+which either run's steal exceeds :data:`STEAL_SHARE` of its wall-clock
+is flagged and re-run once; both runs are printed, and the re-run is
+the one summarized.
+
 Exits 1 if any run is not ``correct``, has failed ops or printed no
 result, and 2 if REF cannot be archived.  ``perfbench/`` and
 ``BENCHMARK.json`` are read, never changed.
@@ -21,12 +29,16 @@ result, and 2 if REF cannot be archived.  ``perfbench/`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,6 +46,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: a run whose host steal exceeds this share of its wall-clock was taken
+#: in a steal spike.  On a quiet 2-vCPU virtual machine, steal read
+#: 0.1-0.8% of a seed-0 run's wall-clock (batch_lanes 0.01-0.05 s of
+#: 8 s, serve_fleet 0.25 s of 30 s); the spikes that cost earlier A/Bs
+#: their pairs put 2.1-3.4 s of steal into a single 3-4 s fit, a quarter
+#: or more of an 8 s batch_lanes run.
+STEAL_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -44,6 +64,14 @@ class Run:
     failed: int
     metrics: Dict[str, float] = field(default_factory=dict)
     f1: Optional[float] = None
+    wall_s: float = 0.0
+    steal_s: float = 0.0  # the host's CPU steal over the run
+    cpu_s: float = 0.0  # user + system CPU of the run's process tree
+
+    @property
+    def stolen(self) -> bool:
+        """Taken in a steal spike (see :data:`STEAL_SHARE`)."""
+        return self.steal_s > STEAL_SHARE * self.wall_s
 
 
 @dataclass(frozen=True)
@@ -74,6 +102,26 @@ def parse_seeds(text: str) -> List[int]:
         low, _, high = part.strip().partition("-")
         seeds.extend(range(int(low), int(high or low) + 1))
     return seeds
+
+
+def parse_steal_s(stat: str) -> float:
+    """The host's cumulative CPU steal in seconds, from the text of
+    ``/proc/stat``: field 8 of its ``cpu`` line, in clock ticks."""
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    raise ValueError("no aggregate 'cpu' line in /proc/stat")
+
+
+def _steal_s() -> float:
+    with open("/proc/stat", encoding="ascii") as handle:
+        return parse_steal_s(handle.read())
+
+
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def parse_run(output: str) -> Run:
@@ -173,21 +221,69 @@ def archive(ref: str, into: Path) -> None:
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> Run:
+    """One perfbench run, with its wall-clock, the host's steal and its
+    process tree's CPU seconds."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
+    steal, cpu, begun = _steal_s(), _children_cpu_s(), time.monotonic()
     try:
         done = subprocess.run(
             command, cwd=root, capture_output=True, text=True,
             timeout=30 * seconds + 600,
         )
+        if done.returncode == 0:
+            run = parse_run(done.stdout)
+        else:
+            sys.stderr.write(done.stderr)
+            run = Run(correct=False, failed=0)
     except subprocess.TimeoutExpired:
-        return Run(correct=False, failed=0)
-    if done.returncode != 0:
-        sys.stderr.write(done.stderr)
-        return Run(correct=False, failed=0)
-    return parse_run(done.stdout)
+        run = Run(correct=False, failed=0)
+    return dataclasses.replace(
+        run,
+        wall_s=time.monotonic() - begun,
+        steal_s=_steal_s() - steal,
+        cpu_s=_children_cpu_s() - cpu,
+    )
+
+
+def run_pair(
+    roots: Dict[str, Path],
+    order: Sequence[str],
+    workload: str,
+    seed: int,
+    seconds: float,
+    names: Sequence[str],
+) -> List[Dict[str, Run]]:
+    """Run both sides of one seed in ``order``, and the pair once more if
+    either run was taken in a steal spike; prints and returns every
+    attempt, the one to summarize last."""
+
+    def once() -> Dict[str, Run]:
+        runs = {side: run_perfbench(roots[side], workload, seed, seconds) for side in order}
+        print(format_pair(seed, order, runs, names), flush=True)
+        return runs
+
+    attempts = [once()]
+    if any(run.stolen for run in attempts[0].values()):
+        print(f"seed {seed}: steal over {STEAL_SHARE:.0%} of a run's wall-clock, re-running", flush=True)
+        attempts.append(once())
+    return attempts
+
+
+def format_pair(seed: int, order: Sequence[str], runs: Dict[str, Run], names: Sequence[str]) -> str:
+    shown = "  ".join(
+        f"{side} {name}={runs[side].metrics.get(name, float('nan')):.4g}"
+        for name in names
+        for side in ("ref", "tree")
+    )
+    host = "  ".join(
+        f"{side} steal={runs[side].steal_s:.2f}s cpu={runs[side].cpu_s:.2f}s "
+        f"wall={runs[side].wall_s:.2f}s{' STOLEN' if runs[side].stolen else ''}"
+        for side in ("ref", "tree")
+    )
+    return f"seed {seed} ({order[0]} first): {shown}\n  {host}"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -201,6 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = [metric["name"] for metric in end_to_end]
 
     pairs: List[Tuple[int, Run, Run]] = []
+    every_run: List[Tuple[int, Run, Run]] = []  # re-run pairs included
     with tempfile.TemporaryDirectory(prefix="paired-perfbench-") as tmp:
         ref_root = Path(tmp)
         try:
@@ -208,22 +305,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"cannot archive {args.against!r}: {exc.stderr.decode()}", file=sys.stderr)
             return 2
+        roots = {"ref": ref_root, "tree": ROOT}
         for index, seed in enumerate(parse_seeds(args.seeds)):
-            sides = {"ref": ref_root, "tree": ROOT}
             order = ("ref", "tree") if index % 2 == 0 else ("tree", "ref")
-            runs = {
-                side: run_perfbench(sides[side], args.workload, seed, args.seconds)
-                for side in order
-            }
-            pairs.append((seed, runs["ref"], runs["tree"]))
-            shown = "  ".join(
-                f"{side} {name}={runs[side].metrics.get(name, float('nan')):.4g}"
-                for name in names
-                for side in ("ref", "tree")
-            )
-            print(f"seed {seed} ({order[0]} first): {shown}", flush=True)
+            attempts = run_pair(roots, order, args.workload, seed, args.seconds, names)
+            every_run.extend((seed, runs["ref"], runs["tree"]) for runs in attempts)
+            pairs.append(every_run[-1])
 
-    bad = problems(pairs)
+    bad = problems(every_run)
     complete = [pair for pair in pairs if pair[1].metrics and pair[2].metrics]
     print(f"\n{args.workload}: {len(complete)} pairs against {args.against}")
     if complete:

@@ -63,11 +63,14 @@ class WorkerFailure(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A serialized CPAState checkpoint is unreadable or incompatible.
+    """A serialized CPAState checkpoint is unreadable, unwritable or
+    incompatible.
 
     Raised by :mod:`repro.core.checkpoint` on magic/version mismatches,
     corrupted payloads, and growth requests that would *shrink* an index
-    space (checkpoints only ever grow into a larger engine).
+    space (checkpoints only ever grow into a larger engine), and by
+    :class:`repro.fleet.FleetManager` when its snapshot file cannot be
+    written.
     """
 
 

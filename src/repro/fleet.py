@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import CPAConfig
-from repro.errors import ConfigurationError, ReproError, TransportError
+from repro.errors import CheckpointError, ConfigurationError, ReproError, TransportError
 from repro.serve import (
     CHECKPOINT_KEY,
     DEFAULT_CHECKPOINT_CHUNK_BYTES,
@@ -138,7 +138,10 @@ class FleetManager:
     interval the writer's snapshot is shipped to all live replicas (and
     optionally written to ``snapshot_path``), replacing PR 7's
     on-demand-only snapshots.  :meth:`refresh_replicas` runs the same
-    path on demand — tests and the CLI call it directly.
+    path on demand — tests and the CLI call it directly.  A snapshot
+    write that fails still ships to the replicas, and the round then
+    raises :class:`~repro.errors.CheckpointError` naming the path; the
+    timer records it in ``last_errors`` and keeps running.
 
     Replicas are provisioned at the writer's construction sizes.
     Thread-mode replicas are grown automatically when the writer's index
@@ -151,6 +154,9 @@ class FleetManager:
     the fleet keeps the :class:`~repro.serve.ConsensusServer` registry
     limits (:data:`~repro.utils.transport.DEFAULT_PAYLOAD_CAP` payloads,
     :data:`~repro.utils.transport.DEFAULT_CHUNK_CACHE_BYTES` of chunks).
+    Every refresh ships under one key, so a replica's chunk store holds
+    the chunks of the last snapshot shipped to it, about one snapshot's
+    bytes; the byte cap stays the hard bound.
     """
 
     def __init__(
@@ -443,7 +449,9 @@ class FleetManager:
         least one replica or written to ``snapshot_path``.  A replica
         whose ship fails beyond its reconnect budget, or that refuses the
         snapshot (outgrown process replica), is excluded and recorded in
-        ``last_errors``.
+        ``last_errors``.  A failed ``snapshot_path`` write is recorded
+        there under the path and, once the replicas are shipped, raised
+        as :class:`~repro.errors.CheckpointError`.
         """
         with self._lifecycle_serial:
             return self._refresh_once()
@@ -465,12 +473,13 @@ class FleetManager:
                 if not replica.health.excluded
             ]
         captured = False
+        write_error: Optional[CheckpointError] = None
         if self.snapshot_path:
-            tmp_path = self.snapshot_path + ".tmp"
-            with open(tmp_path, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_path, self.snapshot_path)
-            captured = True
+            try:
+                self._write_snapshot(blob)
+                captured = True
+            except CheckpointError as exc:
+                write_error = exc
         # (replica, report, transient error, permanent error) per target
         outcomes = []
         for replica in targets:
@@ -499,10 +508,30 @@ class FleetManager:
                     replica.health.recover()
                     reports[replica.address] = report
                     captured = True
+            if write_error is not None:
+                self.last_errors[self.snapshot_path] = str(write_error)
             if captured:
                 self.engine.mark_snapshot()
             self._refresh_count += 1
+        if write_error is not None:
+            raise write_error
         return reports
+
+    def _write_snapshot(self, blob: bytes) -> None:
+        """Write ``blob`` to ``snapshot_path`` through a ``.tmp`` file and
+        a rename; a failed write removes the ``.tmp`` and raises
+        :class:`~repro.errors.CheckpointError` naming the path."""
+        tmp_path = self.snapshot_path + ".tmp"
+        try:
+            with open(tmp_path, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp_path, self.snapshot_path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+            raise CheckpointError(
+                f"cannot write the fleet snapshot to {self.snapshot_path!r}: {exc}"
+            ) from exc
 
     def _grow_thread_replica(self, replica: _Replica) -> None:
         """Match a thread-mode replica's index spaces to the writer's."""

@@ -555,9 +555,11 @@ def ship_checkpoint(
         except StaleBroadcast:
             # The assembled payload was LRU-evicted between assemble and
             # restore (concurrent broadcast churn on a small payload cap).
-            # The chunks are still (mostly) resident, so re-assembling and
-            # retrying once is cheap; a second eviction is a configuration
-            # problem and the StaleBroadcast escapes loudly.
+            # Its eviction forgot the key's manifest but left the chunks
+            # to the byte-capped LRU, so the re-assembly is normally one
+            # manifest-only request that carries no chunk; a second
+            # eviction is a configuration problem and the StaleBroadcast
+            # escapes loudly.
             shipped_bytes += ship_chunks(
                 channel, key, blob, manifest, chunk_bytes, timeout=timeout
             )[1]

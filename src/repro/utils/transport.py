@@ -55,9 +55,11 @@ content-hashed chunks; ``digests`` is its manifest and ``chunks`` a list
 of carried ``(digest, data)`` pairs.  :func:`ship_chunks`, the store's
 only client, sends the manifest alone first, then exactly the chunks the
 daemon names as missing, and the daemon rebuilds the payload under its
-key.  A daemon whose *payload* LRU evicted a key but whose chunk index
-still holds the bytes is re-armed by one manifest-only request instead
-of the full blob.
+key.  The daemon keeps the chunks of each key's last manifest and drops
+the ones a replaced manifest alone named (:class:`PayloadRegistry`), so
+a replica refreshed under one key holds one snapshot.  A daemon whose
+*payload* LRU evicted a key but whose chunk index still holds the bytes
+is re-armed by one manifest-only request instead of the full blob.
 
 A request that raises on the worker replies ``("err", exception,
 traceback_text)`` (:func:`error_reply`); the client re-raises the
@@ -79,7 +81,7 @@ import struct
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import TransportError, ValidationError, WorkerFailure
 
@@ -586,10 +588,19 @@ class PayloadRegistry:
 
     Alongside the (count-capped) payload LRU the registry keeps a
     *byte*-capped chunk index: content-addressed raw chunks carried by
-    ``chunk_assemble``, keyed by blake2b-128 digest.  The two caches have
-    independent lifetimes on purpose — evicting a payload does not drop
-    its chunks, which is exactly what lets a re-broadcast after payload
-    eviction cost one manifest instead of a re-ship.
+    ``chunk_assemble``, keyed by blake2b-128 digest.  For each key it
+    keeps the chunks named by the last manifest assembled under that
+    key.  When a later ``chunk_assemble`` under the key (the
+    manifest-only probe included) replaces that manifest, every chunk of
+    the old manifest that no held manifest names is dropped, so a
+    replica refreshed under one key holds one snapshot's chunks, not
+    every chunk it was ever sent.  Payload eviction, :meth:`release`,
+    :meth:`drop_payloads` and a plain :meth:`put` over the key forget
+    the key's manifest but leave its chunks in the LRU, which is what
+    lets a re-broadcast after payload eviction cost one manifest instead
+    of a re-ship.  So the manifest table holds at most one entry per
+    resident payload (``cap`` entries), and the byte cap stays the hard
+    bound on chunk bytes, named by a manifest or not.
     """
 
     def __init__(
@@ -604,16 +615,30 @@ class PayloadRegistry:
         self.cap = int(cap)
         self.chunk_cache_bytes = int(chunk_cache_bytes)
         self._payloads: Dict[str, object] = {}
+        #: the digests of the manifest each assembled payload was built
+        #: from; a key has an entry only while it holds a payload.
+        self._manifests: Dict[str, FrozenSet[bytes]] = {}
         self._chunks: Dict[bytes, bytes] = {}  # dict order = LRU order
         self._chunk_bytes_held = 0
         self._lock = threading.Lock()
 
-    def put(self, key: str, payload: object) -> None:
+    def put(
+        self, key: str, payload: object, manifest: Optional[FrozenSet[bytes]] = None
+    ) -> None:
+        """Hold ``payload`` under ``key``, with the ``manifest`` it was
+        assembled from (``None`` for a plain broadcast, which names no
+        chunk)."""
         with self._lock:
             self._payloads.pop(key, None)  # re-broadcast refreshes recency
             self._payloads[key] = payload
+            if manifest is None:
+                self._manifests.pop(key, None)
+            else:
+                self._manifests[key] = manifest
             while len(self._payloads) > self.cap:
-                self._payloads.pop(next(iter(self._payloads)))
+                evicted = next(iter(self._payloads))
+                del self._payloads[evicted]
+                self._manifests.pop(evicted, None)
 
     def get(self, key: str) -> Any:
         """The payload under ``key`` (LRU-touched), or raise ``KeyError``."""
@@ -633,6 +658,7 @@ class PayloadRegistry:
     def release(self, key: str) -> None:
         with self._lock:
             self._payloads.pop(key, None)
+            self._manifests.pop(key, None)
 
     def keys(self) -> Tuple[str, ...]:
         with self._lock:
@@ -649,6 +675,7 @@ class PayloadRegistry:
         re-armed from chunks alone."""
         with self._lock:
             self._payloads.clear()
+            self._manifests.clear()
 
     # ----------------------------------------------------- chunk index
 
@@ -663,10 +690,12 @@ class PayloadRegistry:
         Each carried ``(digest, data)`` chunk is digest-verified first, so
         a corrupt frame can never poison the content address space; it
         is then used directly and kept in the chunk LRU.  Manifest chunks
-        not carried come from the LRU (and are touched there).  Returns
-        the (possibly empty) tuple of digests neither carried nor held,
-        once per occurrence in ``digests``; on any miss no payload is
-        stored.
+        not carried come from the LRU (and are touched there).  If ``key``
+        holds a manifest, ``digests`` replaces it, hit or miss, and the
+        old manifest's chunks that no held manifest names are dropped.
+        Returns the (possibly empty) tuple of digests neither carried nor
+        held, once per occurrence in ``digests``; on any miss no payload
+        is stored.
         """
         carried: Dict[bytes, bytes] = {}
         for digest, data in chunks:
@@ -675,6 +704,7 @@ class PayloadRegistry:
                     "chunk data does not match its digest; refusing to store"
                 )
             carried[digest] = data
+        manifest = frozenset(digests)
         with self._lock:
             pieces: List[bytes] = []
             missing: List[bytes] = []
@@ -687,6 +717,16 @@ class PayloadRegistry:
                         continue
                     self._chunks[digest] = data  # refresh recency
                 pieces.append(data)
+            replaced = self._manifests.get(key)
+            if replaced is not None:
+                self._manifests[key] = manifest
+                orphans = replaced - manifest
+                for other in self._manifests.values():
+                    orphans -= other
+                for digest in orphans:
+                    held = self._chunks.pop(digest, None)
+                    if held is not None:
+                        self._chunk_bytes_held -= len(held)
             for digest, data in carried.items():
                 held = self._chunks.pop(digest, None)
                 if held is not None:
@@ -703,7 +743,7 @@ class PayloadRegistry:
                 self._chunk_bytes_held -= len(self._chunks.pop(oldest))
             if missing:
                 return tuple(missing)
-        self.put(key, pickle.loads(b"".join(pieces)))
+        self.put(key, pickle.loads(b"".join(pieces)), manifest)
         return ()
 
     def chunk_count(self) -> int:

@@ -22,7 +22,12 @@ import pytest
 from repro.core.config import CPAConfig
 from repro.data.answers import AnswerMatrix
 from repro.data.streams import AnswerStream
-from repro.errors import ConfigurationError, TransportError, ValidationError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    TransportError,
+    ValidationError,
+)
 from repro.fleet import FleetClient, FleetManager, FleetRouter, _build_parser
 from repro.serve import ConsensusServer, ServeClient
 from repro.utils.transport import LaneHealth, connect, parse_address
@@ -310,6 +315,64 @@ class TestFleetRefresh:
                 assert manager.status()["refresh_count"] >= 1
                 # the timer's refresh is the durable-capture path
                 assert manager.engine.metrics()["snapshot_age_steps"] == 0
+
+    def test_unwritable_snapshot_path_still_ships_and_raises_typed(self, tmp_path):
+        """A snapshot write that fails (here the rename onto a directory,
+        after the ``.tmp`` was written) still refreshes the replica, leaves
+        no ``.tmp`` behind, is recorded under its path, and raises a
+        ``CheckpointError`` naming it instead of a bare ``OSError``."""
+        target = tmp_path / "taken"
+        (target / "inner").mkdir(parents=True)
+        matrix = _matrix(seed=4)
+        with _manager(matrix, n_replicas=1, snapshot_path=str(target)) as manager:
+            with manager.client() as client:
+                for batch in _batches(matrix)[:2]:
+                    client.ingest(batch)
+                with pytest.raises(CheckpointError, match="taken"):
+                    manager.refresh_replicas()
+                assert not os.path.exists(str(target) + ".tmp")
+                assert str(target) in manager.last_errors[str(target)]
+                replica = manager._replicas[0].server.engine
+                assert replica.metrics()["batches_seen"] == (
+                    manager.engine.metrics()["batches_seen"]
+                )
+                # shipped to a replica: the snapshot was captured there
+                assert manager.engine.metrics()["snapshot_age_steps"] == 0
+                assert manager.status()["refresh_count"] == 1
+
+    def test_failed_snapshot_write_alone_is_not_a_capture(self, tmp_path):
+        matrix = _matrix(seed=4)
+        path = str(tmp_path / "missing-dir" / "snap.bin")
+        with _manager(matrix, n_replicas=0, snapshot_path=path) as manager:
+            with ServeClient(manager.writer_address, timeout=30) as client:
+                client.ingest(_batches(matrix)[0])
+            with pytest.raises(CheckpointError, match="missing-dir"):
+                manager.refresh_replicas()
+            assert manager.engine.metrics()["snapshot_age_steps"] > 0
+
+    def test_snapshot_timer_survives_an_unwritable_path(self, tmp_path):
+        """The timer thread used to die on the first round's bare
+        ``OSError``: every later refresh was silently lost."""
+        matrix = _matrix(seed=7)
+        path = str(tmp_path / "missing-dir" / "snap.bin")
+        with _manager(
+            matrix, n_replicas=1, refresh_interval=0.1, snapshot_path=path
+        ) as manager:
+            with manager.client() as client:
+                for batch in _batches(matrix):
+                    client.ingest(batch)
+                writer_seen = manager.engine.metrics()["batches_seen"]
+                deadline = time.monotonic() + 20.0
+                while time.monotonic() < deadline:
+                    replica = manager._replicas[0].server.engine
+                    refreshed = replica.metrics()["batches_seen"] == writer_seen
+                    if refreshed and manager.status()["refresh_count"] >= 2:
+                        break
+                    time.sleep(0.05)
+                else:
+                    pytest.fail("the timer stopped refreshing the replica")
+                assert manager._refresh_thread.is_alive()
+                assert "missing-dir" in manager.last_errors[path]
 
     def test_writer_growth_propagates_to_thread_replicas(self):
         matrix = _matrix(seed=8)

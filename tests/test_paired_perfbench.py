@@ -5,12 +5,16 @@ import json
 
 import pytest
 
+import benchmarks.paired_perfbench as paired
 from benchmarks.paired_perfbench import (
+    STEAL_SHARE,
     Run,
     format_summary,
     parse_run,
     parse_seeds,
+    parse_steal_s,
     problems,
+    run_pair,
     summarize,
 )
 
@@ -101,3 +105,67 @@ def test_incorrect_or_failed_runs_are_problems():
         "seed 2 tree: correct=True failed=3",
         "seed 3 tree: correct=False failed=0",
     ]
+
+
+# A /proc/stat as Linux prints it: the aggregate line, then one per CPU.
+PROC_STAT = """\
+cpu  1041441 0 89199 3116916 396 0 12173 137304 0 0
+cpu0 522393 0 44439 1556599 278 0 6083 68537 0 0
+cpu1 519047 0 44759 1560316 117 0 6089 68766 0 0
+intr 123 0 0
+ctxt 456
+"""
+
+
+def test_parse_steal_reads_field_8_of_the_cpu_line(monkeypatch):
+    monkeypatch.setattr(paired.os, "sysconf", lambda name: 100)
+    assert parse_steal_s(PROC_STAT) == pytest.approx(1373.04)
+    with pytest.raises(ValueError, match="cpu"):
+        parse_steal_s("intr 123\n")
+
+
+def test_a_run_is_stolen_when_steal_exceeds_the_share_of_its_wall_clock():
+    wall = 10.0
+    assert not Run(True, 0, wall_s=wall, steal_s=STEAL_SHARE * wall).stolen
+    assert Run(True, 0, wall_s=wall, steal_s=STEAL_SHARE * wall + 0.01).stolen
+    assert not Run(True, 0, wall_s=wall, steal_s=0.0).stolen
+
+
+def _fake_runs(monkeypatch, steals):
+    """``run_perfbench`` replaced by canned runs with the given steals, in
+    call order; returns the list of ``(side, seed)`` calls."""
+    calls = []
+    steal = iter(steals)
+
+    def fake(root, workload, seed, seconds):
+        calls.append((str(root), seed))
+        return Run(True, 0, {"fit_s": 1.0}, 0.75, wall_s=10.0, steal_s=next(steal))
+
+    monkeypatch.setattr(paired, "run_perfbench", fake)
+    return calls
+
+
+ROOTS = {"ref": "ref-root", "tree": "tree-root"}
+
+
+def test_a_quiet_pair_runs_once(monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch, [0.1, 0.2])
+    attempts = run_pair(ROOTS, ("tree", "ref"), "w", 3, 20.0, ["fit_s"])
+    assert calls == [("tree-root", 3), ("ref-root", 3)]  # in order
+    assert len(attempts) == 1
+    out = capsys.readouterr().out
+    assert "ref steal=0.20s" in out and "tree steal=0.10s" in out
+    assert "STOLEN" not in out
+
+
+def test_a_stolen_pair_is_rerun_once_and_both_runs_reported(monkeypatch, capsys):
+    # the ref run is stolen; so is the re-run's tree run, with no third try
+    calls = _fake_runs(monkeypatch, [0.0, 5.0, 4.0, 0.1])
+    attempts = run_pair(ROOTS, ("tree", "ref"), "w", 7, 20.0, ["fit_s"])
+    assert len(calls) == 4
+    assert [runs["ref"].steal_s for runs in attempts] == [5.0, 0.1]
+    assert [runs["tree"].steal_s for runs in attempts] == [0.0, 4.0]
+    out = capsys.readouterr().out
+    assert out.count("seed 7 (tree first)") == 2
+    assert out.count("re-running") == 1
+    assert out.count("STOLEN") == 2

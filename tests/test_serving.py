@@ -534,6 +534,35 @@ class TestConsensusServer:
         finally:
             server.close()
 
+    def test_replica_holds_only_its_last_snapshots_chunks(self):
+        """A read replica refreshed over a stream keeps the chunks of the
+        snapshot it serves, not every chunk it was sent: each refresh
+        replaces the key's manifest and drops what only the old one
+        named, so the chunk store never outgrows one snapshot."""
+        matrix = _serving_matrix(seed=6, n_items=4000, per_item=1)
+        batches = _batches(matrix, answers_per_batch=40)
+        source = _engine(matrix)
+        server = _daemon(matrix, auto_step=False, read_only=True)
+        try:
+            with ServeClient(server.address, timeout=30) as client:
+                shipped = set()
+                for batch in batches[:6]:
+                    source.ingest(batch)
+                    source.step()
+                    blob = dumps(source.snapshot_payload())
+                    report = client.push_checkpoint(blob)
+                    manifest = chunk_manifest(blob, DEFAULT_CHECKPOINT_CHUNK_BYTES)
+                    shipped.update(manifest)
+                    held = server.registry.chunk_count()
+                    assert held == len(set(manifest))
+                    assert server.registry._chunk_bytes_held <= len(blob)
+                assert report.n_shipped < report.n_chunks  # still a delta
+                assert len(shipped) > held  # older snapshots' chunks left
+                assert client.predict() == source.predict()
+                client.shutdown()
+        finally:
+            server.close()
+
     def test_ship_without_restore_arms_the_registry(self):
         matrix = _serving_matrix(seed=7)
         source = _engine(matrix)

@@ -22,6 +22,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.errors import (
     ConfigurationError,
@@ -534,6 +537,156 @@ class TestChunkIndex:
         assert registry.chunk_count() == len(set(digests))
         assert registry.assemble("plan", digests) == ()  # re-armed from chunks
         assert registry.get("plan") == [1, 2, 3]
+
+    def test_a_replaced_manifest_drops_what_no_held_manifest_names(self):
+        """Assembling under a key replaces its manifest, at the
+        manifest-only probe already: the old manifest's chunks go unless
+        the new manifest or another key's still names them."""
+        registry = PayloadRegistry()
+        blobs = {
+            name: dumps(first * 64 + second * 64)
+            for name, (first, second) in {
+                "old": (b"a", b"b"), "side": (b"b", b"c"), "new": (b"c", b"d")
+            }.items()
+        }
+        old, side, new = (set(_carried(blobs[name], 8)[0]) for name in blobs)
+        assert registry.assemble("ckpt", *_carried(blobs["old"], 8)) == ()
+        assert registry.assemble("side", *_carried(blobs["side"], 8)) == ()
+        assert registry.assemble("ckpt", list(new))  # the probe misses...
+        # ...and has dropped the chunks only the old manifest named
+        assert set(registry._chunks) == side | (old & new)
+        assert chunk_digest(b"b" * 8) in registry._chunks  # "side" names it
+        assert chunk_digest(b"a" * 8) not in registry._chunks
+        assert registry.assemble("ckpt", *_carried(blobs["new"], 8)) == ()
+        assert set(registry._chunks) == side | new
+        assert registry._chunk_bytes_held == sum(map(len, registry._chunks.values()))
+
+    def test_manifest_table_holds_one_entry_per_resident_payload(self):
+        """The bookkeeping bound: a key's manifest is forgotten when its
+        payload leaves or a plain put replaces it, so the table never
+        outgrows the payload cap; the chunks stay for the byte-capped
+        LRU."""
+        registry = PayloadRegistry(cap=2)
+        for index in range(5):
+            assert registry.assemble(f"plan-{index}", *_carried(dumps(index), 4)) == ()
+        assert set(registry._manifests) == set(registry.keys()) == {"plan-3", "plan-4"}
+        held = registry.chunk_count()
+        registry.put("plan-4", "plain broadcast")
+        registry.release("plan-3")
+        assert registry._manifests == {}
+        assert registry.chunk_count() == held
+
+
+_KEYS = ("a", "b", "c")
+_CHUNK = 4
+
+
+class RegistryMachine(RuleBasedStateMachine):
+    """Random traffic against one :class:`PayloadRegistry` with a small
+    payload cap and byte cap: assembles that hit and miss, plain puts,
+    releases, payload drops, touches and LRU eviction of both caches."""
+
+    @initialize(
+        cap=st.integers(1, 3), budget=st.sampled_from([0, 16, 48, 1 << 20])
+    )
+    def start(self, cap, budget):
+        self.registry = PayloadRegistry(cap, budget)
+        self.budget = budget
+        self.blobs = {}  # key -> the blob of the manifest it holds
+        self.present = {}  # key -> its manifest's chunks held when it was set
+        self.dropped = set()  # dropped by a replacement, not carried since
+
+    @rule(
+        key=st.sampled_from(_KEYS),
+        values=st.lists(st.integers(0, 1), max_size=16),
+        carry=st.sets(st.integers(0, 7)),
+    )
+    def assemble(self, key, values, carry):
+        registry = self.registry
+        blob = dumps(bytes(values))
+        digests, chunks = _carried(blob, _CHUNK)
+        carried = [chunks[i] for i in sorted(carry) if i < len(chunks)]
+        carried_digests = {digest for digest, _ in carried}
+        old = registry._manifests.get(key)
+        others = set().union(*(m for k, m in registry._manifests.items() if k != key))
+        held_before = set(registry._chunks)
+        missing = registry.assemble(key, digests, carried)
+        assert missing == tuple(
+            d for d in digests if d not in carried_digests and d not in held_before
+        )
+        self.dropped -= carried_digests
+        if old is not None:
+            orphans = old - set(digests) - others - carried_digests
+            assert not orphans & set(registry._chunks)
+            self.dropped |= orphans
+        if old is not None or not missing:
+            assert registry._manifests[key] == frozenset(digests)
+            self.blobs[key] = blob
+            self.present[key] = set(digests) & set(registry._chunks)
+        else:
+            assert key not in registry._manifests
+        if not missing:
+            assert registry.get(key) == bytes(values)
+
+    @rule(key=st.sampled_from(_KEYS))
+    def put(self, key):
+        self.registry.put(key, "plain")
+        assert key not in self.registry._manifests
+
+    @rule(key=st.sampled_from(_KEYS))
+    def release(self, key):
+        self.registry.release(key)
+
+    @rule()
+    def drop_payloads(self):
+        self.registry.drop_payloads()
+
+    @rule(key=st.sampled_from(_KEYS))
+    def touch(self, key):
+        if key in self.registry.keys():
+            self.registry.get(key)
+
+    @rule(key=st.sampled_from(_KEYS))
+    def rearm_from_the_manifest_alone(self, key):
+        manifest = self.registry._manifests.get(key)
+        if manifest is None or not manifest <= set(self.registry._chunks):
+            return
+        blob = self.blobs[key]
+        assert self.registry.assemble(key, _carried(blob, _CHUNK)[0]) == ()
+        assert dumps(self.registry.get(key)) == blob
+
+    @invariant()
+    def held_bytes_match_the_held_chunks(self):
+        chunks = self.registry._chunks
+        held = self.registry._chunk_bytes_held
+        assert held == sum(len(data) for data in chunks.values())
+        assert held <= self.budget or len(chunks) == 1
+        assert all(chunk_digest(data) == digest for digest, data in chunks.items())
+
+    @invariant()
+    def manifests_only_for_resident_payloads(self):
+        manifests = self.registry._manifests
+        assert set(manifests) <= set(self.registry.keys())
+        assert len(manifests) <= self.registry.cap
+
+    @invariant()
+    def nothing_held_that_a_replacement_dropped(self):
+        assert not self.dropped & set(self.registry._chunks)
+
+    @invariant()
+    def a_held_manifest_keeps_its_chunks(self):
+        """Only the byte cap may take a chunk that a held manifest names."""
+        held = set(self.registry._chunks)
+        for key in set(self.present) - set(self.registry._manifests):
+            del self.present[key]
+        if self.budget >= 1 << 20:
+            assert all(chunks <= held for chunks in self.present.values())
+
+
+TestRegistryStateMachine = RegistryMachine.TestCase
+TestRegistryStateMachine.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
 
 
 class TestHandleRequestChunkOps:

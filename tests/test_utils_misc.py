@@ -1,4 +1,4 @@
-"""Tests for RNG plumbing, validation helpers, executors, and tables."""
+"""Tests for RNG plumbing, executors, and tables."""
 
 import numpy as np
 import pytest
@@ -14,13 +14,6 @@ from repro.utils.parallel import (
 )
 from repro.utils.random import RandomState, choice_without_replacement, spawn_rngs
 from repro.utils.tables import format_kv_block, format_table
-from repro.utils.validation import (
-    check_fraction,
-    check_in_range,
-    check_positive,
-    check_probability_matrix,
-    check_type,
-)
 
 
 class TestRandomState:
@@ -52,38 +45,6 @@ class TestRandomState:
         rng = RandomState(0)
         out = choice_without_replacement(rng, range(100), 10)
         assert len(set(out.tolist())) == 10
-
-
-class TestValidation:
-    def test_check_type_passes_and_fails(self):
-        assert check_type("x", 3, int) == 3
-        with pytest.raises(ValidationError):
-            check_type("x", "3", int)
-
-    def test_check_positive(self):
-        assert check_positive("x", 1.5) == 1.5
-        with pytest.raises(ValidationError):
-            check_positive("x", 0.0)
-        assert check_positive("x", 0.0, strict=False) == 0.0
-        with pytest.raises(ValidationError):
-            check_positive("x", float("nan"))
-
-    def test_check_fraction(self):
-        assert check_fraction("x", 0.0) == 0.0
-        with pytest.raises(ValidationError):
-            check_fraction("x", 1.5)
-        with pytest.raises(ValidationError):
-            check_fraction("x", 0.0, inclusive=False)
-
-    def test_check_in_range(self):
-        assert check_in_range("x", 2, 1, 3) == 2
-        with pytest.raises(ValidationError):
-            check_in_range("x", 2.5, 1, 3, integral=True)
-
-    def test_check_probability_matrix(self):
-        check_probability_matrix("p", np.array([[0.5, 0.5]]))
-        with pytest.raises(ValidationError):
-            check_probability_matrix("p", np.array([[0.5, 0.6]]))
 
 
 class TestSplitChunks:
