@@ -214,8 +214,8 @@ def run_fleet_suite(
     matrix = _build_matrix(n_items, n_workers, n_labels, answers_per_item, seed)
     batches = list(AnswerStream(matrix, seed=seed).by_answers(batch_answers))
     head, tail = batches[: len(batches) // 2], batches[len(batches) // 2 :]
-    # only CLI-expressible fields: process replicas rebuild this config
-    # from --seed/--dtype/--step-answers
+    # only CLI-expressible fields: replicas rebuild this config from
+    # --seed/--dtype/--step-answers, and FleetManager refuses any other
     config = CPAConfig(seed=seed, svi_batch_answers=batch_answers)
     items = list(range(query_items))
 
@@ -317,7 +317,6 @@ def run_fleet_suite(
         n_replicas=n_replicas,
         seed=seed,
         total_answers_hint=matrix.n_answers,
-        replica_mode="process",
         request_timeout=120.0,
     ) as manager:
         with ServeClient(manager.writer_address, timeout=120) as feed:

@@ -198,34 +198,32 @@ class StochasticInference:
     def restore(self, payload: dict) -> None:
         """Adopt a :meth:`checkpoint` payload as the engine's state.
 
-        The checkpoint's index spaces must not exceed the engine's; a
-        smaller checkpoint (taken before new items/workers/labels
-        appeared) is grown to the engine's spaces via
-        :func:`repro.core.checkpoint.grow_state`.  Per-batch caches are
-        dropped — they key on batch identity and would go stale.
+        The engine ends at the elementwise maximum of its own and the
+        checkpoint's index-space sizes.  A checkpoint at least as large
+        as the engine in every dimension is adopted verbatim at its own
+        sizes, and the engine widens to them (as :meth:`grow` does); a
+        smaller one (taken before new items/workers/labels appeared) is
+        grown via :func:`repro.core.checkpoint.grow_state`.  The payload
+        is validated and grown before the engine changes, so a rejected
+        checkpoint leaves it as it was.  Per-batch caches are dropped —
+        they key on batch identity and would go stale.
         """
         from repro.core.checkpoint import grow_state, state_from_payload
 
         state, seeded = state_from_payload(payload)
-        if (state.n_items, state.n_workers, state.n_labels) != (
-            self.n_items,
-            self.n_workers,
-            self.n_labels,
-        ):
-            state = grow_state(
-                state,
-                self.config,
-                self.n_items,
-                self.n_workers,
-                self.n_labels,
-                seed=self._seed,
-            )
+        sizes = (
+            max(state.n_items, self.n_items),
+            max(state.n_workers, self.n_workers),
+            max(state.n_labels, self.n_labels),
+        )
+        if (state.n_items, state.n_workers, state.n_labels) != sizes:
+            state = grow_state(state, self.config, *sizes, seed=self._seed)
         if state.mu is None:
             state.sync_mu_from_phi()
         self.state = state
         self._seeded = seeded
         self._phi_fresh = False
-        self._drop_batch_caches()
+        self._widen_to(*sizes)
 
     def grow(self, n_items: int, n_workers: int, n_labels: int) -> None:
         """Widen the engine's index spaces mid-stream (never shrinks).
@@ -243,7 +241,12 @@ class StochasticInference:
         if self.state.mu is None:
             self.state.sync_mu_from_phi()
         self._phi_fresh = False
-        if n_labels > self.n_labels or n_items > self.n_items:
+        self._widen_to(n_items, n_workers, n_labels)
+
+    def _widen_to(self, n_items: int, n_workers: int, n_labels: int) -> None:
+        """Adopt grown index-space sizes: pad the supervision arrays with
+        unobserved rows and labels, and drop the per-batch caches."""
+        if n_items > self.n_items or n_labels > self.n_labels:
             indicator = np.zeros((n_items, n_labels), dtype=np.float64)
             indicator[: self.n_items, : self.n_labels] = self.truth_indicator
             self.truth_indicator = indicator

@@ -14,11 +14,10 @@ consensus tractable at crowd scale (PAPERS.md, Mossel & Tamuz).
 Three pieces:
 
 * :class:`FleetManager` — owns the writer :class:`~repro.serve.ConsensusServer`
-  plus N read replicas (in-process threads or ``python -m repro.serve
-  --read-only`` subprocesses), refreshes every replica via
+  plus N read replicas, each a ``python -m repro.serve --read-only``
+  child process, refreshes every replica via
   :func:`~repro.serve.ship_checkpoint` chunk deltas, and runs a background
-  snapshot thread on a timer (``refresh_interval``) — the periodic
-  snapshot that PR 7's on-demand ``snapshot`` op lacked.  Only this
+  snapshot thread on a timer (``refresh_interval``).  Only this
   refresh path calls :meth:`~repro.serve.ConsensusEngine.mark_snapshot`,
   so the writer's ``snapshot_age_*`` metrics measure real durability.
 * :class:`FleetRouter` — client-side routing policy over the replica set:
@@ -50,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import subprocess
 import sys
@@ -63,8 +63,6 @@ import numpy as np
 from repro.core.config import CPAConfig
 from repro.errors import CheckpointError, ConfigurationError, ReproError, TransportError
 from repro.serve import (
-    CHECKPOINT_KEY,
-    DEFAULT_CHECKPOINT_CHUNK_BYTES,
     ConsensusEngine,
     ConsensusServer,
     ServeClient,
@@ -85,23 +83,51 @@ from repro.utils.transport import (
 #: routing policies the router accepts.
 POLICIES = ("round_robin", "least_staleness")
 
-#: replica hosting modes the manager accepts.
-REPLICA_MODES = ("thread", "process")
+
+def _check_replicable(config: CPAConfig, seed: Seed) -> None:
+    """Refuse a fleet its replicas would serve differently.
+
+    A replica is ``python -m repro.serve --read-only``, which builds its
+    ``CPAConfig`` from ``--seed``, ``--dtype`` and ``--step-answers``
+    alone; consensus and prediction read more fields than those, so any
+    other field off its default would make the replicas answer
+    differently from the writer without an error.
+    """
+    rebuilt = CPAConfig(
+        seed=config.seed, dtype=config.dtype, svi_batch_answers=config.svi_batch_answers
+    )
+    differing = [
+        field.name
+        for field in dataclasses.fields(CPAConfig)
+        if getattr(config, field.name) != getattr(rebuilt, field.name)
+    ]
+    if differing:
+        raise ConfigurationError(
+            "a fleet replica rebuilds its CPAConfig from seed, dtype and "
+            "svi_batch_answers alone, so it would serve this config "
+            f"differently; these fields differ from their defaults: {differing}"
+        )
+    if seed is not None and not isinstance(seed, (int, np.integer)):
+        raise ConfigurationError(
+            "a fleet replica takes its seed on the command line, so seed "
+            f"must be an int or None, got {type(seed).__name__}"
+        )
 
 
 # ---------------------------------------------------------------- manager
 
 
 class _Replica:
-    """Manager-side record of one read replica."""
+    """Manager-side record of one read replica: its child process, the
+    directory of the port file it announces its address in, and the
+    channel refreshes ship over.  The router's :class:`_ReplicaSlot` is
+    built from the address alone, often in another process."""
 
     __slots__ = (
         "index",
         "address",
         "host",
         "port",
-        "mode",
-        "server",
         "process",
         "port_dir",
         "channel",
@@ -109,14 +135,12 @@ class _Replica:
         "last_report",
     )
 
-    def __init__(self, index: int, mode: str, reconnects: int) -> None:
+    def __init__(self, index: int, reconnects: int) -> None:
         self.index = index
         self.address = ""
         self.host = ""
         self.port = 0
-        self.mode = mode
-        self.server: Optional[ConsensusServer] = None  # thread mode
-        self.process: Optional[subprocess.Popen] = None  # process mode
+        self.process: Optional[subprocess.Popen] = None
         self.port_dir: Optional[str] = None
         self.channel: Optional[Channel] = None
         self.health = LaneHealth(reconnects)
@@ -128,29 +152,28 @@ class FleetManager:
 
     The writer is a normal :class:`~repro.serve.ConsensusServer` (ingest,
     fold, query) served on an in-process thread with its engine owned by
-    the manager; replicas are ``read_only`` daemons, either in-process
-    threads (``replica_mode="thread"`` — cheap, shares the GIL; the test
-    default) or ``python -m repro.serve --read-only`` subprocesses
-    (``"process"`` — real CPU parallelism for read scaling; the benchmark
-    default).
+    the manager; every replica is a ``python -m repro.serve --read-only``
+    child process, so reads scale over CPUs.  A replica's stderr is the
+    fleet's, so a replica that dies at start-up says why.
 
     ``refresh_interval > 0`` starts the background snapshot thread: every
     interval the writer's snapshot is shipped to all live replicas (and
-    optionally written to ``snapshot_path``), replacing PR 7's
-    on-demand-only snapshots.  :meth:`refresh_replicas` runs the same
+    optionally written to ``snapshot_path``).  :meth:`refresh_replicas` runs the same
     path on demand — tests and the CLI call it directly.  A snapshot
     write that fails still ships to the replicas, and the round then
     raises :class:`~repro.errors.CheckpointError` naming the path; the
     timer records it in ``last_errors`` and keeps running.
 
-    Replicas are provisioned at the writer's construction sizes.
-    Thread-mode replicas are grown automatically when the writer's index
-    spaces grow mid-stream; process-mode replicas cannot be (the snapshot
-    would be refused by their restore guard), so size the fleet for the
-    stream, or accept that an outgrown process replica is excluded at its
-    next refresh.  Process-mode replicas rebuild their ``CPAConfig`` from
-    CLI-expressible fields (seed, dtype, step size); use thread mode when
-    bitwise parity under a non-default config matters.  Every daemon of
+    Replicas start at the writer's construction sizes; when the writer's
+    index spaces grow mid-stream, the next refresh widens each replica to
+    the snapshot's sizes (:meth:`~repro.serve.ConsensusEngine.restore`).
+    A replica rebuilds its ``CPAConfig`` from its command line (seed,
+    dtype, step size), so the manager refuses, with a
+    :class:`~repro.errors.ConfigurationError` naming the fields, any
+    ``config`` that differs from
+    ``CPAConfig(seed=..., dtype=..., svi_batch_answers=...)``, and a
+    ``seed`` that is not an ``int`` or ``None``: a replica would serve
+    such a fleet different answers.  Every daemon of
     the fleet keeps the :class:`~repro.serve.ConsensusServer` registry
     limits (:data:`~repro.utils.transport.DEFAULT_PAYLOAD_CAP` payloads,
     :data:`~repro.utils.transport.DEFAULT_CHUNK_CACHE_BYTES` of chunks).
@@ -169,20 +192,14 @@ class FleetManager:
         n_replicas: int = 2,
         seed: Seed = 0,
         total_answers_hint: Optional[int] = None,
-        replica_mode: str = "thread",
         host: str = "127.0.0.1",
         auto_step: bool = True,
         refresh_interval: float = 0.0,
         snapshot_path: Optional[str] = None,
         reconnects: int = 1,
         request_timeout: float = 30.0,
-        chunk_bytes: int = DEFAULT_CHECKPOINT_CHUNK_BYTES,
     ) -> None:
-        if replica_mode not in REPLICA_MODES:
-            raise ConfigurationError(
-                f"unknown replica_mode {replica_mode!r}; choose from "
-                f"{REPLICA_MODES}"
-            )
+        _check_replicable(config, seed)
         if n_replicas < 0:
             raise ConfigurationError(f"n_replicas must be >= 0, got {n_replicas}")
         self.config = config
@@ -191,14 +208,12 @@ class FleetManager:
         self.n_labels = int(n_labels)
         self.seed = seed
         self.total_answers_hint = total_answers_hint
-        self.replica_mode = replica_mode
         self.host = host
         self.auto_step = auto_step
         self.refresh_interval = float(refresh_interval)
         self.snapshot_path = snapshot_path
         self._reconnects = int(reconnects)
         self._request_timeout = float(request_timeout)
-        self._chunk_bytes = int(chunk_bytes)
         self.engine = ConsensusEngine(
             config,
             n_items,
@@ -209,7 +224,7 @@ class FleetManager:
         )
         self._writer_server: Optional[ConsensusServer] = None
         self._replicas: List[_Replica] = [
-            _Replica(i, replica_mode, self._reconnects) for i in range(n_replicas)
+            _Replica(i, self._reconnects) for i in range(n_replicas)
         ]
         self._lock = threading.Lock()
         # Serializes the slow lifecycle paths (start/refresh/close) so
@@ -235,13 +250,16 @@ class FleetManager:
         """The body of :meth:`start`, already serialized.
 
         The writer bind and every replica launch run *outside* ``_lock``;
-        the state lock is only taken to publish results.  Every process
-        replica is spawned before the first port-file poll, so their
+        the state lock is only taken to publish results.  Every replica
+        is spawned before the first port-file poll, so their
         start-ups overlap.  A failed launch stops every replica spawned
         so far and the writer before it re-raises, and leaves
-        ``_started`` false.
+        ``_started`` false.  A closed fleet stays closed: nothing would
+        stop what a second start launched.
         """
         with self._lock:
+            if self._closed:
+                raise ConfigurationError("fleet is closed; build a new FleetManager")
             if self._started:
                 return self
         writer = ConsensusServer(
@@ -273,82 +291,60 @@ class FleetManager:
         return self
 
     def _launch_replica(self, replica: _Replica) -> None:
-        """Serve a thread replica, or spawn a process replica (which
-        announces its address to :meth:`_await_replica`)."""
-        if replica.mode == "thread":
-            engine = ConsensusEngine(
-                self.config,
-                self.n_items,
-                self.n_workers,
-                self.n_labels,
-                seed=self.seed,
-                total_answers_hint=self.total_answers_hint,
-            )
-            replica.server = ConsensusServer(
-                engine,
-                self.host,
-                0,
-                auto_step=False,
-                read_only=True,
-            ).serve_in_thread()
-            replica.address = replica.server.address
-        else:
-            replica.port_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-            port_file = os.path.join(replica.port_dir, "port")
-            env = dict(os.environ)
-            src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            env["PYTHONPATH"] = src + (
-                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-            )
-            command = [
-                sys.executable,
-                "-m",
-                "repro.serve",
-                "--listen",
-                f"{self.host}:0",
-                "--items",
-                str(self.n_items),
-                "--workers",
-                str(self.n_workers),
-                "--labels",
-                str(self.n_labels),
-                "--seed",
-                str(int(self.seed) if self.seed is not None else 0),
-                "--dtype",
-                str(self.config.dtype),
-                "--step-answers",
-                str(self.config.svi_batch_answers),
-                "--no-auto-step",
-                "--read-only",
-                "--port-file",
-                port_file,
-            ]
-            if self.total_answers_hint is not None:
-                command += ["--total-answers-hint", str(self.total_answers_hint)]
-            replica.process = subprocess.Popen(
-                command,
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
+        """Spawn one replica daemon, which announces its address in a port
+        file that :meth:`_await_replica` polls."""
+        replica.port_dir = tempfile.mkdtemp(prefix="repro-fleet-")
+        port_file = os.path.join(replica.port_dir, "port")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        command = [
+            sys.executable,
+            "-m",
+            "repro.serve",
+            "--listen",
+            f"{self.host}:0",
+            "--items",
+            str(self.n_items),
+            "--workers",
+            str(self.n_workers),
+            "--labels",
+            str(self.n_labels),
+            "--seed",
+            str(self.config.seed if self.seed is None else int(self.seed)),
+            "--dtype",
+            str(self.config.dtype),
+            "--step-answers",
+            str(self.config.svi_batch_answers),
+            "--no-auto-step",
+            "--read-only",
+            "--port-file",
+            port_file,
+        ]
+        if self.total_answers_hint is not None:
+            command += ["--total-answers-hint", str(self.total_answers_hint)]
+        replica.process = subprocess.Popen(
+            command, env=env, stdout=subprocess.DEVNULL
+        )
 
     def _await_replica(self, replica: _Replica, deadline: float) -> None:
-        if replica.process is not None:
-            port_file = os.path.join(replica.port_dir, "port")
-            while not (os.path.exists(port_file) and os.path.getsize(port_file) > 0):
-                if replica.process.poll() is not None:
-                    raise TransportError(
-                        f"replica daemon #{replica.index} exited during "
-                        f"startup (code {replica.process.returncode})"
-                    )
-                if time.monotonic() > deadline:
-                    raise TransportError(
-                        f"replica daemon #{replica.index} did not announce its "
-                        "port in time"
-                    )
-                time.sleep(0.02)
-            with open(port_file, "r", encoding="utf-8") as handle:
-                replica.address = handle.read().strip()
+        port_file = os.path.join(replica.port_dir, "port")
+        while not (os.path.exists(port_file) and os.path.getsize(port_file) > 0):
+            if replica.process.poll() is not None:
+                raise TransportError(
+                    f"replica daemon #{replica.index} exited during "
+                    f"startup (code {replica.process.returncode})"
+                )
+            if time.monotonic() > deadline:
+                raise TransportError(
+                    f"replica daemon #{replica.index} did not announce its "
+                    "port in time"
+                )
+            time.sleep(0.02)
+        with open(port_file, "r", encoding="utf-8") as handle:
+            replica.address = handle.read().strip()
         replica.host, replica.port = parse_address(replica.address)
         replica.address = format_address(replica.host, replica.port)
 
@@ -357,8 +353,8 @@ class FleetManager:
 
         The refresh thread is joined *before* taking
         ``_lifecycle_serial`` (it may be inside a serialized refresh);
-        the teardown itself — process terminate/wait, server and channel
-        closes — then runs under the serial mutex but outside ``_lock``,
+        the teardown itself — process terminate/wait, the writer and
+        channel closes — then runs under the serial mutex but outside ``_lock``,
         so status queries keep answering while replicas drain.
         """
         with self._lock:
@@ -379,8 +375,6 @@ class FleetManager:
             if replica.channel is not None:
                 replica.channel.close()
                 replica.channel = None
-            if replica.server is not None:
-                replica.server.close()
             if replica.process is not None and replica.process.poll() is None:
                 replica.process.terminate()
                 with contextlib.suppress(subprocess.TimeoutExpired):
@@ -448,10 +442,10 @@ class FleetManager:
         when the snapshot was durably captured somewhere — shipped to at
         least one replica or written to ``snapshot_path``.  A replica
         whose ship fails beyond its reconnect budget, or that refuses the
-        snapshot (outgrown process replica), is excluded and recorded in
-        ``last_errors``.  A failed ``snapshot_path`` write is recorded
-        there under the path and, once the replicas are shipped, raised
-        as :class:`~repro.errors.CheckpointError`.
+        snapshot, is excluded and recorded in ``last_errors``.  A failed
+        ``snapshot_path`` write is recorded there under the path and, once
+        the replicas are shipped, raised as
+        :class:`~repro.errors.CheckpointError`.
         """
         with self._lifecycle_serial:
             return self._refresh_once()
@@ -484,14 +478,13 @@ class FleetManager:
         outcomes = []
         for replica in targets:
             try:
-                self._grow_thread_replica(replica)
                 report = self._ship(replica, blob)
             except TransportError as exc:
                 # _ship exhausted the reconnect budget: transient
                 outcomes.append((replica, None, exc, None))
             except ReproError as exc:
-                # the replica refused the snapshot (e.g. outgrown
-                # process replica): permanent, take it out of rotation
+                # the replica refused the snapshot: permanent, take it
+                # out of rotation
                 outcomes.append((replica, None, None, exc))
             else:
                 outcomes.append((replica, report, None, None))
@@ -533,23 +526,6 @@ class FleetManager:
                 f"cannot write the fleet snapshot to {self.snapshot_path!r}: {exc}"
             ) from exc
 
-    def _grow_thread_replica(self, replica: _Replica) -> None:
-        """Match a thread-mode replica's index spaces to the writer's."""
-        if replica.server is None:
-            return
-        engine = replica.server.engine
-        writer = self.engine.engine
-        if (
-            writer.n_items > engine.engine.n_items
-            or writer.n_workers > engine.engine.n_workers
-            or writer.n_labels > engine.engine.n_labels
-        ):
-            engine.grow(
-                max(writer.n_items, engine.engine.n_items),
-                max(writer.n_workers, engine.engine.n_workers),
-                max(writer.n_labels, engine.engine.n_labels),
-            )
-
     def _ship(self, replica: _Replica, blob: bytes) -> ShipReport:
         """Ship ``blob`` to one replica, reconnecting within its budget.
 
@@ -566,7 +542,6 @@ class FleetManager:
                 return ship_checkpoint(
                     replica.channel,
                     blob,
-                    chunk_bytes=self._chunk_bytes,
                     timeout=self._request_timeout,
                 )
             except TransportError:
@@ -588,7 +563,6 @@ class FleetManager:
                 replicas.append(
                     {
                         "address": replica.address,
-                        "mode": replica.mode,
                         "health": replica.health.state,
                         "last_delta_ratio": (
                             report.delta_ratio if report is not None else None
@@ -963,13 +937,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="read replicas to run (default %(default)s)",
     )
     parser.add_argument(
-        "--replica-mode",
-        choices=REPLICA_MODES,
-        default="process",
-        help="replica hosting: separate processes (real read parallelism) "
-        "or in-process threads (default %(default)s)",
-    )
-    parser.add_argument(
         "--host",
         default="127.0.0.1",
         help="host every daemon binds to (default %(default)s)",
@@ -1033,7 +1000,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         n_replicas=args.replicas,
         seed=args.seed,
         total_answers_hint=args.total_answers_hint,
-        replica_mode=args.replica_mode,
         host=args.host,
         auto_step=not args.no_auto_step,
         refresh_interval=args.refresh_interval,

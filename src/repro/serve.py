@@ -16,7 +16,8 @@ Three layers, so each is testable on its own:
   snapshot/restore (built on :mod:`repro.core.checkpoint`, extended with
   the accumulated answers so a restored replica can answer queries about
   items it never re-ingested).  Mid-stream growth of the item / worker /
-  label spaces is absorbed transparently on ingest.
+  label spaces is absorbed transparently on ingest, and a restore widens
+  the engine to a larger snapshot, so a fleet replica follows its writer.
 * :class:`ConsensusServer` — :class:`~repro.utils.transport.WorkerServer`
   whose op table is the lane table (:func:`~repro.utils.transport.lane_ops`:
   same framing, same chunk-store op, same shutdown semantics) plus the
@@ -336,42 +337,33 @@ class ConsensusEngine:
         Accepts both payload shapes — a full serving snapshot
         (:meth:`snapshot_payload`) and a bare :mod:`repro.core.checkpoint`
         payload (the documented ``--checkpoint`` warm-start format).
-        Either way the snapshot's index spaces must not exceed the
-        engine's.  When the payload carries no serving counters,
+        The engine ends at the elementwise maximum of its own and the
+        snapshot's index-space sizes: a larger snapshot widens it, as a
+        wider ingest does, so a replica follows a writer whose spaces grew
+        (:meth:`StochasticInference.restore`).  A snapshot's answers are
+        rebuilt at those sizes; a bare checkpoint keeps the engine's own
+        answers, resized.  When the payload carries no serving counters,
         ``answers_seen``/``answers_applied`` are derived from the answer
         matrix actually being served after the restore, so
         ``answers_behind`` cannot inherit a previous life's counts.
 
-        All or nothing: after the size guard, the answer matrix
+        All or nothing: the header check, the answer matrix
         (:meth:`AnswerMatrix.from_arrays` validates the answer section)
-        and the counters are built, then the SVI engine validates the
-        posterior and swaps it in, and only then are the answers and
-        counters committed.  A snapshot rejected by any of these checks
-        raises :class:`~repro.errors.CheckpointError` and leaves the
-        engine serving what it served before.
+        and the counters are built, then the SVI engine validates (and,
+        if smaller, grows) the posterior and swaps it in, and only then
+        are the answers and counters committed.  A snapshot rejected by
+        any of these checks raises :class:`~repro.errors.CheckpointError`
+        and leaves the engine serving what it served before.
         """
         with self._lock:
             meta = payload_meta(payload)
-            if (
-                meta.n_items > self.engine.n_items
-                or meta.n_workers > self.engine.n_workers
-                or meta.n_labels > self.engine.n_labels
-            ):
-                raise CheckpointError(
-                    "snapshot is larger than the serving engine; start "
-                    "the daemon with at least the snapshot's index sizes"
-                )
+            current = (self.engine.n_items, self.engine.n_workers, self.engine.n_labels)
+            sizes = tuple(map(max, current, (meta.n_items, meta.n_workers, meta.n_labels)))
             section = payload.get("answers")
-            answers = (
-                self.answers
-                if section is None
-                else _answers_from_section(
-                    section,
-                    self.engine.n_items,
-                    self.engine.n_workers,
-                    self.engine.n_labels,
-                )
-            )
+            if section is not None:
+                answers = _answers_from_section(section, *sizes)
+            else:
+                answers = self.answers if sizes == current else self.answers.resized(*sizes)
             answers_seen = int(payload.get("answers_seen", answers.n_answers))
             answers_applied = int(payload.get("answers_applied", answers.n_answers))
             self.engine.restore(payload)
@@ -685,7 +677,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint",
         default=None,
-        help="warm-start from this checkpoint file (repro.core.checkpoint format)",
+        help="warm-start from this checkpoint file (repro.core.checkpoint "
+        "format); a checkpoint larger than --items/--workers/--labels widens "
+        "the daemon to its sizes",
     )
     parser.add_argument(
         "--save-checkpoint",

@@ -2,9 +2,11 @@
 
 Router policy and health-machine tests are socket-free (the router
 connects lazily); everything that talks to live daemons is
-network-marked.  Thread-mode replicas are used for bitwise-parity
-assertions (same ``CPAConfig`` object as the writer); process mode and
-the CLI are exercised end to end over the wire.
+network-marked.  Every replica a ``FleetManager`` starts is a
+``python -m repro.serve --read-only`` child process, the replica
+deployments run, so the tests read a replica's posterior and sizes over
+the wire (the ``snapshot`` and ``status`` ops) and kill it through
+``replica.process``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _matrix(seed=0, per_item=4, **overrides):
 
 
 def _config(**overrides):
-    defaults = dict(seed=0, max_truncation=8, svi_batch_answers=40)
+    defaults = dict(seed=0, svi_batch_answers=40)
     defaults.update(overrides)
     return CPAConfig(**defaults)
 
@@ -70,14 +72,26 @@ def _manager(matrix, config=None, **kwargs):
     )
 
 
-def _assert_states_bitwise(a, b):
-    for name in ("rho", "ups", "lam", "zeta", "kappa", "phi", "cell_mass"):
+def _assert_replica_holds(state, address):
+    """The replica at ``address`` serves ``state`` bitwise (pulled with
+    the ``snapshot`` op)."""
+    with ServeClient(address, timeout=30) as client:
+        payload = client.snapshot()
+    for name in ("rho", "ups", "lam", "zeta", "kappa", "phi", "cell_mass", "mu"):
         np.testing.assert_array_equal(
-            getattr(a, name), getattr(b, name), err_msg=name
+            getattr(state, name), payload[name], err_msg=name
         )
-    if a.mu is not None:
-        np.testing.assert_array_equal(a.mu, b.mu)
-    assert a.batches_seen == b.batches_seen
+    assert payload["batches_seen"] == state.batches_seen
+
+
+def _replica_status(manager):
+    with ServeClient(manager.replica_addresses()[0], timeout=30) as client:
+        return client.status()
+
+
+def _kill(replica):
+    replica.process.kill()
+    replica.process.wait(timeout=10)
 
 
 # ------------------------------------------------------------ health machine
@@ -181,9 +195,31 @@ class TestFleetRouter:
 
 
 class TestFleetManagerValidation:
-    def test_unknown_replica_mode_refused(self):
-        with pytest.raises(ConfigurationError, match="replica_mode"):
-            _manager(_matrix(), replica_mode="fiber")
+    def test_config_a_replica_cannot_rebuild_is_refused(self):
+        """A replica builds its CPAConfig from --seed, --dtype and
+        --step-answers: any other field off its default used to serve
+        different label probabilities from the writer's, silently."""
+        with pytest.raises(ConfigurationError, match="evidence_weight"):
+            _manager(_matrix(), config=_config(evidence_weight=0.25))
+        with pytest.raises(ConfigurationError, match="max_truncation"):
+            _manager(_matrix(), config=_config(max_truncation=8))
+        _manager(_matrix(), config=_config(seed=3, dtype="float32"))
+
+    def test_generator_seed_is_refused(self):
+        with pytest.raises(ConfigurationError, match="seed must be an int"):
+            _manager(_matrix(), seed=np.random.default_rng(0))
+        _manager(_matrix(), seed=None)
+
+    def test_start_after_close_is_refused(self):
+        """``close()`` returns early on a closed fleet, so a fleet started
+        after its close used to launch replicas that nothing stopped."""
+        manager = _manager(_matrix(), n_replicas=1)
+        manager.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            manager.start()
+        assert [replica.process for replica in manager._replicas] == [None]
+        with pytest.raises(ConfigurationError, match="not started"):
+            manager.writer_address
 
     def test_negative_replicas_refused(self):
         with pytest.raises(ConfigurationError, match="n_replicas"):
@@ -199,11 +235,10 @@ class TestFleetManagerValidation:
             ["--items", "10", "--workers", "5", "--labels", "3"]
         )
         assert args.replicas == 2
-        assert args.replica_mode == "process"
         assert args.refresh_interval == 2.0
 
 
-# ----------------------------------------------------------- thread fleets
+# --------------------------------------------------------- process fleets
 
 
 @network
@@ -220,10 +255,8 @@ class TestFleetRefresh:
                 reports = manager.refresh_replicas()
                 assert len(reports) == 2
                 writer_state = manager.engine.engine.state
-                for replica in manager._replicas:
-                    _assert_states_bitwise(
-                        writer_state, replica.server.engine.engine.state
-                    )
+                for address in manager.replica_addresses():
+                    _assert_replica_holds(writer_state, address)
                 expected = manager.engine.predict()
                 # both replicas answer (round robin) — all bitwise equal
                 for _ in range(4):
@@ -234,18 +267,22 @@ class TestFleetRefresh:
                 np.testing.assert_array_equal(probs, w_probs)
 
     def test_daemons_hold_the_serve_cli_registry_limits(self):
-        """The writer and a thread replica keep the registry limits a
-        process replica gets from ``python -m repro.serve``'s defaults."""
+        """The writer keeps the registry limits a replica gets from
+        ``python -m repro.serve``'s defaults, which the replica's command
+        line does not override."""
         from repro.serve import _build_parser as serve_parser
 
         parser = serve_parser()
         payload_cap = parser.get_default("payload_cap")
         chunk_cache_bytes = parser.get_default("chunk_cache_mb") << 20
         with _manager(_matrix(), n_replicas=1) as manager:
-            daemons = [manager._writer_server, manager._replicas[0].server]
-            for daemon in daemons:
-                assert daemon.registry.cap == payload_cap
-                assert daemon.registry.chunk_cache_bytes == chunk_cache_bytes
+            registry = manager._writer_server.registry
+            assert registry.cap == payload_cap
+            assert registry.chunk_cache_bytes == chunk_cache_bytes
+            command = manager._replicas[0].process.args
+            assert "--read-only" in command
+            assert "--payload-cap" not in command
+            assert "--chunk-cache-mb" not in command
 
     def test_second_refresh_ships_chunk_delta(self):
         # wide item space so one small step leaves most chunks untouched
@@ -332,8 +369,7 @@ class TestFleetRefresh:
                     manager.refresh_replicas()
                 assert not os.path.exists(str(target) + ".tmp")
                 assert str(target) in manager.last_errors[str(target)]
-                replica = manager._replicas[0].server.engine
-                assert replica.metrics()["batches_seen"] == (
+                assert _replica_status(manager)["batches_seen"] == (
                     manager.engine.metrics()["batches_seen"]
                 )
                 # shipped to a replica: the snapshot was captured there
@@ -364,8 +400,7 @@ class TestFleetRefresh:
                 writer_seen = manager.engine.metrics()["batches_seen"]
                 deadline = time.monotonic() + 20.0
                 while time.monotonic() < deadline:
-                    replica = manager._replicas[0].server.engine
-                    refreshed = replica.metrics()["batches_seen"] == writer_seen
+                    refreshed = _replica_status(manager)["batches_seen"] == writer_seen
                     if refreshed and manager.status()["refresh_count"] >= 2:
                         break
                     time.sleep(0.05)
@@ -374,10 +409,13 @@ class TestFleetRefresh:
                 assert manager._refresh_thread.is_alive()
                 assert "missing-dir" in manager.last_errors[path]
 
-    def test_writer_growth_propagates_to_thread_replicas(self):
+    def test_writer_growth_reaches_process_replicas(self):
+        """The writer's index spaces grow mid-stream: the next refresh
+        widens the replica to the snapshot's sizes.  A replica used to
+        refuse the larger snapshot and be excluded."""
         matrix = _matrix(seed=8)
         with _manager(matrix, n_replicas=1) as manager:
-            with manager.client() as client:
+            with manager.client(fallback_to_writer=False) as client:
                 for batch in _batches(matrix)[:2]:
                     client.ingest(batch)
                 wider = _matrix(
@@ -387,11 +425,25 @@ class TestFleetRefresh:
                     per_item=2,
                 )
                 client.ingest(_batches(wider, answers_per_batch=30)[0])
-                manager.refresh_replicas()
-                replica = manager._replicas[0].server.engine
-                assert replica.engine.n_items == SIZES["n_items"] + 6
-                assert replica.engine.n_labels == SIZES["n_labels"] + 1
+                reports = manager.refresh_replicas()
+                assert manager.last_errors == {}
+                assert len(reports) == 1
+                assert manager.status()["replicas"][0]["health"] == "live"
+                status = _replica_status(manager)
+                writer = manager.engine.metrics()
+                for key in ("n_items", "n_workers", "n_labels", "batches_seen"):
+                    assert status[key] == writer[key], key
+                assert status["n_items"] == SIZES["n_items"] + 6
+                assert status["n_labels"] == SIZES["n_labels"] + 1
+                _assert_replica_holds(
+                    manager.engine.engine.state, manager.replica_addresses()[0]
+                )
                 assert client.predict() == manager.engine.predict()
+                items = [0, 1, SIZES["n_items"] + 5]
+                w_items, w_probs = manager.engine.label_probabilities(items)
+                r_items, r_probs = client.label_probabilities(items)
+                assert r_items == w_items
+                np.testing.assert_array_equal(r_probs, w_probs)
 
 
 # --------------------------------------------------------------- failover
@@ -412,7 +464,7 @@ class TestFleetFailover:
                 expected = manager.engine.predict()
                 e_items, e_probs = manager.engine.label_probabilities([0, 1, 2])
                 answers = [client.predict()]
-                manager._replicas[1].server.kill()  # hard kill mid-stream
+                _kill(manager._replicas[1])  # hard kill mid-stream
                 for _ in range(8):
                     answers.append(client.predict())
                     items, probs = client.label_probabilities([0, 1, 2])
@@ -512,7 +564,7 @@ class TestFleetFailover:
                     client.ingest(batch)
                 manager.refresh_replicas()
                 expected = manager.engine.predict()
-                manager._replicas[0].server.kill()
+                _kill(manager._replicas[0])
                 assert client.predict() == expected  # served by the writer
                 assert set(client.router.states().values()) == {"excluded"}
 
@@ -525,25 +577,21 @@ class TestFleetFailover:
             try:
                 for batch in _batches(matrix)[:1]:
                     client.ingest(batch)
-                manager._replicas[0].server.kill()
+                _kill(manager._replicas[0])
                 with pytest.raises(TransportError, match="no live read replica"):
                     client.predict()
             finally:
                 client.close()
 
 
-# -------------------------------------------------------- process mode + CLI
+# ------------------------------------------------------ process launch + CLI
 
 
 @network
 class TestFleetProcessMode:
     def test_process_replicas_serve_bitwise_queries(self):
-        # process replicas rebuild CPAConfig from CLI-expressible fields
         matrix = _matrix(seed=14, per_item=5)
-        config = CPAConfig(seed=0, svi_batch_answers=40)
-        with _manager(
-            matrix, config=config, n_replicas=2, replica_mode="process"
-        ) as manager:
+        with _manager(matrix, n_replicas=2) as manager:
             with manager.client(policy="least_staleness") as client:
                 for batch in _batches(matrix):
                     client.ingest(batch)
@@ -555,21 +603,26 @@ class TestFleetProcessMode:
                 assert items == w_items
                 np.testing.assert_array_equal(probs, w_probs)
 
-    def test_failed_replica_launch_stops_the_whole_fleet(self, monkeypatch):
+    def test_failed_replica_launch_stops_the_whole_fleet(self, monkeypatch, capfd):
         """A replica that dies during start-up fails ``start()``, and
         takes the replicas already spawned and the writer down with it:
-        ``__exit__`` never runs when ``__enter__`` raises."""
+        ``__exit__`` never runs when ``__enter__`` raises.  What the dead
+        replica wrote to stderr reaches the fleet's stderr."""
         real_popen = subprocess.Popen
         spawned = []
+        dying = (
+            "import sys; sys.stderr.write('replica start-up failed: no port\\n'); "
+            "raise SystemExit(3)"
+        )
 
         def popen(command, **kwargs):
             if len(spawned) == 1:
-                command = [sys.executable, "-c", "raise SystemExit(3)"]
+                command = [sys.executable, "-c", dying]
             spawned.append(real_popen(command, **kwargs))
             return spawned[-1]
 
         monkeypatch.setattr("repro.fleet.subprocess.Popen", popen)
-        manager = _manager(_matrix(), n_replicas=2, replica_mode="process")
+        manager = _manager(_matrix(), n_replicas=2)
         try:
             with pytest.raises(TransportError, match="exited during startup"):
                 manager.start()
@@ -579,6 +632,7 @@ class TestFleetProcessMode:
                 connect(*parse_address(manager.writer_address), timeout=5.0)
         finally:
             manager.close()
+        assert "replica start-up failed: no port" in capfd.readouterr().err
 
 
 @network
@@ -602,8 +656,6 @@ class TestFleetCLI:
                 str(SIZES["n_labels"]),
                 "--replicas",
                 "2",
-                "--replica-mode",
-                "thread",
                 "--refresh-interval",
                 "0.2",
                 "--step-answers",
@@ -648,6 +700,10 @@ class TestFleetCLI:
                 client.predict([0, 1])
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=30) == 0
+            # SIGINT took the replica processes down with the fleet
+            for address in addresses:
+                with pytest.raises(TransportError):
+                    connect(*parse_address(address), timeout=5.0)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -701,13 +757,13 @@ class TestLockHoldDiscipline:
         manager = _manager(_matrix(), n_replicas=1).start()
         held = []
         replica = manager._replicas[0]
-        original_close = replica.server.close
+        original_terminate = replica.process.terminate
 
         def spy():
             held.append(manager._lock.locked())
-            return original_close()
+            return original_terminate()
 
-        replica.server.close = spy
+        replica.process.terminate = spy
         manager.close()
         assert held == [False]
 

@@ -263,31 +263,49 @@ class TestConsensusEngine:
         engine.engine.state.validate()
         engine.predict()
 
-    def test_restore_rejects_larger_snapshot(self):
-        big = _serving_matrix(n_items=SIZES["n_items"] + 10)
+    def test_restore_widens_to_a_larger_snapshot(self):
+        """A snapshot larger in every dimension (and taken under a smaller
+        truncation) is adopted verbatim: the smaller engine widens to its
+        sizes and then serves the source's posterior and answers."""
+        big = _serving_matrix(
+            n_items=SIZES["n_items"] + 10,
+            n_workers=SIZES["n_workers"] + 3,
+            n_labels=SIZES["n_labels"] + 1,
+        )
         source = _engine(big)
-        for batch in _batches(big)[:2]:
+        for batch in _batches(big)[:3]:
             source.ingest(batch)
         source.step()
-        small = _engine(_serving_matrix())
-        with pytest.raises(CheckpointError, match="larger"):
-            small.restore(source.snapshot_payload())
+        small = _engine(_serving_matrix(), CPAConfig(seed=0, svi_batch_answers=40))
+        small.restore(pickle.loads(dumps(source.snapshot_payload())))
+        _assert_states_bitwise(source.engine.state, small.engine.state)
+        assert list(small.answers.iter_answers()) == list(
+            source.answers.iter_answers()
+        )
+        metrics, expected = small.metrics(), source.metrics()
+        for key in ("n_items", "n_workers", "n_labels", "answers_seen", "batches_seen"):
+            assert metrics[key] == expected[key], key
+        assert small.engine.truth_indicator.shape == (big.n_items, big.n_labels)
+        assert small.predict() == source.predict()
 
-    def test_restore_rejects_larger_bare_checkpoint(self):
-        """Regression (ISSUE 9): the size guard must also cover bare
-        repro.core.checkpoint payloads (the documented --checkpoint
-        warm-start format), which used to bypass it and surface a
-        misleading 'cannot shrink' error from deep inside grow_state."""
+    def test_restore_widens_to_a_larger_bare_checkpoint(self):
+        """A bare repro.core.checkpoint payload (the --checkpoint
+        warm-start format) larger than the engine widens it too, and the
+        engine keeps serving its own answers over the wider spaces."""
+        matrix = _serving_matrix()
         big = _engine(_serving_matrix(n_items=SIZES["n_items"] + 10))
-        small = _engine(_serving_matrix())
-        bare = big.engine.checkpoint()  # no "answers" key
-        with pytest.raises(CheckpointError, match="larger than the serving"):
-            small.restore(bare)
-        # nothing was replaced: sizes intact, queries still served
+        small = _engine(matrix)
+        small.ingest(_batches(matrix)[0])
+        small.step()
+        answers_before = list(small.answers.iter_answers())
+        small.restore(big.engine.checkpoint())  # no "answers" key
         metrics = small.metrics()
-        assert metrics["n_items"] == SIZES["n_items"]
-        assert small.answers.n_items == SIZES["n_items"]
-        small.predict([0])
+        assert metrics["n_items"] == SIZES["n_items"] + 10
+        assert small.answers.n_items == SIZES["n_items"] + 10
+        assert list(small.answers.iter_answers()) == answers_before
+        assert metrics["answers_seen"] == len(answers_before)
+        _assert_states_bitwise(big.engine.state, small.engine.state)
+        small.predict([0, SIZES["n_items"] + 9])
 
     def test_restore_is_all_or_nothing(self):
         """Regression: a snapshot whose posterior fails validation used to
