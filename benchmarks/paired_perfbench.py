@@ -19,7 +19,8 @@ host's CPUs, in seconds) and the CPU seconds of the run's process tree
 (``getrusage(RUSAGE_CHILDREN)`` deltas), printed per seed.  A pair in
 which either run's steal exceeds :data:`STEAL_SHARE` of its wall-clock
 is flagged and re-run once; both runs are printed, and the re-run is
-the one summarized.
+the one summarized.  A pair whose re-run is stolen too is left out of
+the summary and named under it.
 
 Exits 1 if any run is not ``correct``, has failed ops or printed no
 result, and 2 if REF cannot be archived.  ``perfbench/`` and
@@ -296,8 +297,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     names = [metric["name"] for metric in end_to_end]
 
-    pairs: List[Tuple[int, Run, Run]] = []
+    pairs: List[Tuple[int, Run, Run]] = []  # the last attempt of each seed
     every_run: List[Tuple[int, Run, Run]] = []  # re-run pairs included
+    complete: List[Tuple[int, Run, Run]] = []  # the pairs summarized
+    stolen_twice: List[int] = []
     with tempfile.TemporaryDirectory(prefix="paired-perfbench-") as tmp:
         ref_root = Path(tmp)
         try:
@@ -311,10 +314,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             attempts = run_pair(roots, order, args.workload, seed, args.seconds, names)
             every_run.extend((seed, runs["ref"], runs["tree"]) for runs in attempts)
             pairs.append(every_run[-1])
+            if any(run.stolen for run in attempts[-1].values()):
+                stolen_twice.append(seed)
+            elif every_run[-1][1].metrics and every_run[-1][2].metrics:
+                complete.append(every_run[-1])
 
     bad = problems(every_run)
-    complete = [pair for pair in pairs if pair[1].metrics and pair[2].metrics]
-    print(f"\n{args.workload}: {len(complete)} pairs against {args.against}")
+    print(
+        f"\n{args.workload}: {len(complete)} pairs against {args.against} summarized, "
+        f"{len(pairs) - len(complete)} left out"
+    )
+    for seed in stolen_twice:
+        print(f"seed {seed}: stolen on both attempts, not summarized")
     if complete:
         print(format_summary(summarize(complete, end_to_end)))
     same_f1 = [seed for seed, ref, tree in pairs if ref.f1 is not None and ref.f1 == tree.f1]

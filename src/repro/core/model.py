@@ -141,7 +141,7 @@ class CPAModel:
         for batch in batches:
             for sub_batch in split_batch(batch, sub_batch_size):
                 self._engine.process_batch(sub_batch)
-            accumulated = accumulated.merged_with(batch.matrix)
+            accumulated.update(batch.matrix)
         self._answers = accumulated
         self._state = (
             self._engine.refreshed_state(accumulated)

@@ -7,18 +7,19 @@ and "did not answer" matters: the paper treats only non-empty answers as
 observations, and this class enforces that an explicit answer carries at
 least one label.
 
-Storage is sparse (a dict keyed by ``(item, worker)``) with per-item and
-per-worker indices maintained incrementally, plus a cached conversion to the
-flat numpy layout used by vectorised inference.  The cached export grows by
-appending when new pairs arrive, and :meth:`AnswerMatrix.from_arrays`
-rebuilds a matrix from an export (the serving snapshot's answer section).
+Storage is the flat layout the vectorised inference reads: one row per
+answer, in insertion order, held in three arrays (item index, worker index,
+0/1 label indicators) that grow by doubling.  :meth:`AnswerMatrix.to_arrays`
+returns views of the filled rows, every other view (a pair's label set, an
+item's workers, ...) is computed from them, and
+:meth:`AnswerMatrix.from_arrays` adopts an export after whole-array checks
+(the serving snapshot's answer section).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -39,7 +40,17 @@ class Answer:
 
 
 class AnswerMatrix:
-    """Sparse ``I × U`` matrix of label sets with vectorised export.
+    """Sparse ``I × U`` matrix of label sets, stored as its array export.
+
+    Row ``k`` of the ``items``, ``workers`` and ``indicators`` arrays is one
+    answer; rows are in insertion order, an overwrite keeps its row and a
+    :meth:`remove` deletes it.  An export (:meth:`to_arrays`) is never
+    written afterwards: new answers go to rows past it, and the first
+    overwrite after an export moves the label rows to fresh arrays.  Pair
+    lookups (:meth:`add`, :meth:`get`, ``in``, :meth:`remove`,
+    :meth:`subset`) go through a ``{(item, worker): row}`` index built on
+    first use, so a matrix that is only restored and read holds no
+    per-answer Python object.
 
     Parameters
     ----------
@@ -60,10 +71,46 @@ class AnswerMatrix:
         self.n_items = int(n_items)
         self.n_workers = int(n_workers)
         self.n_labels = int(n_labels)
-        self._entries: Dict[Tuple[int, int], FrozenSet[int]] = {}
-        self._by_item: Dict[int, List[int]] = {}
-        self._by_worker: Dict[int, List[int]] = {}
-        self._arrays_cache: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._hold(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, self.n_labels)))
+
+    def _hold(self, items: np.ndarray, workers: np.ndarray, indicators: np.ndarray) -> AnswerMatrix:
+        """Make the given arrays, validated and shared with nothing, this
+        matrix's rows; returns the matrix."""
+        self._items, self._workers, self._indicators = items, workers, indicators
+        self._n = items.size
+        self._index: Dict[Tuple[int, int], int] | None = None
+        self._exported = False
+        return self
+
+    @property
+    def _sizes(self) -> Tuple[int, int, int]:
+        return (self.n_items, self.n_workers, self.n_labels)
+
+    def _filled(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = self._n
+        return self._items[:n], self._workers[:n], self._indicators[:n]
+
+    def _pair_index(self) -> Dict[Tuple[int, int], int]:
+        if self._index is None:
+            items, workers, _ = self._filled()
+            self._index = dict(zip(zip(items.tolist(), workers.tolist()), range(self._n)))
+        return self._index
+
+    def _reserve(self, n: int) -> None:
+        """Grow the buffers by doubling to hold ``n`` rows; unfilled rows are zero."""
+        if n > len(self._items):
+            pad = max(n, 2 * len(self._items), 16) - self._n
+            self._items, self._workers, self._indicators = (
+                np.concatenate([array, np.zeros((pad,) + array.shape[1:], array.dtype)])
+                for array in self._filled()
+            )
+            self._exported = False
+
+    def _own_labels(self) -> None:
+        """Move the label rows off an export before one is overwritten."""
+        if self._exported:
+            self._indicators = self._indicators.copy()
+            self._exported = False
 
     # ------------------------------------------------------------------ build
 
@@ -92,84 +139,111 @@ class AnswerMatrix:
         """Record worker ``worker``'s answer for ``item``.
 
         Overwrites any previous answer by the same worker for the same item
-        (a worker gives one answer per item in the paper's setting).  A new
-        pair keeps the cached export, which :meth:`to_arrays` extends; an
-        overwrite changes an exported row and drops it.
+        (a worker gives one answer per item in the paper's setting), in its
+        row; a new pair is appended.
         """
         item, worker = self._check_indices(item, worker)
         label_set = self._check_labels(labels)
-        if (item, worker) in self._entries:
-            self._arrays_cache = None
+        row = self._pair_index().setdefault((item, worker), self._n)
+        if row == self._n:
+            if row == len(self._items):
+                self._reserve(row + 1)
+            self._items[row] = item
+            self._workers[row] = worker
+            self._n += 1
         else:
-            self._by_item.setdefault(item, []).append(worker)
-            self._by_worker.setdefault(worker, []).append(item)
-        self._entries[(item, worker)] = label_set
+            self._own_labels()
+            self._indicators[row] = 0.0
+        indicators = self._indicators
+        for label in label_set:
+            indicators[row, label] = 1.0
+
+    def update(self, other: "AnswerMatrix") -> None:
+        """Record every answer of ``other`` as :meth:`add` would, in its row
+        order.  ``other`` may span smaller index spaces than this matrix (a
+        serving batch minted before the engine grew), not larger ones."""
+        if any(theirs > ours for theirs, ours in zip(other._sizes, self._sizes)):
+            raise ValidationError(f"cannot record the answers of {other!r} in {self!r}")
+        items, workers, indicators = other.to_arrays()
+        index = self._pair_index()
+        pairs = zip(items.tolist(), workers.tolist())
+        # a new pair takes the next row: the index holds one entry per row
+        rows = np.fromiter((index.setdefault(p, len(index)) for p in pairs), np.int64, items.size)
+        old, new = self._n, len(index)
+        self._reserve(new)
+        if new - old < rows.size:
+            self._own_labels()
+        self._items[old:new] = items[rows >= old]
+        self._workers[old:new] = workers[rows >= old]
+        self._indicators[rows] = 0.0
+        self._indicators[rows, : other.n_labels] = indicators
+        self._n = new
 
     def remove(self, item: int, worker: int) -> None:
         """Delete the answer of ``worker`` for ``item`` (must exist)."""
         item, worker = self._check_indices(item, worker)
-        if (item, worker) not in self._entries:
+        row = self._pair_index().get((item, worker))
+        if row is None:
             raise ValidationError(f"no answer recorded for item {item}, worker {worker}")
-        del self._entries[(item, worker)]
-        self._by_item[item].remove(worker)
-        if not self._by_item[item]:
-            del self._by_item[item]
-        self._by_worker[worker].remove(item)
-        if not self._by_worker[worker]:
-            del self._by_worker[worker]
-        self._arrays_cache = None
+        self._hold(*(np.delete(array, row, axis=0) for array in self._filled()))
 
     # ------------------------------------------------------------------ query
 
     def get(self, item: int, worker: int) -> FrozenSet[int] | None:
         """The label set for ``(item, worker)``, or ``None`` if unanswered."""
         item, worker = self._check_indices(item, worker)
-        return self._entries.get((item, worker))
+        row = self._pair_index().get((item, worker))
+        if row is None:
+            return None
+        return frozenset(self._indicators[row].nonzero()[0].tolist())
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
-        return tuple(key) in self._entries
+        return tuple(key) in self._pair_index()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._n
 
     @property
     def n_answers(self) -> int:
         """Number of (item, worker) pairs with a recorded answer."""
-        return len(self._entries)
+        return self._n
 
     def workers_for_item(self, item: int) -> List[int]:
         """Workers who answered ``item`` (paper's ``U_i``), in insertion order."""
-        item = int(item)
-        return list(self._by_item.get(item, []))
+        items, workers, _ = self._filled()
+        return workers[items == int(item)].tolist()
 
     def items_for_worker(self, worker: int) -> List[int]:
         """Items answered by ``worker``, in insertion order."""
-        worker = int(worker)
-        return list(self._by_worker.get(worker, []))
+        items, workers, _ = self._filled()
+        return items[workers == int(worker)].tolist()
 
     def answered_items(self) -> List[int]:
         """Sorted list of items with at least one answer."""
-        return sorted(self._by_item)
+        return np.flatnonzero(np.bincount(self._filled()[0], minlength=self.n_items)).tolist()
 
     def active_workers(self) -> List[int]:
         """Sorted list of workers with at least one answer."""
-        return sorted(self._by_worker)
+        return np.flatnonzero(np.bincount(self._filled()[1], minlength=self.n_workers)).tolist()
 
     def iter_answers(self) -> Iterator[Answer]:
-        """Iterate over all answers in insertion order."""
-        for (item, worker), labels in self._entries.items():
-            yield Answer(item=item, worker=worker, labels=labels)
+        """Iterate over all answers in insertion order (answers with equal
+        label sets share one ``frozenset``)."""
+        items, workers, indicators = self._filled()
+        codes = np.packbits(indicators != 0.0, axis=1)
+        codes = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
+        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+        label_sets = [frozenset(indicators[row].nonzero()[0].tolist()) for row in first]
+        for item, worker, k in zip(items.tolist(), workers.tolist(), which.tolist()):
+            yield Answer(item=item, worker=worker, labels=label_sets[k])
 
     def sparsity(self) -> float:
         """Fraction of the full ``I × U`` grid that is *unanswered*."""
         return 1.0 - self.n_answers / (self.n_items * self.n_workers)
 
     def label_counts(self) -> np.ndarray:
-        """How many answers include each label (length-``C`` vector).
-
-        Derived from the indicator matrix of :meth:`to_arrays` (a column
-        sum), so it shares the cached vectorised export.
-        """
+        """How many answers include each label (length-``C`` vector): a
+        column sum of the indicator matrix of :meth:`to_arrays`."""
         _, _, indicators = self.to_arrays()
         return indicators.sum(axis=0).astype(np.int64)
 
@@ -191,80 +265,44 @@ class AnswerMatrix:
 
         One row per answer in insertion order; ``label_indicators`` is an
         ``(n_answers, C)`` float matrix of 0/1 rows — the representation
-        consumed by the vectorised inference kernels.  Built with array ops
-        (one flat pass over the label sets feeding a fancy-index
-        assignment) and cached.  New pairs added since the last export are
-        appended to the cached arrays, so the Python-level work covers only
-        them; an overwrite or :meth:`remove` drops the cache and the next
-        call rebuilds.  Either way the result equals a fresh export.  The
-        returned arrays are never written afterwards: an append builds new
-        arrays, so an earlier result stays valid.
+        consumed by the vectorised inference kernels.  The arrays are
+        read-only views of the matrix's rows (no copy), never written
+        afterwards, so an earlier result stays valid.
         """
-        cache = self._arrays_cache
-        n = len(self._entries)
-        if cache is not None and cache[0].size == n:
-            return cache
-        if cache is None:
-            self._arrays_cache = self._export_rows(
-                self._entries.keys(), self._entries.values(), n
-            )
-        else:
-            # New pairs sit at the end of the insertion-ordered dict.
-            tail = list(islice(reversed(self._entries.items()), n - cache[0].size))
-            keys, label_sets = zip(*reversed(tail))
-            new = self._export_rows(keys, label_sets, len(tail))
-            self._arrays_cache = tuple(np.concatenate(parts) for parts in zip(cache, new))
-        return self._arrays_cache
-
-    def _export_rows(
-        self,
-        keys: Iterable[Tuple[int, int]],
-        label_sets: Collection[FrozenSet[int]],
-        n: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Export arrays of ``n`` answers given as ``(item, worker)`` keys
-        and label sets."""
-        pairs = np.fromiter(
-            (index for pair in keys for index in pair),
-            dtype=np.int64,
-            count=2 * n,
-        ).reshape(n, 2)
-        lengths = np.fromiter(
-            (len(labels) for labels in label_sets), dtype=np.int64, count=n
-        )
-        flat_labels = np.fromiter(
-            (label for labels in label_sets for label in labels),
-            dtype=np.int64,
-            count=int(lengths.sum()),
-        )
-        indicators = np.zeros((n, self.n_labels), dtype=np.float64)
-        indicators[np.repeat(np.arange(n), lengths), flat_labels] = 1.0
-        items = np.ascontiguousarray(pairs[:, 0])
-        workers = np.ascontiguousarray(pairs[:, 1])
-        return items, workers, indicators
+        self._exported = True
+        arrays = self._filled()
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     # ----------------------------------------------------------- transform
 
+    def _take(self, rows: np.ndarray) -> "AnswerMatrix":
+        """A new matrix of the given rows, in that order."""
+        items, workers, indicators = self._filled()
+        return AnswerMatrix(*self._sizes)._hold(items[rows], workers[rows], indicators[rows])
+
     def copy(self) -> "AnswerMatrix":
-        """Deep copy (label sets are immutable and shared)."""
-        clone = AnswerMatrix(self.n_items, self.n_workers, self.n_labels)
-        for (item, worker), labels in self._entries.items():
-            clone._entries[(item, worker)] = labels
-            clone._by_item.setdefault(item, []).append(worker)
-            clone._by_worker.setdefault(worker, []).append(item)
-        return clone
+        """Deep copy."""
+        return self._take(np.arange(self._n))
 
     def subset(self, pairs: Iterable[Tuple[int, int]]) -> "AnswerMatrix":
-        """A new matrix containing only the given ``(item, worker)`` pairs."""
-        clone = AnswerMatrix(self.n_items, self.n_workers, self.n_labels)
+        """A new matrix containing only the given ``(item, worker)`` pairs.
+
+        Rows follow ``pairs``; a repeated pair keeps its first position.
+        """
+        index = self._pair_index()
+        rows = []
         for item, worker in pairs:
-            labels = self.get(item, worker)
-            if labels is None:
+            row = index.get(self._check_indices(item, worker))
+            if row is None:
                 raise ValidationError(
                     f"cannot subset: pair (item={item}, worker={worker}) not answered"
                 )
-            clone.add(item, worker, labels)
-        return clone
+            rows.append(row)
+        rows = np.array(rows, dtype=np.int64)
+        _, first = np.unique(rows, return_index=True)
+        return self._take(rows[np.sort(first)])
 
     def resized(self, n_items: int, n_workers: int, n_labels: int) -> "AnswerMatrix":
         """A copy over grown index spaces (each size ≥ the current one).
@@ -273,37 +311,26 @@ class AnswerMatrix:
         mid-stream (see :meth:`repro.serve.ConsensusEngine.grow`): all
         recorded answers keep their coordinates, the spaces just widen.
         """
-        if (
-            n_items < self.n_items
-            or n_workers < self.n_workers
-            or n_labels < self.n_labels
-        ):
+        if any(new < old for new, old in zip((n_items, n_workers, n_labels), self._sizes)):
             raise ValidationError(
-                f"resized() cannot shrink: have "
-                f"({self.n_items}, {self.n_workers}, {self.n_labels}), "
+                f"resized() cannot shrink: have {self._sizes}, "
                 f"requested ({n_items}, {n_workers}, {n_labels})"
             )
         clone = AnswerMatrix(n_items, n_workers, n_labels)
-        for (item, worker), labels in self._entries.items():
-            clone._entries[(item, worker)] = labels
-            clone._by_item.setdefault(item, []).append(worker)
-            clone._by_worker.setdefault(worker, []).append(item)
-        return clone
+        items, workers, indicators = self._filled()
+        wide = np.zeros((self._n, clone.n_labels), dtype=np.float64)
+        wide[:, : self.n_labels] = indicators
+        return clone._hold(items.copy(), workers.copy(), wide)
 
     def merged_with(self, other: "AnswerMatrix") -> "AnswerMatrix":
         """Union of two matrices over the same index spaces.
 
         ``other`` wins on conflicting pairs; sizes must match exactly.
         """
-        if (other.n_items, other.n_workers, other.n_labels) != (
-            self.n_items,
-            self.n_workers,
-            self.n_labels,
-        ):
+        if other._sizes != self._sizes:
             raise ValidationError("cannot merge answer matrices of different shapes")
         clone = self.copy()
-        for answer in other.iter_answers():
-            clone.add(answer.item, answer.worker, answer.labels)
+        clone.update(other)
         return clone
 
     @classmethod
@@ -333,26 +360,21 @@ class AnswerMatrix:
         """The inverse of :meth:`to_arrays`: ``from_arrays(*sizes, *m.to_arrays())``.
 
         Row ``k`` is worker ``workers[k]``'s answer to item ``items[k]``,
-        with the labels where ``indicators[k]`` is 1.  Rows are inserted in
-        order, so every order :meth:`iter_answers`, :meth:`workers_for_item`,
-        :meth:`items_for_worker` and :meth:`to_arrays` report is the
-        exported matrix's.  Whole-array checks (shapes, index ranges, 0/1
-        rows with at least one label, no repeated pair) raise
-        :class:`~repro.errors.ValidationError`; copies of the validated
-        arrays seed the export.
+        with the labels where ``indicators[k]`` is 1, so every order the
+        exported matrix reports is kept.  Whole-array checks (shapes, index
+        ranges, 0/1 rows with at least one label, no repeated pair) raise
+        :class:`~repro.errors.ValidationError`; the matrix adopts copies of
+        the validated arrays.
         """
         matrix = cls(n_items, n_workers, n_labels)
+        n_items, n_workers, n_labels = matrix._sizes
         items, workers = np.asarray(items), np.asarray(workers)
         indicators = np.asarray(indicators)
         n = items.size
-        if (
-            items.ndim != 1
-            or workers.shape != items.shape
-            or indicators.shape != (n, matrix.n_labels)
-        ):
+        if items.ndim != 1 or workers.shape != items.shape or indicators.shape != (n, n_labels):
             raise ValidationError(
                 f"from_arrays expects items and workers of shape (N,) and "
-                f"indicators of shape (N, {matrix.n_labels}); got "
+                f"indicators of shape (N, {n_labels}); got "
                 f"{items.shape}, {workers.shape} and {indicators.shape}"
             )
         if items.dtype.kind not in "iu" or workers.dtype.kind not in "iu":
@@ -361,11 +383,8 @@ class AnswerMatrix:
             raise ValidationError("label indicators must be numeric 0/1 values")
         items = items.astype(np.int64)
         workers = workers.astype(np.int64)
-        indicators = indicators.astype(np.float64)
-        for name, index, size in (
-            ("item", items, matrix.n_items),
-            ("worker", workers, matrix.n_workers),
-        ):
+        indicators = indicators.astype(np.float64, order="C")
+        for name, index, size in (("item", items, n_items), ("worker", workers, n_workers)):
             bad = (index < 0) | (index >= size)
             if bad.any():
                 raise ValidationError(
@@ -376,38 +395,15 @@ class AnswerMatrix:
             raise ValidationError("label indicators must be 0 or 1")
         empty = ~present.any(axis=1)
         if empty.any():
-            raise ValidationError(
-                f"answer row {int(np.argmax(empty))} carries no label"
-            )
-
-        # One frozenset per distinct label set, shared by its answers.
-        # Building every dict view in one pass over the rows beats
-        # vectorised grouping here.
-        codes = np.packbits(present, axis=1)
-        codes = codes.view(np.dtype((np.void, codes.shape[1]))).ravel()
-        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-        label_sets = [
-            frozenset(np.flatnonzero(present[row]).tolist()) for row in first.tolist()
-        ]
-        entries, by_item, by_worker = matrix._entries, matrix._by_item, matrix._by_worker
-        for item, worker, label_set in zip(items.tolist(), workers.tolist(), which.tolist()):
-            entries[item, worker] = label_sets[label_set]
-            by_item.setdefault(item, []).append(worker)
-            by_worker.setdefault(worker, []).append(item)
-        if len(entries) != n:
-            pairs, counts = np.unique(
-                np.stack([items, workers], axis=1), axis=0, return_counts=True
-            )
-            item, worker = pairs[np.argmax(counts)].tolist()
-            raise ValidationError(
-                f"pair (item={item}, worker={worker}) appears more than once"
-            )
-        matrix._arrays_cache = (items, workers, indicators)
-        return matrix
+            raise ValidationError(f"answer row {int(np.argmax(empty))} carries no label")
+        pairs, counts = np.unique(items * n_workers + workers, return_counts=True)
+        if pairs.size != n:
+            item, worker = divmod(int(pairs[np.argmax(counts)]), n_workers)
+            raise ValidationError(f"pair (item={item}, worker={worker}) appears more than once")
+        return matrix._hold(items, workers, indicators)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AnswerMatrix(items={self.n_items}, workers={self.n_workers}, "
             f"labels={self.n_labels}, answers={self.n_answers})"
         )
-

@@ -104,12 +104,10 @@ def _skewness(values: np.ndarray) -> float:
 def compute_statistics(dataset: CrowdDataset) -> DatasetStatistics:
     """Compute the full statistics block for ``dataset``."""
     matrix = dataset.answers
-    _, workers, indicators = matrix.to_arrays()
+    items, workers, indicators = matrix.to_arrays()
 
-    answered_items = matrix.answered_items()
-    per_item = np.array(
-        [len(matrix.workers_for_item(i)) for i in answered_items], dtype=float
-    )
+    item_counts = np.bincount(items, minlength=matrix.n_items).astype(float)
+    per_item = item_counts[item_counts > 0]
     worker_counts = np.bincount(workers, minlength=matrix.n_workers).astype(float)
     active = worker_counts[worker_counts > 0]
 
@@ -120,7 +118,7 @@ def compute_statistics(dataset: CrowdDataset) -> DatasetStatistics:
         name=dataset.name,
         n_items=matrix.n_items,
         n_labels=matrix.n_labels,
-        n_questions=len(answered_items),
+        n_questions=per_item.size,
         n_workers_active=int((worker_counts > 0).sum()),
         n_answers=matrix.n_answers,
         answers_per_item_mean=float(per_item.mean()) if per_item.size else 0.0,

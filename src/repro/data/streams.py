@@ -25,11 +25,11 @@ from repro.utils.random import RandomState, Seed
 
 @dataclass(frozen=True)
 class AnswerBatch:
-    """One arrival batch: the answers of workers ``workers`` on ``items``.
+    """One arrival batch: an answer matrix holding exactly its answers.
 
-    ``pairs`` holds the (item, worker) coordinates present in the batch;
-    ``matrix`` is a (sparse) answer matrix restricted to exactly those
-    pairs, over the *full* index spaces so parameters stay aligned.
+    ``matrix`` spans the *full* index spaces, so parameters stay aligned,
+    and its rows are the batch's answers in arrival order; :attr:`pairs`,
+    :attr:`items`, :attr:`workers` and :attr:`n_answers` are read from it.
 
     ``index`` numbers batches consecutively within their stream;
     ``sub_index`` distinguishes the sub-batches :func:`split_batch`
@@ -41,9 +41,6 @@ class AnswerBatch:
     """
 
     index: int
-    workers: Tuple[int, ...]
-    items: Tuple[int, ...]
-    pairs: Tuple[Tuple[int, int], ...]
     matrix: AnswerMatrix
     sub_index: int = 0
 
@@ -53,8 +50,24 @@ class AnswerBatch:
         return (self.index, self.sub_index)
 
     @property
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """The ``(item, worker)`` coordinates of the answers, in row order."""
+        items, workers, _ = self.matrix.to_arrays()
+        return tuple(zip(items.tolist(), workers.tolist()))
+
+    @property
+    def items(self) -> Tuple[int, ...]:
+        """The distinct items answered, ascending."""
+        return tuple(self.matrix.answered_items())
+
+    @property
+    def workers(self) -> Tuple[int, ...]:
+        """The distinct workers answering, ascending."""
+        return tuple(self.matrix.active_workers())
+
+    @property
     def n_answers(self) -> int:
-        return len(self.pairs)
+        return self.matrix.n_answers
 
 
 class AnswerStream:
@@ -94,20 +107,21 @@ class AnswerStream:
     def _iter_worker_batches(
         self, order: np.ndarray, workers_per_batch: int
     ) -> Iterator[AnswerBatch]:
+        items, workers, _ = self._matrix.to_arrays()
+        # each worker's rows, contiguous and in insertion order
+        rows = np.argsort(workers, kind="stable")
+        bounds = np.searchsorted(workers[rows], np.arange(self._matrix.n_workers + 1))
         for index, start in enumerate(range(0, order.size, workers_per_batch)):
             chunk = order[start : start + workers_per_batch]
-            pairs = [
-                (item, int(worker))
-                for worker in chunk
-                for item in self._matrix.items_for_worker(int(worker))
-            ]
-            yield self._build_batch(index, pairs)
+            taken = np.concatenate([rows[bounds[w] : bounds[w + 1]] for w in chunk])
+            pairs = zip(items[taken].tolist(), workers[taken].tolist())
+            yield self._build_batch(index, list(pairs))
 
     def by_answers(self, answers_per_batch: int) -> Iterator[AnswerBatch]:
         """Fixed-size batches of individual answers in random arrival order."""
         if answers_per_batch <= 0:
             raise ValidationError("answers_per_batch must be positive")
-        pairs = [(a.item, a.worker) for a in self._matrix.iter_answers()]
+        pairs = self._pairs()
         order = np.arange(len(pairs))
         self._child_rng().shuffle(order)
         return self._iter_answer_batches(pairs, order, answers_per_batch)
@@ -138,7 +152,7 @@ class AnswerStream:
             raise ValidationError("fractions must lie in (0, 1]")
         if any(b <= a for a, b in zip(fracs, fracs[1:])):
             raise ValidationError("fractions must be strictly increasing")
-        pairs = [(a.item, a.worker) for a in self._matrix.iter_answers()]
+        pairs = self._pairs()
         order = np.arange(len(pairs))
         self._child_rng().shuffle(order)
         return self._iter_fraction_batches(pairs, order, fracs)
@@ -162,19 +176,14 @@ class AnswerStream:
 
     # ------------------------------------------------------------------ helpers
 
+    def _pairs(self) -> List[Tuple[int, int]]:
+        items, workers, _ = self._matrix.to_arrays()
+        return list(zip(items.tolist(), workers.tolist()))
+
     def _build_batch(
         self, index: int, pairs: List[Tuple[int, int]]
     ) -> AnswerBatch:
-        submatrix = self._matrix.subset(pairs)
-        workers = tuple(sorted({worker for _, worker in pairs}))
-        items = tuple(sorted({item for item, _ in pairs}))
-        return AnswerBatch(
-            index=index,
-            workers=workers,
-            items=items,
-            pairs=tuple(pairs),
-            matrix=submatrix,
-        )
+        return AnswerBatch(index=index, matrix=self._matrix.subset(pairs))
 
 
 def split_batch(batch: AnswerBatch, max_answers: int) -> List[AnswerBatch]:
@@ -193,18 +202,12 @@ def split_batch(batch: AnswerBatch, max_answers: int) -> List[AnswerBatch]:
         raise ValidationError("max_answers must be positive")
     if batch.n_answers <= max_answers:
         return [batch]
-    out: List[AnswerBatch] = []
-    for offset, start in enumerate(range(0, batch.n_answers, max_answers)):
-        chunk = list(batch.pairs[start : start + max_answers])
-        submatrix = batch.matrix.subset(chunk)
-        out.append(
-            AnswerBatch(
-                index=batch.index,
-                workers=tuple(sorted({worker for _, worker in chunk})),
-                items=tuple(sorted({item for item, _ in chunk})),
-                pairs=tuple(chunk),
-                matrix=submatrix,
-                sub_index=offset,
-            )
+    pairs = batch.pairs
+    return [
+        AnswerBatch(
+            index=batch.index,
+            matrix=batch.matrix.subset(pairs[start : start + max_answers]),
+            sub_index=offset,
         )
-    return out
+        for offset, start in enumerate(range(0, len(pairs), max_answers))
+    ]

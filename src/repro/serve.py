@@ -65,7 +65,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,13 +155,21 @@ class ConsensusEngine:
     # ----------------------------------------------------------- ingest/fold
 
     def ingest(self, batch: AnswerBatch) -> Dict[str, Any]:
-        """Enqueue one arrival batch; grows the index spaces if needed."""
-        if not isinstance(batch, AnswerBatch):
+        """Enqueue one arrival batch; grows the index spaces if needed.
+
+        A batch unpickled off the wire ran no constructor, so its arrays get
+        :meth:`AnswerMatrix.from_arrays`' checks, and the checked copy is
+        queued: a malformed batch raises before anything changes."""
+        if not isinstance(batch, AnswerBatch) or not isinstance(batch.matrix, AnswerMatrix):
             raise ValidationError(
-                f"ingest expects an AnswerBatch, got {type(batch).__name__}"
+                f"ingest expects an AnswerBatch of an AnswerMatrix, got {type(batch).__name__}"
             )
+        given = batch.matrix
+        matrix = AnswerMatrix.from_arrays(
+            given.n_items, given.n_workers, given.n_labels, *given.to_arrays()
+        )
+        batch = replace(batch, matrix=matrix)
         with self._lock:
-            matrix = batch.matrix
             if (
                 matrix.n_items > self.engine.n_items
                 or matrix.n_workers > self.engine.n_workers
@@ -194,10 +202,7 @@ class ConsensusEngine:
                 for sub in split_batch(batch, self.config.svi_batch_answers):
                     self.engine.process_batch(sub)
                     steps += 1
-                for item, worker in batch.pairs:
-                    labels = batch.matrix.get(item, worker)
-                    assert labels is not None
-                    self.answers.add(item, worker, labels)
+                self.answers.update(batch.matrix)
                 self.answers_applied += batch.n_answers
                 folded += 1
             if steps:
@@ -289,10 +294,10 @@ class ConsensusEngine:
         ignores unknown keys) with the accumulated answers and the serving
         counters, so a restored replica serves queries about every item
         the snapshot had seen.  The answer section is the answer matrix's
-        array export (:meth:`AnswerMatrix.to_arrays`, which only appends
-        the answers folded since the last snapshot) written as one record
-        array of ``(item, worker, packed label bits)`` rows in insertion
-        order.  It rides *after* the parameter arrays, which keep stable
+        array export (:meth:`AnswerMatrix.to_arrays`, views of the
+        matrix's own rows) written as one record array of ``(item,
+        worker, packed label bits)`` rows in insertion order.  It rides
+        *after* the parameter arrays, which keep stable
         byte offsets between snapshots, and new answers only append rows,
         so the earlier rows' pickled bytes stay in place as well — that
         is what makes chunk-level dedup effective (:func:`ship_checkpoint`).

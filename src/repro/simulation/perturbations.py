@@ -19,7 +19,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.data.answers import AnswerMatrix
 from repro.data.dataset import CrowdDataset
 from repro.errors import ValidationError
 from repro.utils.random import RandomState, Seed
@@ -91,11 +90,9 @@ def inject_spammers(
     )
     behavior = AnswerBehavior(dataset.n_labels)
 
-    matrix = AnswerMatrix(
+    matrix = dataset.answers.resized(
         dataset.n_items, dataset.n_workers + n_new_workers, dataset.n_labels
     )
-    for answer in dataset.answers.iter_answers():
-        matrix.add(answer.item, answer.worker, answer.labels)
 
     remaining = n_spam_answers
     for offset, profile in enumerate(profiles):

@@ -62,9 +62,6 @@ class TestStochasticInference:
 
         empty = AnswerBatch(
             index=99,
-            workers=(),
-            items=(),
-            pairs=(),
             matrix=AnswerMatrix(
                 tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels
             ),

@@ -169,3 +169,28 @@ def test_a_stolen_pair_is_rerun_once_and_both_runs_reported(monkeypatch, capsys)
     assert out.count("seed 7 (tree first)") == 2
     assert out.count("re-running") == 1
     assert out.count("STOLEN") == 2
+
+
+def test_a_pair_stolen_on_both_attempts_is_printed_but_not_summarized(monkeypatch, capsys):
+    """Seeds 0 and 2 are quiet; seed 1's run and re-run are both stolen.
+    The summary covers seeds 0 and 2 only, and names seed 1."""
+    steals = iter([0.0, 0.0, 5.0, 0.0, 0.0, 4.0, 0.0, 0.0])
+    fit = {0: (1.0, 0.5), 1: (1.0, 9.0), 2: (1.0, 0.5)}  # seed 1 would lose
+
+    def fake(root, workload, seed, seconds):
+        side = 1 if root == paired.ROOT else 0  # the tree runs from the repository
+        metrics = {name: 1.0 for name in ("setup_s", "predict_s", "peak_rss_mb")}
+        metrics["fit_s"] = fit[seed][side]
+        return Run(True, 0, metrics, 0.75, wall_s=10.0, steal_s=next(steals))
+
+    monkeypatch.setattr(paired, "archive", lambda ref, into: None)
+    monkeypatch.setattr(paired, "run_perfbench", fake)
+    assert paired.main(["--against", "HEAD", "--workload", "w", "--seeds", "0-2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("seed 1 (") == 2  # both attempts still printed
+    assert out.count("STOLEN") == 2
+    assert "w: 2 pairs against HEAD summarized, 1 left out" in out
+    assert "seed 1: stolen on both attempts, not summarized" in out
+    fit_row = next(line for line in out.splitlines() if line.startswith("fit_s "))
+    assert "2/2" in fit_row and "0.500 (0.500-0.500)" in fit_row
+    assert "f1 identical on 3/3 seeds" in out

@@ -102,6 +102,26 @@ def _assert_states_bitwise(a, b):
     assert a.batches_seen == b.batches_seen
 
 
+# Corruptions of a batch's answer arrays, written to the matrix's own
+# buffers as a crafted pickle could carry them.
+
+
+def _repeat_a_pair(matrix):
+    matrix._items[1], matrix._workers[1] = matrix._items[0], matrix._workers[0]
+
+
+def _item_out_of_range(matrix):
+    matrix._items[0] = matrix.n_items
+
+
+def _empty_label_row(matrix):
+    matrix._indicators[2] = 0.0
+
+
+def _fractional_label(matrix):
+    matrix._indicators[3, 0] = 0.5
+
+
 # ------------------------------------------------------------------- engine
 
 
@@ -262,6 +282,66 @@ class TestConsensusEngine:
         assert metrics["n_labels"] == SIZES["n_labels"] + 1
         engine.engine.state.validate()
         engine.predict()
+
+    def test_a_batch_minted_before_a_growth_folds_and_is_recorded(self):
+        """A batch over the engine's old, narrower spaces, ingested after a
+        wider batch grew the engine, still folds, and its answers are
+        recorded as ``add`` would record them: an answer it overwrites
+        loses the label only the wider space has."""
+        matrix = _serving_matrix()
+        late = _batches(matrix)[0]
+        new_label = SIZES["n_labels"]
+        wide = AnswerMatrix(SIZES["n_items"] + 6, SIZES["n_workers"] + 4, new_label + 1)
+        for item, worker in late.pairs[:10]:
+            wide.add(item, worker, [new_label])
+        wide.add(SIZES["n_items"] + 5, SIZES["n_workers"] + 3, [0, new_label])
+        engine = _engine(matrix)
+        engine.ingest(_batches(wide, answers_per_batch=100)[0])
+        engine.step()
+        assert engine.answers.n_answers == 11
+        engine.ingest(late)
+        engine.step()
+        metrics = engine.metrics()
+        assert (metrics["n_labels"], metrics["answers_behind"], metrics["batches_seen"]) == (
+            new_label + 1, 0, 2
+        )
+        assert engine.answers.n_answers == 11 + late.n_answers - 10
+        for item, worker in late.pairs:
+            assert engine.answers.get(item, worker) == late.matrix.get(item, worker)
+        assert engine.answers.get(SIZES["n_items"] + 5, SIZES["n_workers"] + 3) == {0, new_label}
+        engine.engine.state.validate()
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (_repeat_a_pair, "appears more than once"),
+            (_item_out_of_range, "item index"),
+            (_empty_label_row, "carries no label"),
+            (_fractional_label, "0 or 1"),
+        ],
+    )
+    def test_a_malformed_batch_is_refused_before_anything_changes(self, corrupt, match):
+        """A batch whose arrays were corrupted after construction (a batch
+        unpickled off the wire ran no constructor) raises at ingest, before
+        the engine grows or queues anything: the batch is wider than the
+        engine, so a check made after the growth would show."""
+        matrix = _serving_matrix()
+        engine = _engine(matrix)
+        engine.ingest(_batches(matrix)[0])
+        engine.step()
+        engine.ingest(_batches(matrix)[1])
+        wider = _serving_matrix(seed=3, n_items=SIZES["n_items"] + 6, n_labels=SIZES["n_labels"] + 1)
+        bad = pickle.loads(pickle.dumps(_batches(wider)[2]))
+        corrupt(bad.matrix)
+        keys = (
+            "n_items", "n_workers", "n_labels", "answers_seen",
+            "answers_applied", "batches_seen", "pending_batches",
+        )
+        before = {key: engine.metrics()[key] for key in keys}
+        with pytest.raises(ValidationError, match=match):
+            engine.ingest(bad)
+        assert {key: engine.metrics()[key] for key in keys} == before
+        assert engine.answers.n_items == SIZES["n_items"]
 
     def test_restore_widens_to_a_larger_snapshot(self):
         """A snapshot larger in every dimension (and taken under a smaller
