@@ -7,9 +7,11 @@ replicas refresh their posterior by shipping checkpoints over the
 content-addressed chunk store.  Two properties drive the format:
 
 * **Exactness** — a round-trip reproduces every parameter array bit for
-  bit (dtype included), plus the engine-level bookkeeping SVI needs to
-  continue (``batches_seen`` is part of the state; the symmetry-breaking
-  ``seeded`` flag rides in the metadata).
+  bit, plus the engine-level bookkeeping SVI needs to continue
+  (``batches_seen`` is part of the state; the symmetry-breaking
+  ``seeded`` flag rides in the metadata).  The state is float64; a
+  payload with float32 arrays (written when the state followed
+  ``CPAConfig.dtype``) restores as their exact upcasts.
 * **Chunk stability** — the byte stream is a pickled dict whose array
   buffers sit at stable offsets between snapshots of the same shapes, so
   after a small SVI step only the chunks covering the touched ``ϕ``/``µ``
@@ -121,16 +123,17 @@ def payload_meta(payload: Dict[str, Any]) -> CheckpointMeta:
 def state_from_payload(payload: Dict[str, Any]) -> Tuple[CPAState, bool]:
     """Rebuild ``(state, seeded)`` from a payload; validates the result."""
     meta = payload_meta(payload)
-    # Header dtype describes the responsibility arrays; the globals may
-    # legitimately differ (SVI's seeding pass computes targets in float64
-    # even under a float32 config).  Each array carries its own dtype in
-    # the pickle, so round-trip exactness needs only the phi check.
+    # The header names the dtype of the responsibility arrays it was
+    # written with; every array is adopted as a float64 copy (an exact
+    # upcast of float32).
     if np.dtype(meta.dtype) != np.asarray(payload["phi"]).dtype:
         raise CheckpointError(
             f"checkpoint header dtype {meta.dtype} disagrees with the "
             f"phi array ({np.asarray(payload['phi']).dtype})"
         )
-    arrays = {name: np.asarray(payload[name]).copy() for name in _ARRAY_FIELDS}
+    arrays = {
+        name: np.array(payload[name], dtype=np.float64) for name in _ARRAY_FIELDS
+    }
     mu = payload.get("mu")
     state = CPAState(
         n_items=meta.n_items,
@@ -138,7 +141,7 @@ def state_from_payload(payload: Dict[str, Any]) -> Tuple[CPAState, bool]:
         n_labels=meta.n_labels,
         n_clusters=meta.n_clusters,
         n_communities=meta.n_communities,
-        mu=None if mu is None else np.asarray(mu).copy(),
+        mu=None if mu is None else np.array(mu, dtype=np.float64),
         batches_seen=meta.batches_seen,
         **arrays,
     )
@@ -248,7 +251,6 @@ def grow_state(
     ):
         return state.copy()
 
-    dtype = state.phi.dtype  # responsibility rows follow the config dtype
     rng = RandomState(config.seed if seed is None else seed)
     t_new, m_new = grown_truncations(config, state, n_items, n_workers)
     t_old, m_old = state.n_clusters, state.n_communities
@@ -260,34 +262,29 @@ def grow_state(
         assignment = rng.integers(cols, size=rows)
         responsibilities[np.arange(rows), assignment] += hard_weight
         noise = 1.0 + config.init_noise * rng.random((rows, cols))
-        return normalize_rows(responsibilities * noise).astype(dtype, copy=False)
+        return normalize_rows(responsibilities * noise)
 
-    # Each array keeps its *own* dtype (SVI's seeding pass can leave the
-    # globals in float64 under a float32 config); padding must not cast
-    # the preserved blocks.
-    rho = np.empty((m_new - 1, 2), dtype=state.rho.dtype)
+    rho = np.empty((m_new - 1, 2), dtype=np.float64)
     rho[:, 0] = 1.0
     rho[:, 1] = config.alpha
     rho[: m_old - 1] = state.rho
-    ups = np.empty((t_new - 1, 2), dtype=state.ups.dtype)
+    ups = np.empty((t_new - 1, 2), dtype=np.float64)
     ups[:, 0] = 1.0
     ups[:, 1] = config.epsilon
     ups[: t_old - 1] = state.ups
 
-    lam = (
-        config.gamma0 * (1.0 + 0.1 * rng.random((t_new, m_new, n_labels)))
-    ).astype(state.lam.dtype, copy=False)
+    lam = config.gamma0 * (1.0 + 0.1 * rng.random((t_new, m_new, n_labels)))
     lam[:t_old, :m_old, :c_old] = state.lam
-    zeta = np.full((t_new, n_labels, 2), config.eta0, dtype=state.zeta.dtype)
+    zeta = np.full((t_new, n_labels, 2), config.eta0, dtype=np.float64)
     zeta[:t_old, :c_old] = state.zeta
-    cell_mass = np.zeros((t_new, m_new), dtype=state.cell_mass.dtype)
+    cell_mass = np.zeros((t_new, m_new), dtype=np.float64)
     cell_mass[:t_old, :m_old] = state.cell_mass
 
-    kappa = np.zeros((n_workers, m_new), dtype=dtype)
+    kappa = np.zeros((n_workers, m_new), dtype=np.float64)
     kappa[: state.n_workers, :m_old] = state.kappa
     if n_workers > state.n_workers:
         kappa[state.n_workers :] = random_hard(n_workers - state.n_workers, m_new)
-    phi = np.zeros((n_items, t_new), dtype=dtype)
+    phi = np.zeros((n_items, t_new), dtype=np.float64)
     phi[: state.n_items, :t_old] = state.phi
     if n_items > state.n_items:
         phi[state.n_items :] = random_hard(n_items - state.n_items, t_new)

@@ -104,12 +104,15 @@ class CPAConfig:
     exhaustive_label_limit:
         Maximum ``C`` for which exhaustive ``2^C`` MAP search is permitted.
     dtype:
-        Floating dtype (``"float64"`` / ``"float32"``) of the variational
-        state and of the sweep kernels' incidence matrices and products.
-        ``float32`` halves the memory traffic of κ, ϕ and the
-        ``(U·C, T)`` worker-label products at a small accuracy cost; the
-        default keeps the paper-exact double-precision trajectories
-        (DESIGN.md §6).
+        Compute dtype (``"float32"`` / ``"float64"``) of the sweep
+        kernels: their incidence matrices and products, and every array a
+        shard lane holds, receives or returns.  The posterior (κ, ϕ, µ,
+        λ, ρ, υ, ζ, the cell mass) is float64 in every engine, checkpoint
+        and snapshot either way; scores and statistics merge into it in
+        float64, and the ELBO and the consensus are evaluated in float64.
+        ``"float32"`` (default) halves the memory traffic of the products
+        and the bytes lanes exchange; ``"float64"`` is the bit-exact
+        oracle mode of the parity suites (DESIGN.md §6 "Dtype policy").
     backend:
         Sweep-kernel backend: ``"fused"`` (default; the fused kernel of
         DESIGN.md §6, which runs in the calling process and uses no
@@ -182,7 +185,7 @@ class CPAConfig:
     evidence_weight: float = 1.0
     max_predicted_labels: int = 0
     exhaustive_label_limit: int = 16
-    dtype: str = "float64"
+    dtype: str = "float32"
     backend: str = "fused"
     n_shards: int = 0
     executor: str = "serial"
@@ -254,7 +257,7 @@ class CPAConfig:
             )
 
     def resolve_dtype(self) -> np.dtype:
-        """The numpy dtype of the state arrays and likelihood kernels."""
+        """The numpy dtype the sweep kernels compute in."""
         return np.dtype(self.dtype)
 
     def resolve_executor(self) -> Executor:

@@ -24,7 +24,7 @@ supervised limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -159,8 +159,13 @@ def estimate_consensus(
     """Compute ``φ̂`` and the community reliability weights from ``state``.
 
     ``answers`` additionally enables the community label-rate estimation
-    used by evidence-augmented prediction.
+    used by evidence-augmented prediction.  Under a float32 kernel
+    (``config.dtype``) κ and ϕ are read as their rows renormalized in
+    float64 (:meth:`CPAState.distributions`).
     """
+    if config.resolve_dtype() != np.float64:
+        kappa, phi = state.distributions()
+        state = replace(state, kappa=kappa, phi=phi)
     gamma0 = config.gamma0
     counts = np.maximum(state.lam - gamma0, 0.0)  # (T, M, C) expected label counts
     mass = state.cell_mass  # (T, M) expected answers per cell

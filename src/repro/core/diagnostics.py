@@ -65,42 +65,64 @@ def worker_operating_points(
     specificity the fraction of answered items truly lacking ``c`` where
     ``u`` omitted it.  ``labels=None`` computes the label-pooled (overall)
     point per worker, as in Fig 10.  Workers/labels with fewer than
-    ``min_support`` positive *and* negative items are skipped.
+    ``min_support`` positive *and* negative items are skipped.  Only
+    answers to items with known truth count; each count is one
+    ``np.bincount`` over the answer arrays.
     """
     if len(dataset.truth) == 0:
         raise ValidationError("operating points require ground truth")
     targets: List[Optional[int]] = list(labels) if labels is not None else [None]
+    n_labels = dataset.n_labels
+    if any(label is not None and not 0 <= label < n_labels for label in targets):
+        raise ValidationError(f"labels must lie in [0, {n_labels})")
+    answers = dataset.answers
+    items, workers, indicators = answers.to_arrays()
+    known = np.zeros(answers.n_items, dtype=bool)
+    known[dataset.truth.known_items()] = True
+    graded = known[items]
+    workers = workers[graded]
+    said = indicators[graded] != 0
+    truly = dataset.truth.to_indicator_matrix()[items[graded]] != 0
+
+    def per_worker(hits: np.ndarray) -> np.ndarray:
+        counts = np.bincount(workers, weights=hits, minlength=answers.n_workers)
+        return counts.astype(np.int64)
+
+    # (tp, fn, fp, tn) per worker for each target, from one bincount each
+    tallies = []
+    for label in targets:
+        if label is None:
+            tallies.append(
+                (
+                    per_worker((said & truly).sum(axis=1)),
+                    per_worker((truly & ~said).sum(axis=1)),
+                    per_worker((said & ~truly).sum(axis=1)),
+                    per_worker(n_labels - (said | truly).sum(axis=1)),
+                )
+            )
+        else:
+            s, t = said[:, label], truly[:, label]
+            tallies.append(
+                (
+                    per_worker(s & t),
+                    per_worker(t & ~s),
+                    per_worker(s & ~t),
+                    per_worker(~s & ~t),
+                )
+            )
     points: List[OperatingPoint] = []
-    for worker in dataset.answers.active_workers():
-        answered = dataset.answers.items_for_worker(worker)
-        for label in targets:
-            tp = fp = tn = fn = 0
-            for item in answered:
-                truth = dataset.truth.get(item)
-                answer = dataset.answers.get(item, worker)
-                if truth is None or answer is None:
-                    continue
-                if label is None:
-                    tp += len(answer & truth)
-                    fn += len(truth - answer)
-                    fp += len(answer - truth)
-                    tn += dataset.n_labels - len(answer | truth)
-                else:
-                    truly_present = label in truth
-                    said_present = label in answer
-                    tp += truly_present and said_present
-                    fn += truly_present and not said_present
-                    fp += (not truly_present) and said_present
-                    tn += (not truly_present) and not said_present
-            pos, neg = tp + fn, fp + tn
+    for worker in answers.active_workers():
+        for label, (tp, fn, fp, tn) in zip(targets, tallies):
+            pos = int(tp[worker] + fn[worker])
+            neg = int(fp[worker] + tn[worker])
             if pos < min_support or neg < min_support:
                 continue
             points.append(
                 OperatingPoint(
                     worker=worker,
                     label=label,
-                    sensitivity=tp / pos,
-                    specificity=tn / neg,
+                    sensitivity=int(tp[worker]) / pos,
+                    specificity=int(tn[worker]) / neg,
                     support_positive=pos,
                     support_negative=neg,
                 )

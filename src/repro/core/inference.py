@@ -21,7 +21,8 @@ process; the sharded backend runs one such kernel per shard over the
 configured :class:`~repro.utils.parallel.Executor`.  A sweep makes two
 kernel calls: the κ update, and the ϕ half
 (:meth:`~repro.core.kernels.SweepKernel.update_phi`), which returns the
-new ϕ with the Eq. 6 statistics taken under it.
+new ϕ with the Eq. 6 statistics taken under it.  The kernels compute in
+``CPAConfig.dtype``; the state they update, and the ELBO, are float64.
 """
 
 from __future__ import annotations
@@ -395,7 +396,10 @@ class VariationalInference:
         The dropped constants (multinomial coefficients of the observed
         answer and truth vectors) do not depend on any variational
         parameter, so the value is exact up to a fixed offset and strictly
-        comparable across sweeps.
+        comparable across sweeps.  It is evaluated in float64; under a
+        float32 kernel, at the rows renormalized in float64
+        (:meth:`CPAState.distributions`), with the data term from a float64
+        statistics pass (:meth:`SweepKernel.data_elbo`).
         """
         state = self.state
         cfg = self.config
@@ -405,23 +409,25 @@ class VariationalInference:
         e_log_phi, e_log_phi_c = expected_log_phi_beta(state.zeta)
 
         value = 0.0
+        kappa, phi = state.kappa, state.phi
+        if self.kernel.dtype != np.float64:
+            kappa, phi = state.distributions()
         # E[ln p(x | z, l, ψ)] = Σ counts · E[ln ψ]: the last λ update's
-        # counts while the engine still holds its kernel, ϕ and κ (so
-        # right after a sweep), else one statistics pass
-        kernel, phi, kappa, counts = self._profile_counts
-        if kernel is self.kernel and phi is state.phi and kappa is state.kappa:
-            value += float(np.vdot(counts, np.asarray(e_log_psi, dtype=kernel.dtype)))
+        # counts while the engine still holds its kernel and the ϕ and κ
+        # read here (so right after a float64 sweep), else one float64
+        # statistics pass
+        held_kernel, held_phi, held_kappa, counts = self._profile_counts
+        if held_kernel is self.kernel and held_phi is phi and held_kappa is kappa:
+            value += float(np.vdot(counts, e_log_psi))
         else:
-            value += self.kernel.data_elbo(
-                state.phi, state.kappa, e_log_psi, self.executor
-            )
+            value += self.kernel.data_elbo(phi, kappa, e_log_psi, self.executor)
         # E[ln p(z | π)] and E[ln p(l | τ)]
-        value += float(state.kappa.sum(axis=0) @ e_log_pi)
-        value += float(state.phi.sum(axis=0) @ e_log_tau)
+        value += float(kappa.sum(axis=0) @ e_log_pi)
+        value += float(phi.sum(axis=0) @ e_log_tau)
         # E[ln p(y | l, φ)] over observed truth
         supervised = self._supervised_scores()
         if supervised is not None:
-            value += float(np.sum(state.phi[self.truth_mask] * supervised[1]))
+            value += float(np.sum(phi[self.truth_mask] * supervised[1]))
         # Priors on ψ, φ, π', τ'
         t, m, c = state.lam.shape
         value += float(
@@ -435,8 +441,8 @@ class VariationalInference:
         value += self._stick_prior_term(state.rho, cfg.alpha)
         value += self._stick_prior_term(state.ups, cfg.epsilon)
         # Entropies
-        value += _categorical_entropy(state.kappa)
-        value += _categorical_entropy(state.phi)
+        value += _categorical_entropy(kappa)
+        value += _categorical_entropy(phi)
         value += float(_dirichlet_entropy(state.lam).sum())
         value += float(_dirichlet_entropy(state.zeta).sum())
         value += float(_dirichlet_entropy(state.rho).sum())

@@ -19,7 +19,11 @@ column ``i``) and ``B`` the ``(U, I)`` answer incidence:
 Every dense product runs on the ``U·C`` worker-label rows, so a pass
 costs ``nnz(A)·T`` sparse work plus ``U·C·T·M`` dense work, independent
 of how many distinct label sets the answers use.  No ``(N, T, M)``
-intermediate is ever materialised.  A sweep's ϕ half
+intermediate is ever materialised.  The products run in the kernel dtype
+(``CPAConfig.dtype``): κ, ϕ, ``E[ln ψ]`` and ``E[ln τ]`` are cast to it,
+flushed (:func:`~repro.utils.math.cast_flushed`), as they enter, and
+every result comes back in the dtype of the arrays the caller handed in,
+so a float64 caller gets exact upcasts (DESIGN.md §6 "Dtype policy").  A sweep's ϕ half
 (:meth:`SweepKernel.update_phi`) takes the Eq. 6 statistics under the
 new ϕ, and the kernel keeps that pass's ``A ϕ`` for the next κ update,
 which reads the same ϕ: one sparse product per sweep fewer.  The kernel
@@ -39,7 +43,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import InferenceError
-from repro.utils.math import log_normalize_rows
+from repro.utils.math import cast_flushed, log_normalize_rows
 from repro.utils.parallel import Executor
 
 
@@ -232,8 +236,8 @@ def cluster_responsibilities(
 ) -> np.ndarray:
     """ϕ rows from ``(I, T)`` cluster scores: add the observed-truth rows
     ``supervised = (items, rows)`` into ``scores`` in place, then softmax
-    each row.  Row-local, so a row's bits do not depend on which rows are
-    computed with it."""
+    each row in the scores' dtype.  Row-local, so a row's bits do not
+    depend on which rows are computed with it."""
     if supervised is not None:
         items, rows = supervised
         scores[items] += rows
@@ -251,7 +255,9 @@ class SweepKernel:
     given; row ``u·C + c``, column ``i``) and ``answer_incidence`` (``B``,
     ``(U, I)``, one entry per answer).  Duplicate (item, worker) answers
     add up, which is exact because every product below is linear in the
-    answers.
+    answers.  The products run in the kernel dtype; scores accumulate
+    into the caller's ``out`` and the other results come back in the
+    dtype of the κ/ϕ/``E[ln τ]`` handed in.
 
     Parameters
     ----------
@@ -260,8 +266,8 @@ class SweepKernel:
     n_items, n_workers:
         Sizes of the item / worker index spaces.
     dtype:
-        Floating dtype of the incidence matrices and of the sweep's
-        ``E[ln ψ]`` views (``CPAConfig.dtype``).
+        Floating dtype of the incidence matrices, of the sweep's
+        ``E[ln ψ]`` views and of every product (``CPAConfig.dtype``).
 
     The ``executor`` argument of the sweep methods is accepted so that
     engines call this kernel and :class:`repro.core.sharding.ShardedSweepKernel`
@@ -310,12 +316,15 @@ class SweepKernel:
         #: ``(token, ϕ rows)``: the name a lane task gave the rows of its
         #: last statistics pass (:mod:`repro.core.sharding`).
         self.named_phi: Optional[Tuple[str, np.ndarray]] = None
+        #: the name a lane task gave the ``E[ln ψ]`` views of its sweep.
+        self.named_sweep: Optional[str] = None
 
     def __getstate__(self) -> dict:
-        # the held product and the rows it came from never travel
+        # the held product, the rows it came from and the names never travel
         state = self.__dict__.copy()
         state["_held"] = None
         state["named_phi"] = None
+        state["named_sweep"] = None
         return state
 
     def evict(self) -> None:
@@ -324,7 +333,7 @@ class SweepKernel:
         Mirrors :meth:`repro.core.sharding.ShardedSweepKernel.evict` so
         engines can retire any kernel through one seam.
         """
-        self._held = self.named_phi = None
+        self._held = self.named_phi = self.named_sweep = None
 
     # ---------------------------------------------------------------- sweep
 
@@ -335,10 +344,19 @@ class SweepKernel:
         ``E[ln ψ_tmc]`` in the kernel dtype.  The score methods raise
         :class:`~repro.errors.InferenceError` until this has been called.
         """
-        e = np.asarray(e_log_psi, dtype=self.dtype)
+        e = cast_flushed(e_log_psi, self.dtype)
         t, m, c = e.shape
         self._e_worker = np.ascontiguousarray(e.transpose(2, 0, 1)).reshape(c * t, m)
         self._e_item = np.ascontiguousarray(e.transpose(1, 2, 0)).reshape(m, c * t)
+        self.named_sweep = None
+
+    @property
+    def sweep_sizes(self) -> Tuple[int, int]:
+        """``(T, M)`` of the ``E[ln ψ]`` the last :meth:`begin_sweep` took."""
+        if self._e_item is None:
+            raise InferenceError("begin_sweep must be called before score accumulation")
+        m, ct = self._e_item.shape
+        return ct // self.n_labels, m
 
     def add_worker_scores(
         self, out: np.ndarray, phi: np.ndarray, executor: Optional[Executor] = None
@@ -354,7 +372,7 @@ class SweepKernel:
         if held is not None and held[0] is phi:
             weighted = held[1]
         else:
-            weighted = self.label_incidence @ phi  # (U·C, T)
+            weighted = self.label_incidence @ cast_flushed(phi, self.dtype)  # (U·C, T)
         out += weighted.reshape(self.n_workers, self._e_worker.shape[0]) @ self._e_worker
         return out
 
@@ -364,7 +382,7 @@ class SweepKernel:
         """``out[i] += Σ_{n: i_n=i} Σ_m κ[u_n, m] L[n, ·, m]`` (Eq. 3 data term)."""
         if self._e_item is None:
             raise InferenceError("begin_sweep must be called before score accumulation")
-        per_label = (kappa @ self._e_item).reshape(
+        per_label = (cast_flushed(kappa, self.dtype) @ self._e_item).reshape(
             self.label_incidence.shape[0], out.shape[1]
         )
         out += self.label_incidence.T @ per_label
@@ -380,14 +398,31 @@ class SweepKernel:
         Keeps ``(ϕ, A ϕ)`` in place of the previous pass's, for the next
         :meth:`add_worker_scores` given the same ϕ.
         """
-        t, m = phi.shape[1], kappa.shape[1]
+        dtype = np.result_type(phi, kappa)
         self._held = None  # at most one product alive
-        product = self.label_incidence @ phi
+        phi_k = cast_flushed(phi, self.dtype)
+        kappa_k = cast_flushed(kappa, self.dtype)
+        product = self.label_incidence @ phi_k
         self._held = (phi, product)
+        counts = self._counts(product, kappa_k)
+        mass = (self.answer_incidence @ phi_k).T @ kappa_k
+        return counts.astype(dtype, copy=False), mass.astype(dtype, copy=False)
+
+    def _counts(self, product: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """The ``(T, M, C)`` counts ``Wᵀ κ`` of the product ``W = A ϕ``."""
+        t, m = product.shape[1], kappa.shape[1]
         weighted = product.reshape(self.n_workers, self.n_labels * t)
         counts = (weighted.T @ kappa).reshape(self.n_labels, t, m)
-        mass = (self.answer_incidence @ phi).T @ kappa
-        return np.ascontiguousarray(counts.transpose(1, 2, 0)), mass
+        return np.ascontiguousarray(counts.transpose(1, 2, 0))
+
+    def exact_counts(self, phi: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """The Eq. 6 counts of a float64 pass over float64 ``phi``/``kappa``.
+
+        A float32 incidence upcasts exactly (its entries count answers),
+        so only the products change precision; nothing is held.
+        """
+        product = self.label_incidence.astype(np.float64, copy=False) @ phi
+        return self._counts(product, kappa)
 
     def update_phi(
         self,
@@ -401,15 +436,21 @@ class SweepKernel:
         Row ``i`` of the returned ϕ is the softmax of ``E[ln τ]`` plus the
         item scores under ``kappa``, plus the observed-truth term
         ``rows[j]`` where ``supervised = (items, rows)`` has
-        ``items[j] == i``.  Returns ``(ϕ, counts, mass)``; the statistics
-        pass keeps ``A ϕ`` for the next κ update.
+        ``items[j] == i``, computed in the kernel dtype.  Returns ``(ϕ,
+        counts, mass)`` in the dtype of ``e_log_tau`` and ``kappa``; the
+        statistics pass keeps ``A ϕ`` for the next κ update, for the
+        returned ϕ.
         """
         self._held = self.named_phi = None  # no κ update reads the old ϕ now
-        scores = np.tile(e_log_tau, (self.n_items, 1))
+        dtype = np.result_type(e_log_tau, kappa)
+        kappa = cast_flushed(kappa, self.dtype)
+        scores = np.tile(cast_flushed(e_log_tau, self.dtype), (self.n_items, 1))
         self.add_item_scores(scores, kappa)
         phi = cluster_responsibilities(scores, supervised)
         counts, mass = self.cell_statistics(phi, kappa)
-        return phi, counts, mass
+        held = phi.astype(dtype, copy=False)  # an exact upcast for the program
+        self._held = (held, self._held[1])
+        return held, counts.astype(dtype, copy=False), mass.astype(dtype, copy=False)
 
     def data_elbo(
         self,
@@ -418,6 +459,6 @@ class SweepKernel:
         e_log_psi: np.ndarray,
         executor: Optional[Executor] = None,
     ) -> float:
-        """``E[ln p(x | z, l, ψ)] = Σ_n Σ_tm ϕ κ L``, as ``Σ counts · E[ln ψ]``."""
-        counts, _ = self.cell_statistics(phi, kappa)
-        return float(np.vdot(counts, np.asarray(e_log_psi, dtype=self.dtype)))
+        """``E[ln p(x | z, l, ψ)] = Σ_n Σ_tm ϕ κ L``, as ``Σ counts · E[ln ψ]``,
+        in float64 (:meth:`exact_counts`)."""
+        return float(np.vdot(self.exact_counts(phi, kappa), e_log_psi))

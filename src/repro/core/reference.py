@@ -263,8 +263,10 @@ class ReferenceStochasticInference(StochasticInference):
         data: _BatchData,
         phi_batch: np.ndarray,
         e_log_pi: np.ndarray,
-        e_log_psi: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        from repro.core.expectations import expected_log_psi
+
+        e_log_psi = expected_log_psi(self.state.lam)  # the fold's, as the engine's
         phi_n = phi_batch[data.item_local]  # (N_b, T)
         tasks = []
         for chunk in split_chunks(data.batch_workers.size, self.executor.degree):

@@ -25,11 +25,11 @@ Combine semantics (the parity contract of ``tests/test_sharded.py``):
   contributes one partial per worker (and one ``(T, M, C)`` /
   ``(T, M)`` statistics partial), and partials are merged ``+=`` in
   **fixed shard order** (``k = 0..K-1``, independent of the executor's
-  scheduling, since ``map_on`` preserves task order).  The merge is
-  therefore deterministic for every executor kind; relative to the fused
-  serial path it only reassociates the sums, keeping trajectories within
-  ``1e-10`` on float64.  The ELBO data term is ``Σ counts · E[ln ψ]``
-  over the merged statistics.
+  scheduling, since ``map_on`` preserves task order), into float64.  The
+  merge is therefore deterministic for every executor kind; relative to
+  the fused serial path it only reassociates the sums, keeping
+  trajectories within ``1e-10`` on float64.  The ELBO data term is
+  ``Σ counts · E[ln ψ]`` over float64 statistics taken in process.
 
 Every shard works on the global cluster truncation ``T``, so a sharded
 run computes the fused posterior up to summation order on every input.
@@ -40,14 +40,20 @@ tuple to the executor once per plan
 (:meth:`~repro.utils.parallel.Executor.broadcast`) and every per-sweep
 task then carries only the shard index plus the small updated posteriors
 (κ rows, the sweep's ``E[ln ψ]`` and ``E[ln τ]``), routed through
-:meth:`~repro.utils.parallel.Executor.map_on`.  A batch-VI sweep is two
-calls: the κ half (:meth:`ShardedSweepKernel.add_worker_scores`) and the
-ϕ half (:meth:`ShardedSweepKernel.update_phi`), whose tasks softmax
-their shard's ϕ rows and return them with the shard's Eq. 6 statistics.
-Each statistics pass leaves its ϕ rows and their ``A ϕ`` held by the
+:meth:`~repro.utils.parallel.Executor.map_on`.  Everything a task
+carries, holds or returns is in the kernel dtype (``CPAConfig.dtype``):
+the program casts its float64 rows down, flushed, and stores what comes
+back as exact upcasts.  A batch-VI sweep is two calls: the κ half
+(:meth:`ShardedSweepKernel.add_worker_scores`) and the ϕ half
+(:meth:`ShardedSweepKernel.update_phi`), whose tasks softmax their
+shard's ϕ rows and return them with the shard's Eq. 6 statistics.  Each
+statistics pass leaves its ϕ rows and their ``A ϕ`` held by the
 lane-side shard kernel under a token the program mints, so the next κ
-half sends the token instead of the rows; a lane that lacks it
-(:class:`HeldRowsMissing`) costs one resend with the rows.  Called
+half sends the token instead of the rows; likewise the first task of a
+sweep leaves the rearranged ``E[ln ψ]`` views under the sweep's token,
+and the sweep's later tasks send the token instead of ``E[ln ψ]``.  A
+lane that lacks what a token names (:class:`HeldRowsMissing`) costs one
+resend with the arrays.  Called
 without an executor, the kernel runs the same task functions in-process
 on its own shard list, so every executor is bitwise equal to that path
 (``tests/test_resident.py``).  Broadcast state is evicted when the
@@ -70,6 +76,7 @@ from repro.core.kernels import (
     cluster_responsibilities,
 )
 from repro.errors import InferenceError, ValidationError
+from repro.utils.math import cast_flushed, flush_subnormals
 from repro.utils.parallel import Executor
 from repro.utils.random import RandomState
 
@@ -175,7 +182,7 @@ class ShardPlan:
 def merge_cell_statistics(
     pieces: Sequence[Tuple[np.ndarray, np.ndarray]],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Combine per-shard ``(counts, mass)`` fragments by summation.
+    """Combine per-shard ``(counts, mass)`` fragments by summation, in float64.
 
     The combine is exact segment addition — associative and commutative up
     to float roundoff — so any bracketing/order of fragments agrees within
@@ -184,8 +191,8 @@ def merge_cell_statistics(
     """
     if not pieces:
         raise ValidationError("merge_cell_statistics needs at least one fragment")
-    counts = pieces[0][0].copy()
-    mass = pieces[0][1].copy()
+    counts = pieces[0][0].astype(np.float64)
+    mass = pieces[0][1].astype(np.float64)
     for piece_counts, piece_mass in pieces[1:]:
         counts += piece_counts
         mass += piece_mass
@@ -223,23 +230,38 @@ def _local_rows(
 # Module-level task functions (picklable for process and remote lanes),
 # run as ``func(shards, task)`` against the lane-resident shard tuple:
 # each task names its shard by index and carries only that shard's
-# per-sweep posterior rows.  Every score task re-establishes the sweep's
-# ``E[ln ψ]`` views itself (two ``T·M·C`` rearrangements).  The one
-# piece of lane state a task may read is the ϕ rows the shard kernel
-# last took statistics of, named by the token the program minted for
-# that pass; a lane without them raises :class:`HeldRowsMissing`, so a
-# result never depends on which lane ran the previous task.
+# per-sweep posterior rows, in the kernel dtype, and returns arrays in
+# the kernel dtype that hold no subnormal of it.  Two pieces of lane
+# state a task may read, each named by a token the program minted: the
+# ϕ rows the shard kernel last took statistics of, and the ``E[ln ψ]``
+# views the sweep's first task rearranged.  A lane without them raises
+# :class:`HeldRowsMissing`, so a result never depends on which lane ran
+# the previous task.
 
 
 class HeldRowsMissing(Exception):
-    """A κ-half task named ϕ rows its lane does not hold (a replacement
-    daemon, a plan re-broadcast after eviction, a speculative re-dispatch,
-    a re-armed process lane).  Internal control flow — the kernel resends
-    the call with the rows; it never escapes to callers."""
+    """A task named lane state — ϕ rows or a sweep's ``E[ln ψ]`` views —
+    its lane does not hold (a replacement daemon, a plan re-broadcast
+    after eviction, a speculative re-dispatch, a re-armed process lane).
+    Internal control flow — the kernel resends the call with the arrays;
+    it never escapes to callers."""
 
     def __init__(self, token: str) -> None:
         super().__init__(token)
         self.token = token
+
+
+def _begin_sweep(kernel: SweepKernel, sweep) -> None:
+    """Give a lane kernel the sweep's ``E[ln ψ]`` views: ``sweep`` is
+    ``(E[ln ψ], token)``, rearranged here and kept under the token, or the
+    token alone of views an earlier task of the sweep left."""
+    if isinstance(sweep, str):
+        if kernel.named_sweep != sweep:
+            raise HeldRowsMissing(sweep)
+        return
+    e_log_psi, token = sweep
+    kernel.begin_sweep(e_log_psi)
+    kernel.named_sweep = token
 
 
 def _worker_scores_task(shards, task) -> np.ndarray:
@@ -248,31 +270,25 @@ def _worker_scores_task(shards, task) -> np.ndarray:
     The task carries the shard's ϕ rows, or the token of the rows (and
     their ``A ϕ``) its kernel holds.
     """
-    k, e_log_psi, phi_rows = task
+    k, sweep, phi_rows = task
     kernel = shards[k].kernel
     if isinstance(phi_rows, str):
         named = kernel.named_phi
         if named is None or named[0] != phi_rows:
             raise HeldRowsMissing(phi_rows)
         phi_rows = named[1]
-    kernel.begin_sweep(e_log_psi)
-    out = np.zeros(
-        (kernel.n_workers, e_log_psi.shape[1]),
-        dtype=np.result_type(phi_rows, e_log_psi),
-    )
-    return kernel.add_worker_scores(out, phi_rows)
+    _begin_sweep(kernel, sweep)
+    out = np.zeros((kernel.n_workers, kernel.sweep_sizes[1]), dtype=kernel.dtype)
+    return flush_subnormals(kernel.add_worker_scores(out, phi_rows))
 
 
 def _item_scores_task(shards, task) -> np.ndarray:
     """ϕ-update data term of one shard, over the shard's item space."""
-    k, e_log_psi, kappa_rows = task
+    k, sweep, kappa_rows = task
     kernel = shards[k].kernel
-    kernel.begin_sweep(e_log_psi)
-    out = np.zeros(
-        (kernel.n_items, e_log_psi.shape[0]),
-        dtype=np.result_type(kappa_rows, e_log_psi),
-    )
-    return kernel.add_item_scores(out, kappa_rows)
+    _begin_sweep(kernel, sweep)
+    out = np.zeros((kernel.n_items, kernel.sweep_sizes[0]), dtype=kernel.dtype)
+    return flush_subnormals(kernel.add_item_scores(out, kappa_rows))
 
 
 def _cell_statistics_task(shards, task) -> Tuple[np.ndarray, np.ndarray]:
@@ -280,20 +296,20 @@ def _cell_statistics_task(shards, task) -> Tuple[np.ndarray, np.ndarray]:
     the task's token."""
     k, phi_rows, kappa_rows, token = task
     kernel = shards[k].kernel
-    statistics = kernel.cell_statistics(phi_rows, kappa_rows)
+    counts, mass = kernel.cell_statistics(phi_rows, kappa_rows)
     kernel.named_phi = (token, phi_rows)
-    return statistics
+    return flush_subnormals(counts), flush_subnormals(mass)
 
 
 def _update_phi_task(shards, task) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ϕ half of one shard: its ϕ rows and Eq. 6 statistics; the rows stay
     held under the task's token."""
-    k, e_log_psi, e_log_tau, kappa_rows, supervised, token = task
+    k, sweep, e_log_tau, kappa_rows, supervised, token = task
     kernel = shards[k].kernel
-    kernel.begin_sweep(e_log_psi)
+    _begin_sweep(kernel, sweep)
     phi_rows, counts, mass = kernel.update_phi(e_log_tau, kappa_rows, supervised)
     kernel.named_phi = (token, phi_rows)
-    return phi_rows, counts, mass
+    return phi_rows, flush_subnormals(counts), flush_subnormals(mass)
 
 
 #: process-unique suffix source for broadcast keys (two live kernels must
@@ -381,10 +397,13 @@ class ShardedSweepKernel:
         self.n_answers = self.plan.n_answers
         self.n_labels = self.plan.n_labels
         self.n_shards = self.plan.n_shards
-        #: the sweep's ``E[ln ψ]``, pinned by :meth:`begin_sweep`.
+        #: the sweep's ``E[ln ψ]``, pinned by :meth:`begin_sweep`, its
+        #: token, and whether a task has left its views on the lanes.
         self._e_log_psi: Optional[np.ndarray] = None
         self._token_prefix = _token_prefix()
         self._token_serial = 0
+        self._sweep_token = ""
+        self._sweep_sent = False
         #: ``(ϕ, token)``: the ϕ whose rows the last statistics pass left
         #: held on the shard kernels, and their name.
         self._held: Optional[Tuple[np.ndarray, str]] = None
@@ -400,6 +419,7 @@ class ShardedSweepKernel:
         state["_installed"] = None
         state["_finalizer"] = None
         state["_held"] = None
+        state["_sweep_sent"] = False
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -446,14 +466,39 @@ class ShardedSweepKernel:
     # ---------------------------------------------------------------- sweep
 
     def begin_sweep(self, e_log_psi: np.ndarray) -> None:
-        """Pin the sweep's ``E[ln ψ]``; each shard task rearranges its own."""
-        self._e_log_psi = np.ascontiguousarray(e_log_psi, dtype=self.dtype)
+        """Pin the sweep's ``E[ln ψ]`` in the kernel dtype and mint the
+        sweep's token: the sweep's first task carries the array to each
+        shard kernel, and its later tasks name the views it left."""
+        self._e_log_psi = np.ascontiguousarray(cast_flushed(e_log_psi, self.dtype))
+        self._sweep_token = self._next_token()
+        self._sweep_sent = False
+
+    def _sweep(self, resend: bool):
+        """What a score task carries for the sweep's ``E[ln ψ]``."""
+        if self._e_log_psi is None:
+            raise InferenceError("begin_sweep must be called before score accumulation")
+        if self._sweep_sent and not resend:
+            return self._sweep_token
+        return (self._e_log_psi, self._sweep_token)
+
+    def _fan_out_named(self, executor: Optional[Executor], func, tasks):
+        """Run ``tasks(resend)`` as :meth:`_fan_out` does.  The tasks may
+        name lane state (held ϕ rows, the sweep's ``E[ln ψ]`` views); if a
+        lane lacks it, they are resent once with the arrays."""
+        try:
+            pieces = self._fan_out(executor, func, tasks(False))
+        except HeldRowsMissing:
+            pieces = self._fan_out(executor, func, tasks(True))
+        self._sweep_sent = True
+        return pieces
 
     def _item_rows(self, phi: np.ndarray) -> List[np.ndarray]:
-        return [phi[shard.item_ids] for shard in self.plan.shards]
+        return [cast_flushed(phi[shard.item_ids], self.dtype) for shard in self.plan.shards]
 
     def _worker_rows(self, kappa: np.ndarray) -> List[np.ndarray]:
-        return [kappa[shard.worker_ids] for shard in self.plan.shards]
+        return [
+            cast_flushed(kappa[shard.worker_ids], self.dtype) for shard in self.plan.shards
+        ]
 
     def add_worker_scores(
         self, out: np.ndarray, phi: np.ndarray, executor: Optional[Executor] = None
@@ -463,22 +508,18 @@ class ShardedSweepKernel:
         ``phi`` travels as a token when it is the ϕ of the last statistics
         pass; if a lane lost those rows, the call is resent with them.
         """
-        if self._e_log_psi is None:
-            raise InferenceError("begin_sweep must be called before score accumulation")
-        pieces = None
         held = self._held
-        if held is not None and held[0] is phi:
-            tasks = [(shard.index, self._e_log_psi, held[1]) for shard in self.plan.shards]
-            try:
-                pieces = self._fan_out(executor, _worker_scores_task, tasks)
-            except HeldRowsMissing:
-                pass
-        if pieces is None:
-            tasks = [
-                (shard.index, self._e_log_psi, rows)
-                for shard, rows in zip(self.plan.shards, self._item_rows(phi))
-            ]
-            pieces = self._fan_out(executor, _worker_scores_task, tasks)
+        token = held[1] if held is not None and held[0] is phi else None
+
+        def tasks(resend: bool):
+            sweep = self._sweep(resend)
+            if token is None or resend:
+                rows = self._item_rows(phi)
+            else:
+                rows = [token] * self.n_shards
+            return [(shard.index, sweep, r) for shard, r in zip(self.plan.shards, rows)]
+
+        pieces = self._fan_out_named(executor, _worker_scores_task, tasks)
         return merge_scores(
             out,
             [
@@ -491,13 +532,13 @@ class ShardedSweepKernel:
         self, out: np.ndarray, kappa: np.ndarray, executor: Optional[Executor] = None
     ) -> np.ndarray:
         """``out[i] += Σ_{n: i_n=i} Σ_m κ[u_n, m] L[n, ·, m]``; disjoint merge."""
-        if self._e_log_psi is None:
-            raise InferenceError("begin_sweep must be called before score accumulation")
-        tasks = [
-            (shard.index, self._e_log_psi, rows)
-            for shard, rows in zip(self.plan.shards, self._worker_rows(kappa))
-        ]
-        pieces = self._fan_out(executor, _item_scores_task, tasks)
+        rows = self._worker_rows(kappa)
+
+        def tasks(resend: bool):
+            sweep = self._sweep(resend)
+            return [(shard.index, sweep, r) for shard, r in zip(self.plan.shards, rows)]
+
+        pieces = self._fan_out_named(executor, _item_scores_task, tasks)
         return merge_scores(
             out,
             [
@@ -511,8 +552,7 @@ class ShardedSweepKernel:
     def _no_statistics(self, phi, kappa) -> Tuple[np.ndarray, np.ndarray]:
         """The statistics of a plan without shards (no answers): zeros."""
         t, m = phi.shape[1], kappa.shape[1]
-        dtype = np.result_type(phi, kappa)
-        return np.zeros((t, m, self.n_labels), dtype=dtype), np.zeros((t, m), dtype=dtype)
+        return np.zeros((t, m, self.n_labels), dtype=np.float64), np.zeros((t, m), dtype=np.float64)
 
     def cell_statistics(
         self, phi: np.ndarray, kappa: np.ndarray, executor: Optional[Executor] = None
@@ -541,25 +581,32 @@ class ShardedSweepKernel:
         """:meth:`SweepKernel.update_phi` in one task per shard.
 
         Each task returns its items' ϕ rows and its statistics; the rows
-        scatter disjointly, the statistics merge in fixed shard order, and
-        the items no shard holds get their rows here.
+        scatter disjointly into a float64 ϕ, the statistics merge in fixed
+        shard order, and the items no shard holds get their rows here,
+        in the kernel dtype as a shard would.
         """
-        if self._e_log_psi is None:
-            raise InferenceError("begin_sweep must be called before score accumulation")
         token = self._next_token()
-        tasks = [
-            (
-                shard.index,
-                self._e_log_psi,
-                e_log_tau,
-                kappa_rows,
-                _local_rows(supervised, shard.item_ids),
-                token,
-            )
-            for shard, kappa_rows in zip(self.plan.shards, self._worker_rows(kappa))
-        ]
-        pieces = self._fan_out(executor, _update_phi_task, tasks)
-        phi = np.empty((self.n_items, e_log_tau.shape[0]), dtype=e_log_tau.dtype)
+        e_log_tau = cast_flushed(e_log_tau, self.dtype)
+        if supervised is not None:
+            supervised = (supervised[0], cast_flushed(supervised[1], self.dtype))
+        worker_rows = self._worker_rows(kappa)
+
+        def tasks(resend: bool):
+            sweep = self._sweep(resend)
+            return [
+                (
+                    shard.index,
+                    sweep,
+                    e_log_tau,
+                    kappa_rows,
+                    _local_rows(supervised, shard.item_ids),
+                    token,
+                )
+                for shard, kappa_rows in zip(self.plan.shards, worker_rows)
+            ]
+
+        pieces = self._fan_out_named(executor, _update_phi_task, tasks)
+        phi = np.empty((self.n_items, e_log_tau.shape[0]), dtype=np.float64)
         for shard, (rows, _, _) in zip(self.plan.shards, pieces):
             phi[shard.item_ids] = rows
         unanswered = self.plan.unanswered_items
@@ -581,10 +628,14 @@ class ShardedSweepKernel:
         e_log_psi: np.ndarray,
         executor: Optional[Executor] = None,
     ) -> float:
-        """``E[ln p(x | z, l, ψ)] = Σ counts · E[ln ψ]`` over the merged
-        statistics."""
-        counts, _ = self.cell_statistics(phi, kappa, executor)
-        return float(np.vdot(counts, np.asarray(e_log_psi, dtype=self.dtype)))
+        """``E[ln p(x | z, l, ψ)] = Σ counts · E[ln ψ]``, over float64
+        statistics taken in process on the plan's shards (fixed order)."""
+        counts = np.zeros(np.shape(e_log_psi), dtype=np.float64)
+        for shard in self.plan.shards:
+            counts += shard.kernel.exact_counts(
+                phi[shard.item_ids], kappa[shard.worker_ids]
+            )
+        return float(np.vdot(counts, e_log_psi))
 
 
 # -------------------------------------------------------------------- factory

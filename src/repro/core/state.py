@@ -22,12 +22,16 @@ The state additionally tracks ``cell_mass`` (``(T, M)`` expected answer
 counts per cluster-community cell), the sufficient statistic the consensus
 estimator divides by, and — during online learning — ``mu``
 (``(I, T-1)``), the canonical parameterisation of ``ϕ`` from paper §4.1.
+
+Every array is float64, whatever ``CPAConfig.dtype`` (the sweep kernels'
+compute dtype): rows a float32 kernel produced are stored as exact
+upcasts (DESIGN.md §6 "Dtype policy").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -81,12 +85,7 @@ class CPAState:
             if np.any(array <= 0):
                 raise ValidationError(f"{name} must stay strictly positive")
         for name, array in (("kappa", self.kappa), ("phi", self.phi)):
-            # float32 rows accumulate roundoff proportional to the row
-            # length; loosen the normalisation check accordingly.
-            single = array.dtype == np.float32
-            atol = 1e-4 if single else 1e-6
-            floor = -1e-6 if single else -1e-9
-            if np.any(array < floor) or not np.allclose(array.sum(axis=-1), 1.0, atol=atol):
+            if np.any(array < -1e-9) or not np.allclose(array.sum(axis=-1), 1.0, atol=1e-6):
                 raise ValidationError(f"{name} rows must be distributions")
 
     def copy(self) -> "CPAState":
@@ -144,6 +143,13 @@ class CPAState:
             perm = _check("worker_permutation", worker_permutation, self.n_workers)
             out.kappa[perm] = self.kappa
         return out
+
+    def distributions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(κ, ϕ)`` with every row divided by its float64 sum: the
+        distributions the stored rows represent.  A float32 softmax sums to
+        one within a few float32 ulps only, so the ELBO and the consensus
+        read these under a float32 kernel."""
+        return normalize_rows(self.kappa), normalize_rows(self.phi)
 
     def hard_communities(self) -> np.ndarray:
         """MAP community of each worker (argmax of ``κ``)."""
@@ -262,7 +268,6 @@ def initialize_state(
     """
     rng = RandomState(config.seed if seed is None else seed)
     n_clusters, n_communities = config.resolve_truncations(n_items, n_workers)
-    dtype = config.resolve_dtype()
     hard_weight = 0.8
 
     def random_hard(rows: int, cols: int) -> np.ndarray:
@@ -284,22 +289,19 @@ def initialize_state(
         )
     else:
         phi = random_hard(n_items, n_clusters)
-    kappa = kappa.astype(dtype, copy=False)
-    phi = phi.astype(dtype, copy=False)
 
-    rho = np.empty((n_communities - 1, 2), dtype=dtype)
+    rho = np.empty((n_communities - 1, 2), dtype=np.float64)
     rho[:, 0] = 1.0
     rho[:, 1] = config.alpha
-    ups = np.empty((n_clusters - 1, 2), dtype=dtype)
+    ups = np.empty((n_clusters - 1, 2), dtype=np.float64)
     ups[:, 0] = 1.0
     ups[:, 1] = config.epsilon
 
-    lam = (
-        config.gamma0
-        * (1.0 + 0.1 * rng.random((n_clusters, n_communities, n_labels)))
-    ).astype(dtype, copy=False)
-    zeta = np.full((n_clusters, n_labels, 2), config.eta0, dtype=dtype)
-    cell_mass = np.zeros((n_clusters, n_communities), dtype=dtype)
+    lam = config.gamma0 * (
+        1.0 + 0.1 * rng.random((n_clusters, n_communities, n_labels))
+    )
+    zeta = np.full((n_clusters, n_labels, 2), config.eta0, dtype=np.float64)
+    cell_mass = np.zeros((n_clusters, n_communities), dtype=np.float64)
 
     return CPAState(
         n_items=n_items,

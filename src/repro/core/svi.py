@@ -48,7 +48,7 @@ from repro.core.state import CPAState, initialize_state
 from repro.data.dataset import GroundTruth
 from repro.data.streams import AnswerBatch
 from repro.errors import ValidationError
-from repro.utils.math import flush_subnormals, log_normalize_rows
+from repro.utils.math import log_normalize_rows
 from repro.utils.parallel import Executor
 from repro.utils.random import Seed
 
@@ -78,19 +78,16 @@ class _BatchData:
 
 
 def _prepare_batch(
-    batch: AnswerBatch,
-    dtype: np.dtype = np.float64,
-    n_labels: Optional[int] = None,
+    batch: AnswerBatch, n_labels: Optional[int] = None
 ) -> Optional[_BatchData]:
     items, workers, indicators = batch.matrix.to_arrays()
     if items.size == 0:
         return None
-    indicators = np.ascontiguousarray(indicators, dtype=dtype)
     if n_labels is not None and indicators.shape[1] < n_labels:
         # A batch minted before the engine grew its label space (see
         # StochasticInference.grow) carries narrower indicator rows; the
         # missing labels were simply never answered — pad with zeros.
-        padded = np.zeros((indicators.shape[0], n_labels), dtype=dtype)
+        padded = np.zeros((indicators.shape[0], n_labels), dtype=np.float64)
         padded[:, : indicators.shape[1]] = indicators
         indicators = padded
     batch_workers, worker_local = np.unique(workers, return_inverse=True)
@@ -282,7 +279,7 @@ class StochasticInference:
         :meth:`CPAState.sync_phi_from_mu`).  Either way ϕ ends the step
         bitwise equal to a full refresh.
         """
-        data = _prepare_batch(batch, self.config.resolve_dtype(), self.n_labels)
+        data = _prepare_batch(batch, self.n_labels)
         self.state.batches_seen += 1
         rate = learning_rate(self.state.batches_seen, self.config.forgetting_rate)
         if data is None:
@@ -305,9 +302,11 @@ class StochasticInference:
         mu_target = np.zeros(
             (data.batch_items.size, state.n_clusters - 1), dtype=np.float64
         )
+        # the globals hold still until the REDUCE, so E[ln ψ] serves every pass
+        self._batch_kernel(data).begin_sweep(e_log_psi)
         for _ in range(self.config.svi_iterations):
             kappa_batch, evidence, kappa_mass = self._map_reduce(
-                data, phi_batch, e_log_pi, e_log_psi
+                data, phi_batch, e_log_pi
             )
             scores = np.tile(e_log_tau, (data.batch_items.size, 1))
             scores += worker_scale * evidence
@@ -518,27 +517,22 @@ class StochasticInference:
         data: _BatchData,
         phi_batch: np.ndarray,
         e_log_pi: np.ndarray,
-        e_log_psi: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """MAP/REDUCE of one batch through the batch's sweep kernel.
+        """MAP/REDUCE of one batch through the batch's sweep kernel, whose
+        sweep :meth:`process_batch` began.
 
         κ update (Eq. 2), item evidence under the fresh κ (Eq. 15's data
         term) and κ's community mass — the batch-VI sweep body on the
         batch-local spaces, minus the Eq. 6 statistics, which
         :meth:`process_batch` takes once under the damped ϕ.
-        κ is cast to the state dtype, which keeps a float32 state float32
-        on every backend, and flushed after the cast: a float64 1e-40 is a
-        float32 subnormal.
         """
         kernel = self._batch_kernel(data)
-        dtype = self.state.lam.dtype
-        kernel.begin_sweep(e_log_psi)
         scores = np.tile(e_log_pi, (data.batch_workers.size, 1))
         kernel.add_worker_scores(scores, phi_batch, self.executor)
-        kappa_batch = flush_subnormals(
-            log_normalize_rows(scores).astype(dtype, copy=False)
+        kappa_batch = log_normalize_rows(scores)
+        evidence = np.zeros(
+            (data.batch_items.size, self.state.n_clusters), dtype=np.float64
         )
-        evidence = np.zeros((data.batch_items.size, self.state.n_clusters), dtype=dtype)
         kernel.add_item_scores(evidence, kappa_batch, self.executor)
         return kappa_batch, evidence, kappa_batch.sum(axis=0)
 

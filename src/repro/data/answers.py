@@ -277,14 +277,15 @@ class AnswerMatrix:
 
     # ----------------------------------------------------------- transform
 
-    def _take(self, rows: np.ndarray) -> "AnswerMatrix":
-        """A new matrix of the given rows, in that order."""
+    def take(self, rows: np.ndarray) -> "AnswerMatrix":
+        """A new matrix of the given rows (positions in :meth:`to_arrays`,
+        each at most once), in that order; builds no pair index."""
         items, workers, indicators = self._filled()
         return AnswerMatrix(*self._sizes)._hold(items[rows], workers[rows], indicators[rows])
 
     def copy(self) -> "AnswerMatrix":
         """Deep copy."""
-        return self._take(np.arange(self._n))
+        return self.take(np.arange(self._n))
 
     def subset(self, pairs: Iterable[Tuple[int, int]]) -> "AnswerMatrix":
         """A new matrix containing only the given ``(item, worker)`` pairs.
@@ -302,7 +303,7 @@ class AnswerMatrix:
             rows.append(row)
         rows = np.array(rows, dtype=np.int64)
         _, first = np.unique(rows, return_index=True)
-        return self._take(rows[np.sort(first)])
+        return self.take(rows[np.sort(first)])
 
     def resized(self, n_items: int, n_workers: int, n_labels: int) -> "AnswerMatrix":
         """A copy over grown index spaces (each size ≥ the current one).

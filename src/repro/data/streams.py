@@ -82,7 +82,10 @@ class AnswerStream:
     ``next()``, so the same seed yielded different batches when two
     iterators were created before either was consumed, or consumed in a
     different order than created — fatal for a serving restart that must
-    replay an arrival log bit-for-bit.
+    replay an arrival log bit-for-bit.  Likewise each policy call copies
+    the source, and its batches take their rows from that copy by
+    position: they hold the answers of the call, whatever the source
+    records or removes afterwards.
     """
 
     def __init__(self, matrix: AnswerMatrix, seed: Seed = None) -> None:
@@ -102,39 +105,35 @@ class AnswerStream:
             raise ValidationError("workers_per_batch must be positive")
         order = np.array(self._matrix.active_workers(), dtype=int)
         self._child_rng().shuffle(order)
-        return self._iter_worker_batches(order, workers_per_batch)
+        return self._iter_worker_batches(self._matrix.copy(), order, workers_per_batch)
 
+    @staticmethod
     def _iter_worker_batches(
-        self, order: np.ndarray, workers_per_batch: int
+        source: AnswerMatrix, order: np.ndarray, workers_per_batch: int
     ) -> Iterator[AnswerBatch]:
-        items, workers, _ = self._matrix.to_arrays()
+        _, workers, _ = source.to_arrays()
         # each worker's rows, contiguous and in insertion order
         rows = np.argsort(workers, kind="stable")
-        bounds = np.searchsorted(workers[rows], np.arange(self._matrix.n_workers + 1))
+        bounds = np.searchsorted(workers[rows], np.arange(source.n_workers + 1))
         for index, start in enumerate(range(0, order.size, workers_per_batch)):
             chunk = order[start : start + workers_per_batch]
             taken = np.concatenate([rows[bounds[w] : bounds[w + 1]] for w in chunk])
-            pairs = zip(items[taken].tolist(), workers[taken].tolist())
-            yield self._build_batch(index, list(pairs))
+            yield AnswerBatch(index=index, matrix=source.take(taken))
 
     def by_answers(self, answers_per_batch: int) -> Iterator[AnswerBatch]:
         """Fixed-size batches of individual answers in random arrival order."""
         if answers_per_batch <= 0:
             raise ValidationError("answers_per_batch must be positive")
-        pairs = self._pairs()
-        order = np.arange(len(pairs))
-        self._child_rng().shuffle(order)
-        return self._iter_answer_batches(pairs, order, answers_per_batch)
+        order = self._shuffled_rows()
+        return self._iter_answer_batches(self._matrix.copy(), order, answers_per_batch)
 
+    @staticmethod
     def _iter_answer_batches(
-        self,
-        pairs: List[Tuple[int, int]],
-        order: np.ndarray,
-        answers_per_batch: int,
+        source: AnswerMatrix, order: np.ndarray, answers_per_batch: int
     ) -> Iterator[AnswerBatch]:
-        for index, start in enumerate(range(0, len(pairs), answers_per_batch)):
-            chunk = [pairs[i] for i in order[start : start + answers_per_batch]]
-            yield self._build_batch(index, chunk)
+        for index, start in enumerate(range(0, order.size, answers_per_batch)):
+            rows = order[start : start + answers_per_batch]
+            yield AnswerBatch(index=index, matrix=source.take(rows))
 
     def by_fractions(self, fractions: Sequence[float]) -> Iterator[AnswerBatch]:
         """Batches sized to cumulative arrival fractions (e.g. Fig 6's 10%…100%).
@@ -152,38 +151,30 @@ class AnswerStream:
             raise ValidationError("fractions must lie in (0, 1]")
         if any(b <= a for a, b in zip(fracs, fracs[1:])):
             raise ValidationError("fractions must be strictly increasing")
-        pairs = self._pairs()
-        order = np.arange(len(pairs))
-        self._child_rng().shuffle(order)
-        return self._iter_fraction_batches(pairs, order, fracs)
+        order = self._shuffled_rows()
+        return self._iter_fraction_batches(self._matrix.copy(), order, fracs)
 
+    @staticmethod
     def _iter_fraction_batches(
-        self,
-        pairs: List[Tuple[int, int]],
-        order: np.ndarray,
-        fracs: List[float],
+        source: AnswerMatrix, order: np.ndarray, fracs: List[float]
     ) -> Iterator[AnswerBatch]:
-        cuts = [0] + [int(round(f * len(pairs))) for f in fracs]
+        cuts = [0] + [int(round(f * order.size)) for f in fracs]
         index = 0
         for lo, hi in zip(cuts, cuts[1:]):
             if lo == hi:
                 # collapsed cut: int(round(f * n)) landed on the previous
                 # boundary — nothing arrived in this window
                 continue
-            chunk = [pairs[i] for i in order[lo:hi]]
-            yield self._build_batch(index, chunk)
+            yield AnswerBatch(index=index, matrix=source.take(order[lo:hi]))
             index += 1
 
     # ------------------------------------------------------------------ helpers
 
-    def _pairs(self) -> List[Tuple[int, int]]:
-        items, workers, _ = self._matrix.to_arrays()
-        return list(zip(items.tolist(), workers.tolist()))
-
-    def _build_batch(
-        self, index: int, pairs: List[Tuple[int, int]]
-    ) -> AnswerBatch:
-        return AnswerBatch(index=index, matrix=self._matrix.subset(pairs))
+    def _shuffled_rows(self) -> np.ndarray:
+        """The source's row positions in this call's random arrival order."""
+        order = np.arange(self._matrix.n_answers)
+        self._child_rng().shuffle(order)
+        return order
 
 
 def split_batch(batch: AnswerBatch, max_answers: int) -> List[AnswerBatch]:
@@ -200,14 +191,14 @@ def split_batch(batch: AnswerBatch, max_answers: int) -> List[AnswerBatch]:
     """
     if max_answers <= 0:
         raise ValidationError("max_answers must be positive")
-    if batch.n_answers <= max_answers:
+    n = batch.n_answers
+    if n <= max_answers:
         return [batch]
-    pairs = batch.pairs
     return [
         AnswerBatch(
             index=batch.index,
-            matrix=batch.matrix.subset(pairs[start : start + max_answers]),
+            matrix=batch.matrix.take(np.arange(start, min(start + max_answers, n))),
             sub_index=offset,
         )
-        for offset, start in enumerate(range(0, len(pairs), max_answers))
+        for offset, start in enumerate(range(0, n, max_answers))
     ]

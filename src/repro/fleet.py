@@ -958,9 +958,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        help="posterior dtype (default %(default)s)",
+        choices=("float32", "float64"),
+        default=CPAConfig.dtype,
+        help="compute dtype of the sweep kernels; the posterior and every "
+        "snapshot stay float64 (default %(default)s)",
     )
     parser.add_argument(
         "--step-answers",

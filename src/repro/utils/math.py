@@ -47,18 +47,32 @@ def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarr
     return out
 
 
-def flush_subnormals(probs: np.ndarray) -> np.ndarray:
-    """Set entries of ``probs`` below its dtype's smallest normal to ``0.0``.
+def flush_subnormals(values: np.ndarray) -> np.ndarray:
+    """Set entries of ``values`` whose magnitude is below its dtype's
+    smallest normal to ``0.0``.
 
-    Works in place and returns ``probs``.  Meant for non-negative
-    probability arrays: a subnormal entry sits more than ~708 nats
-    (float64; ~87 nats for float32) below its row's normaliser, far below
-    the last bit of a row sum of one, so zeroing it changes no row sum —
-    yet every BLAS contraction that later reads a subnormal runs at the
-    CPU's slow subnormal speed (DESIGN.md §6 "Subnormal responsibilities").
+    Works in place and returns ``values``.  In a probability row a
+    subnormal entry sits more than ~708 nats (float64; ~87 nats for
+    float32) below its row's normaliser, far below the last bit of a row
+    sum of one, so zeroing it changes no row sum — yet every BLAS
+    contraction that later reads a subnormal runs at the CPU's slow
+    subnormal speed (DESIGN.md §6 "Subnormal responsibilities").
     """
-    probs[probs < np.finfo(probs.dtype).tiny] = 0.0
-    return probs
+    values[np.abs(values) < np.finfo(values.dtype).tiny] = 0.0
+    return values
+
+
+def cast_flushed(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``values`` in ``dtype``, with the entries subnormal there set to ``0.0``.
+
+    A float64 1e-40 is a float32 subnormal, so every downcast is flushed
+    (:func:`flush_subnormals`).  An array already in ``dtype`` is returned
+    as it is: its producer flushed it.
+    """
+    values = np.asarray(values)
+    if values.dtype == dtype:
+        return values
+    return flush_subnormals(values.astype(dtype))
 
 
 def log_normalize_rows(log_weights: np.ndarray) -> np.ndarray:
@@ -68,8 +82,22 @@ def log_normalize_rows(log_weights: np.ndarray) -> np.ndarray:
     an explicit, documented fallback used when an item or worker carries no
     evidence at all (e.g. an empty batch in online learning).  The result
     holds no subnormals (:func:`flush_subnormals`).
+
+    Below double precision the rows are divided by their sums instead of
+    shifted by a log-normaliser: that normaliser rounds at the magnitude
+    of the row's maximum (a float32 score of -60 carries 4e-6 into every
+    entry), while a sum-normalised row sums to one within a few ulps.
     """
     log_weights = as_floating(log_weights)
+    if log_weights.dtype != np.float64:
+        peak = np.max(log_weights, axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            probs = np.exp(log_weights - peak)
+            probs /= probs.sum(axis=-1, keepdims=True)
+        bad = ~np.isfinite(peak[..., 0])
+        if np.any(bad):
+            probs[bad] = 1.0 / log_weights.shape[-1]
+        return flush_subnormals(probs)
     norm = logsumexp(log_weights, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         probs = np.exp(log_weights - norm)

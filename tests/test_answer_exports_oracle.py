@@ -116,3 +116,39 @@ FROZEN = {
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_exports_match_the_frozen_digests(name):
     assert _stream_digests(_matrix())[name] == FROZEN[name]
+
+
+def test_stream_batches_leave_the_pair_index_unbuilt():
+    """The stream policies and ``split_batch`` take rows by position, so
+    neither a restored source nor a batch builds its ``(item, worker)``
+    index."""
+    source = _matrix()
+    restored = AnswerMatrix.from_arrays(*SIZES, *source.to_arrays())
+    stream = AnswerStream(restored, seed=11)
+    batches = (
+        list(stream.by_answers(37))
+        + list(stream.by_workers(4))
+        + list(stream.by_fractions([0.2, 0.5, 0.9, 1.0]))
+    )
+    pieces = [sub for batch in batches for sub in split_batch(batch, 10)]
+    assert len(pieces) > len(batches)
+    for matrix in [restored] + [batch.matrix for batch in batches + pieces]:
+        assert matrix._index is None
+
+
+def test_stream_batches_hold_the_answers_of_the_policy_call():
+    """A batch takes its rows from the source as it was when the policy
+    was called: a later remove cannot shift rows under it, and a later
+    overwrite or answer does not show."""
+    matrix = _matrix()
+    stream = AnswerStream(matrix, seed=11)
+    calls = [stream.by_answers(37), stream.by_workers(4), stream.by_fractions([0.5, 1.0])]
+    expected = _stream_digests(_matrix())
+    first = matrix.to_arrays()
+    matrix.remove(int(first[0][0]), int(first[1][0]))
+    matrix.add(int(first[0][5]), int(first[1][5]), [0, 1, 2])
+    matrix.add(0, 14, [3])
+    by_answers, by_workers, by_fractions = (list(call) for call in calls)
+    assert _batch_digests(by_answers) == expected["by_answers"]
+    assert _batch_digests(by_workers) == expected["by_workers"]
+    assert len(by_fractions) == 2

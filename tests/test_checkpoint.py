@@ -4,9 +4,9 @@ Contracts under test (ISSUE 7 tentpole + satellite 3):
 
 * **Bitwise round-trip** — ``save → load`` reproduces every parameter
   array bit for bit, across float32 and float64 configs, for both
-  freshly initialised and SVI-trained states, including the mixed-dtype
-  reality that SVI's symmetry-breaking pass leaves float64 globals under
-  a float32 config.
+  freshly initialised and SVI-trained states (the state is float64
+  under either), and a payload with float32 arrays beside float64
+  globals restores as their exact float64 upcasts.
 * **Localized states** — a state whose ϕ rows carry exact-zero column
   tails keeps its zero pattern through a round-trip, and growth appends
   new components after every tail, so the tails stay zero.
@@ -45,6 +45,7 @@ from repro.core.state import initialize_state
 from repro.core.svi import StochasticInference, stream_from_matrix
 from repro.data.answers import AnswerMatrix
 from repro.errors import CheckpointError
+from repro.utils.math import cast_flushed
 
 ARRAYS = ("rho", "ups", "lam", "zeta", "kappa", "phi", "cell_mass")
 
@@ -86,6 +87,15 @@ def _trained_engine(matrix, dtype="float64", n_batches=3, seed=0):
     return engine, batches
 
 
+def float32_payload(payload):
+    """``payload`` with the arrays a float32 state held cast (flushed) to
+    float32, under a float32 header: the form such a state was written in."""
+    payload = dict(payload, dtype="float32")
+    for name in ("kappa", "phi", "mu", "lam", "cell_mass"):
+        payload[name] = cast_flushed(payload[name], np.float32)
+    return payload
+
+
 def _assert_states_bitwise(a, b):
     for name in ARRAYS:
         left, right = getattr(a, name), getattr(b, name)
@@ -122,14 +132,17 @@ class TestRoundTrip:
         _assert_states_bitwise(state, restored)
 
     def test_mixed_dtype_globals_survive(self):
-        """SVI seeding leaves float64 globals under a float32 config; the
-        checkpoint must preserve that — not cast to the header dtype."""
+        """A payload with float32 responsibilities and float64 globals, as
+        a state that followed a float32 config was written, restores every
+        array as its exact float64 upcast."""
         engine, _ = _trained_engine(_random_matrix(), dtype="float32")
-        assert engine.state.phi.dtype == np.float32
-        assert engine.state.rho.dtype == np.float64  # seeded in float64
-        restored, _ = checkpoint_from_bytes(checkpoint_bytes(engine.state))
-        assert restored.phi.dtype == np.float32
-        assert restored.rho.dtype == np.float64
+        payload = float32_payload(engine.checkpoint())
+        assert payload["rho"].dtype == np.float64  # seeded in float64
+        restored, _ = state_from_payload(payload)
+        for name in ARRAYS + ("mu",):
+            array = getattr(restored, name)
+            assert array.dtype == np.float64, name
+            np.testing.assert_array_equal(array, payload[name].astype(np.float64))
         np.testing.assert_array_equal(engine.state.rho, restored.rho)
 
     def test_file_round_trip(self, tmp_path):

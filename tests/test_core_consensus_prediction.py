@@ -274,6 +274,34 @@ class TestDiagnostics:
             by_type.get("random_spammer", [0.0])
         )
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_operating_points_match_the_per_answer_loop(self, seed):
+        """The bincount path equals the per-answer loop it replaced, exactly
+        (the counts are integers), with part of the truth missing."""
+        from repro.data.dataset import CrowdDataset
+        from repro.simulation.generator import generate_dataset
+        from tests.conftest import tiny_config
+
+        full = generate_dataset(tiny_config(name=f"ops{seed}"), seed=seed)
+        rng = np.random.default_rng(seed)
+        known = rng.choice(full.n_items, size=full.n_items * 2 // 3, replace=False)
+        dataset = CrowdDataset(
+            name=full.name, answers=full.answers, truth=full.truth.restricted_to(known)
+        )
+        some = rng.choice(full.n_labels, size=3, replace=False).tolist()
+        for labels in (None, some, list(range(full.n_labels))):
+            for min_support in (1, 2, 4):
+                expected = _operating_points_oracle(dataset, labels, min_support)
+                assert expected or min_support > 1
+                assert (
+                    worker_operating_points(dataset, labels, min_support=min_support)
+                    == expected
+                )
+
+    def test_operating_point_labels_must_be_in_range(self, tiny_dataset):
+        with pytest.raises(ValidationError):
+            worker_operating_points(tiny_dataset, labels=[tiny_dataset.n_labels])
+
     def test_community_summaries(self, tiny_model, tiny_dataset):
         summaries = community_summaries(tiny_model.state_, tiny_dataset)
         assert summaries
@@ -290,3 +318,47 @@ class TestDiagnostics:
         assert count >= 1
         with pytest.raises(ValidationError):
             count_label_communities(tiny_dataset, busiest, grid=0.0)
+
+
+def _operating_points_oracle(dataset, labels, min_support):
+    """The per-answer loop ``worker_operating_points`` ran before it read
+    counts: every answered item through ``AnswerMatrix.get``."""
+    from repro.core.diagnostics import OperatingPoint
+
+    targets = list(labels) if labels is not None else [None]
+    points = []
+    for worker in dataset.answers.active_workers():
+        answered = dataset.answers.items_for_worker(worker)
+        for label in targets:
+            tp = fp = tn = fn = 0
+            for item in answered:
+                truth = dataset.truth.get(item)
+                answer = dataset.answers.get(item, worker)
+                if truth is None or answer is None:
+                    continue
+                if label is None:
+                    tp += len(answer & truth)
+                    fn += len(truth - answer)
+                    fp += len(answer - truth)
+                    tn += dataset.n_labels - len(answer | truth)
+                else:
+                    truly_present = label in truth
+                    said_present = label in answer
+                    tp += truly_present and said_present
+                    fn += truly_present and not said_present
+                    fp += (not truly_present) and said_present
+                    tn += (not truly_present) and not said_present
+            pos, neg = tp + fn, fp + tn
+            if pos < min_support or neg < min_support:
+                continue
+            points.append(
+                OperatingPoint(
+                    worker=worker,
+                    label=label,
+                    sensitivity=tp / pos,
+                    specificity=tn / neg,
+                    support_positive=pos,
+                    support_negative=neg,
+                )
+            )
+    return points

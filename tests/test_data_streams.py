@@ -242,9 +242,9 @@ class TestStreamingShardedSVI:
 
     def test_sharded_stream_reproduces_table5_online_numbers(self):
         dataset = generate_dataset(tiny_config(name="t5"), seed=31)
-        fused_model, fused_eval = self._online_numbers(dataset, {})
+        fused_model, fused_eval = self._online_numbers(dataset, {"dtype": "float64"})
         sharded_model, sharded_eval = self._online_numbers(
-            dataset, {"backend": "sharded", "n_shards": 3}
+            dataset, {"backend": "sharded", "n_shards": 3, "dtype": "float64"}
         )
         np.testing.assert_allclose(
             sharded_model._state.phi, fused_model._state.phi, atol=1e-9, rtol=0

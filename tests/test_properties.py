@@ -233,7 +233,7 @@ class TestInvarianceProperties:
             matrix.add(int(i), int(u), labels)
             relabelled.add(int(item_perm[i]), int(worker_perm[u]), labels)
 
-        config = CPAConfig(seed=9, **SMALL_CONFIG, **backend_kwargs)
+        config = CPAConfig(seed=9, dtype="float64", **SMALL_CONFIG, **backend_kwargs)
         original = VariationalInference(config, matrix)
         permuted = VariationalInference(config, relabelled)
         permuted.state = original.state.permuted(

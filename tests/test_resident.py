@@ -397,15 +397,21 @@ class TestProcessLaneFaults:
 
 
 class _CountingRemote(RemoteExecutor):
-    """Remote executor that counts its ``map_on`` calls."""
+    """Remote executor that counts its ``map_on`` calls and runs
+    ``after[n]()`` once call ``n`` returned."""
 
-    def __init__(self, workers, **kwargs):
+    def __init__(self, workers, after=None, **kwargs):
         super().__init__(workers, **kwargs)
         self.map_on_calls = 0
+        self.after = dict(after or {})
 
     def map_on(self, key, func, tasks):
         self.map_on_calls += 1
-        return super().map_on(key, func, tasks)
+        results = super().map_on(key, func, tasks)
+        hook = self.after.pop(self.map_on_calls, None)
+        if hook is not None:
+            hook()
+        return results
 
 
 #: many items over few workers and small truncations: one shard's ϕ rows
@@ -471,6 +477,69 @@ class TestHeldRows:
                 executor.close()
                 if replacement is not None:
                     replacement.close()
+
+    @pytest.mark.parametrize("loss", ["plan_evicted", "cold_replacement"])
+    def test_a_lane_that_lost_its_sweep_views_costs_one_resend(
+        self, no_executor, loss
+    ):
+        """The ϕ half names the ``E[ln ψ]`` views the κ half left on each
+        lane; a lane that lost them between the halves costs one resend of
+        the ϕ half with ``E[ln ψ]``, and the fit stays bitwise equal."""
+        matrix, _ = _wide_sparse_matrix()
+        local = VariationalInference(HELD_CONFIG, matrix)
+        with worker_fleet(2) as servers:
+            replacements = []
+
+            def lose():
+                if loss == "plan_evicted":
+                    servers[0].registry.drop_payloads()
+                else:
+                    servers[0].kill()
+                    replacements.append(
+                        WorkerServer(
+                            host=servers[0].host, port=servers[0].port
+                        ).serve_in_thread()
+                    )
+
+            # call 1 is the init statistics pass, then two per sweep: lose
+            # the views after the κ half of the third sweep
+            executor = _CountingRemote(
+                [s.address for s in servers], after={1 + 2 * 2 + 1: lose}
+            )
+            lanes = VariationalInference(HELD_CONFIG, matrix, executor=executor)
+            try:
+                for _ in range(self.SWEEPS):
+                    assert lanes.sweep() == local.sweep()
+                assert not executor.after
+                assert executor.map_on_calls == 1 + 2 * self.SWEEPS + 1
+                assert len(executor.live_workers()) == 2
+                _assert_states_close(lanes.state, local.state, dict(atol=0, rtol=0))
+            finally:
+                executor.close()
+                for replacement in replacements:
+                    replacement.close()
+
+    def test_a_sweep_sends_e_log_psi_once(self, monkeypatch):
+        """A batch-VI sweep over lanes rearranges each shard's ``E[ln ψ]``
+        once: the κ half carries it, the ϕ half names the views."""
+        matrix, _ = _wide_sparse_matrix()
+        calls = []
+        real = SweepKernel.begin_sweep
+
+        def counting(kernel, e_log_psi):
+            calls.append(kernel.n_items)
+            return real(kernel, e_log_psi)
+
+        monkeypatch.setattr(SweepKernel, "begin_sweep", counting)
+        with worker_fleet(2) as servers:
+            executor = RemoteExecutor([s.address for s in servers])
+            engine = VariationalInference(HELD_CONFIG, matrix, executor=executor)
+            try:
+                for _ in range(self.SWEEPS):
+                    engine.sweep()
+            finally:
+                executor.close()
+        assert len(calls) == engine.kernel.n_shards * self.SWEEPS
 
 
 # -------------------------------------------------------------- auto backend

@@ -856,6 +856,6 @@ class TestServeCLI:
         )
         assert args.listen == "127.0.0.1:0"
         assert args.step_answers == 100
-        assert args.dtype == "float64"
+        assert args.dtype == "float32"  # the kernel dtype; snapshots stay float64
         assert not args.no_auto_step
         assert not args.read_only

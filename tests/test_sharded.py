@@ -316,7 +316,7 @@ class TestShardedKernelAlgebra:
 
 class TestBatchVIShardParity:
     def _engines(self, matrix, n_shards, executor=None, seed=0):
-        config = CPAConfig(seed=seed, max_iterations=8)
+        config = CPAConfig(seed=seed, max_iterations=8, dtype="float64")
         fused = VariationalInference(config, matrix)
         sharded = VariationalInference(
             config.with_overrides(backend="sharded", n_shards=n_shards),
@@ -395,7 +395,7 @@ class TestSVIShardParity:
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_serial_stream_parity(self, tiny_dataset, n_shards):
-        config = CPAConfig(seed=0, svi_iterations=2)
+        config = CPAConfig(seed=0, svi_iterations=2, dtype="float64")
         sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
         fused = StochasticInference(config, *sizes)
         sharded = StochasticInference(
@@ -409,7 +409,7 @@ class TestSVIShardParity:
 
     @pytest.mark.parametrize("executor_kind", ["thread", "process"])
     def test_parallel_executor_stream_parity(self, tiny_dataset, executor_kind):
-        config = CPAConfig(seed=2, svi_iterations=1)
+        config = CPAConfig(seed=2, svi_iterations=1, dtype="float64")
         sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
         fused = StochasticInference(config, *sizes)
         with make_executor(executor_kind, 2) as pool:
@@ -448,7 +448,7 @@ class TestSVIShardParity:
         assert calls == [batch.matrix.to_arrays()[0].size for batch in batches]
 
     def test_truth_and_hint_parity(self, tiny_dataset):
-        config = CPAConfig(seed=3, svi_iterations=1)
+        config = CPAConfig(seed=3, svi_iterations=1, dtype="float64")
         sizes = (tiny_dataset.n_items, tiny_dataset.n_workers, tiny_dataset.n_labels)
         common = dict(
             truth=tiny_dataset.truth, total_answers_hint=tiny_dataset.n_answers

@@ -4,11 +4,13 @@
 Contracts under test:
 
 * **The invariant** — after a batch-VI fit and after an SVI stream, no
-  κ/ϕ entry lies strictly between 0 and the smallest normal of the dtype
-  the array is stored in, for float64 and float32 states alike.  Every
-  producer (``log_normalize_rows``, ``CPAState.sync_phi_from_mu``, the
-  SVI κ cast) flushes; a subnormal left
-  behind would slow every BLAS contraction that reads it.
+  κ/ϕ entry lies strictly between 0 and the smallest normal of float64,
+  the dtype the state is stored in, under float64 and float32 kernels
+  alike, and the rows cast to a float32 kernel hold no float32
+  subnormal.  Every producer (``log_normalize_rows``,
+  ``CPAState.sync_phi_from_mu``) and every cast (``cast_flushed``)
+  flushes; a subnormal left behind would slow every BLAS contraction
+  that reads it.
 * **Exactness** — the fused and the sharded engine, which flush, stay
   within the documented ``1e-8`` of the unflushed seed oracle
   (:class:`repro.core.reference.ReferenceVariationalInference`, which
@@ -29,6 +31,7 @@ from repro.core.state import initialize_state
 from repro.core.svi import StochasticInference, stream_from_matrix
 from repro.simulation.generator import generate_dataset
 from repro.simulation.scenarios import large_scale_config
+from repro.utils.math import cast_flushed
 
 PARITY = dict(atol=1e-8, rtol=1e-9)
 SWEEPS = 12
@@ -60,26 +63,30 @@ class TestNoSubnormalInvariant:
             state = initialize_state(config, n_items=2, n_workers=2, n_labels=3)
             t = state.n_clusters
             # row 0 puts cluster 0 720 nats above the rest: e^-720 is
-            # subnormal in float64 (and e^-90 already is in float32)
-            mu = np.zeros((2, t - 1), dtype=dtype)
-            mu[0, 0] = 720.0 if dtype == np.float64 else 90.0
+            # subnormal in float64, the state's dtype under either kernel
+            mu = np.zeros((2, t - 1))
+            mu[0, 0] = 720.0
             state.mu = mu
             state.sync_phi_from_mu(rows)
-            assert state.phi.dtype == dtype
+            assert state.phi.dtype == np.float64
             assert _subnormals(state.phi) == 0
-            np.testing.assert_array_equal(state.phi[0], np.eye(t, dtype=dtype)[0])
+            np.testing.assert_array_equal(state.phi[0], np.eye(t)[0])
             np.testing.assert_allclose(state.phi[1], 1.0 / t, rtol=1e-6)
+
+    @staticmethod
+    def _assert_flushed(state, dtype):
+        assert state.kappa.dtype == state.phi.dtype == np.float64
+        for rows in (state.kappa, state.phi):
+            assert _subnormals(rows) == 0
+            assert _subnormals(cast_flushed(rows, np.dtype(dtype))) == 0
+        state.validate()
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_batch_vi_fit(self, dataset, dtype):
         engine = VariationalInference(CPAConfig(seed=0, dtype=dtype), dataset.answers)
         for _ in range(SWEEPS):
             engine.sweep()
-        state = engine.state
-        assert state.kappa.dtype == state.phi.dtype == np.dtype(dtype)
-        assert _subnormals(state.kappa) == 0
-        assert _subnormals(state.phi) == 0
-        state.validate()
+        self._assert_flushed(engine.state, dtype)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_svi_stream(self, dataset, dtype):
@@ -92,17 +99,13 @@ class TestNoSubnormalInvariant:
         )
         for batch in stream_from_matrix(dataset.answers, answers_per_batch=100, seed=0):
             engine.process_batch(batch)
-        state = engine.state
-        assert state.kappa.dtype == state.phi.dtype == np.dtype(dtype)
-        assert _subnormals(state.kappa) == 0
-        assert _subnormals(state.phi) == 0
-        state.validate()
+        self._assert_flushed(engine.state, dtype)
 
 
 class TestUnflushedOracle:
     @pytest.mark.parametrize("backend", ["fused", "sharded"])
     def test_engines_track_unflushed_oracle(self, dataset, backend):
-        config = CPAConfig(seed=0)
+        config = CPAConfig(seed=0, dtype="float64")
         oracle = ReferenceVariationalInference(config, dataset.answers)
         engine = VariationalInference(
             config.with_overrides(backend=backend, n_shards=2), dataset.answers
