@@ -25,8 +25,9 @@ keeping the gate reproducible (re-running cannot launder the
 regression).  Runs whose settings (dtype/sweeps/seed) differ from the
 baseline's are incomparable and fail the check loudly (exit 2 —
 re-record the baseline without ``--check`` if the new settings are
-intentional); runs covering only a subset of the baseline's cases gate
-that subset without recording anything.
+intentional), and so does a check with no payload at ``--out``, before
+anything is measured; runs covering only a subset of the baseline's
+cases gate that subset without recording anything.
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verdict: a regression must reproduce in every run (default 2)",
     )
     args = parser.parse_args(argv)
+    if args.check and not args.out.exists():
+        # Nothing to compare against: a check that measured and recorded
+        # anyway would pass silently.
+        print(
+            f"FAIL: --check has no baseline: {args.out} does not exist "
+            "(record one with a plain run, without --check)"
+        )
+        return 2
 
     import numpy as np
 
@@ -155,7 +164,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 payload[key] = value
     status = 0
     out_payload: Optional[dict] = payload
-    if args.check and previous is not None:
+    if args.check:
         status = run_check(previous, payload, threshold=args.threshold)
         retries = max(0, args.retries)
         while status == 1 and retries > 0:

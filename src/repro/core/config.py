@@ -69,21 +69,15 @@ class CPAConfig:
         values in [0.85, 0.9] work best (§4.1).
     svi_iterations:
         Local (κ) refinement sweeps per SVI batch.
-    svi_coverage_correction:
-        When true (default), each component's SVI step is scaled by how
-        much of that component's mass the batch actually observed.  The
-        plain Eqs. 18-20 step decays every cluster/community absent from
-        the current batch towards its prior, starving components under
-        partial-coverage batches (a known failure mode of truncated-DP
-        SVI); the correction is the standard importance-weighting fix for
-        non-uniform subsampling and is documented as a deviation in
-        DESIGN.md.
     svi_batch_answers:
-        Engine-level SVI batch size in answers (the paper uses 100,
-        §5.3): arrival batches handed to :meth:`CPAModel.partial_fit` are
-        split into sub-batches of at most this many answers so the
+        SVI step size in answers (the paper uses 100, §5.3): the online
+        engine (:class:`~repro.core.online.ConsensusEngine`, behind
+        :meth:`CPAModel.partial_fit` and ``repro.serve``) splits each
+        arrival batch into steps of at most this many answers, so the
         Robbins-Monro averaging sees enough steps even when data arrives
-        in large increments.
+        in large increments.  A ``total_answers_hint`` under 20 times this
+        lowers the step to ``hint // 20`` answers, never below 50
+        (:meth:`ConsensusEngine.step_answers`).
     consensus_floor:
         Discriminability floor ``δ`` keeping community weights positive.
     consensus_smoothing:
@@ -176,7 +170,6 @@ class CPAConfig:
     tolerance: float = 1e-3
     forgetting_rate: float = 0.875
     svi_iterations: int = 3
-    svi_coverage_correction: bool = True
     svi_batch_answers: int = 100
     consensus_floor: float = 0.02
     consensus_smoothing: float = 1.0

@@ -11,9 +11,9 @@ API:
 >>> model.item_clusters()[:5]               # inferred cluster per item
 
 ``fit`` runs the batch variational inference of paper Alg. 1; ``fit_online``
-/ ``partial_fit`` run the stochastic (incremental) inference of Alg. 2-3;
-``predict`` performs the greedy MAP instantiation of §3.4 on the cluster
-consensus.
+/ ``partial_fit`` run the stochastic (incremental) inference of Alg. 2-3
+through the online engine of :mod:`repro.core.online`; ``predict``
+performs the greedy MAP instantiation of §3.4 on the cluster consensus.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import numpy as np
 from repro.core.config import CPAConfig
 from repro.core.consensus import ClusterConsensus, estimate_consensus
 from repro.core.inference import InferenceResult, VariationalInference
+from repro.core.online import ConsensusEngine
 from repro.core.prediction import (
     PredictionDetail,
     label_probabilities,
     predict_items,
 )
 from repro.core.state import CPAState
-from repro.core.svi import StochasticInference
 from repro.data.answers import AnswerMatrix
 from repro.data.dataset import CrowdDataset, GroundTruth
 from repro.data.streams import AnswerBatch
@@ -76,7 +76,7 @@ class CPAModel:
         self._consensus: Optional[ClusterConsensus] = None
         self._answers: Optional[AnswerMatrix] = None
         self._result: Optional[InferenceResult] = None
-        self._engine: Optional[StochasticInference] = None
+        self._online: Optional[ConsensusEngine] = None
 
     # ------------------------------------------------------------------ fitting
 
@@ -108,7 +108,7 @@ class CPAModel:
         self._state = self._result.state
         self._answers = answers
         self._consensus = estimate_consensus(self._state, self.config, self._answers)
-        self._engine = None
+        self._online = None
         return self
 
     def fit_online(
@@ -123,9 +123,9 @@ class CPAModel:
         executor: Optional[Executor] = None,
         total_answers_hint: Optional[int] = None,
     ) -> "CPAModel":
-        """Stochastic variational inference over a batch stream (Alg. 2/3)."""
-        self._engine = StochasticInference(
-            self.config,
+        """Stochastic variational inference over a batch stream (Alg. 2/3):
+        :meth:`start_online`, then :meth:`partial_fit` per batch."""
+        self.start_online(
             n_items,
             n_workers,
             n_labels,
@@ -134,22 +134,8 @@ class CPAModel:
             executor=executor,
             total_answers_hint=total_answers_hint,
         )
-        from repro.data.streams import split_batch
-
-        accumulated = AnswerMatrix(n_items, n_workers, n_labels)
-        sub_batch_size = self._effective_batch_size()
         for batch in batches:
-            for sub_batch in split_batch(batch, sub_batch_size):
-                self._engine.process_batch(sub_batch)
-            accumulated.update(batch.matrix)
-        self._answers = accumulated
-        self._state = (
-            self._engine.refreshed_state(accumulated)
-            if accumulated.n_answers
-            else self._engine.state
-        )
-        self._consensus = estimate_consensus(self._state, self.config, self._answers)
-        self._result = None
+            self.partial_fit(batch)
         return self
 
     def start_online(
@@ -163,8 +149,15 @@ class CPAModel:
         executor: Optional[Executor] = None,
         total_answers_hint: Optional[int] = None,
     ) -> "CPAModel":
-        """Initialise incremental learning without consuming any data yet."""
-        self._engine = StochasticInference(
+        """Initialise incremental learning without consuming any data yet.
+
+        The model becomes a client of a fresh online engine
+        (:class:`~repro.core.online.ConsensusEngine`, the one the serving
+        daemon runs); reads then use its refreshed view, the posterior
+        regenerated from every answer folded so far (paper §4.1),
+        computed on the first read after a fold.
+        """
+        self._online = ConsensusEngine(
             self.config,
             n_items,
             n_workers,
@@ -174,56 +167,36 @@ class CPAModel:
             executor=executor,
             total_answers_hint=total_answers_hint,
         )
-        self._answers = AnswerMatrix(n_items, n_workers, n_labels)
-        self._state = self._engine.state
-        self._consensus = None
-        self._result = None
+        self._state = self._consensus = self._answers = self._result = None
         return self
 
     def partial_fit(self, batch: AnswerBatch) -> "CPAModel":
-        """Feed one more batch to an online model (paper's online updates)."""
-        if self._engine is None or self._answers is None:
-            raise NotFittedError("call start_online or fit_online before partial_fit")
-        from repro.data.streams import split_batch
+        """Fold one more batch into an online model (paper's online updates).
 
-        for sub_batch in split_batch(batch, self._effective_batch_size()):
-            self._engine.process_batch(sub_batch)
-        self._answers = self._answers.merged_with(batch.matrix)
-        self._state = (
-            self._engine.refreshed_state(self._answers)
-            if self._answers.n_answers
-            else self._engine.state
-        )
-        self._consensus = estimate_consensus(self._state, self.config, self._answers)
-        return self
-
-    def _effective_batch_size(self) -> int:
-        """Engine batch size, capped so small streams still get many steps.
-
-        Robbins-Monro averaging needs a reasonable number of steps to damp
-        the per-batch gradient noise; with very small streams the
-        configured batch size could yield fewer than ~20 steps and leave
-        the stochastic trajectory noise-dominated.  When the engine knows
-        the expected stream size, the batch is capped at ``hint / 20``
-        (but never below 50 answers — tiny batches are noise-dominated too).
+        The online engine checks the batch first (a malformed one raises
+        :class:`~repro.errors.ValidationError` and changes nothing), grows
+        the index spaces to a batch that names new items, workers or
+        labels, and folds it in steps of
+        :meth:`~repro.core.online.ConsensusEngine.step_answers` answers.
         """
-        size = self.config.svi_batch_answers
-        hint = self._engine.total_answers_hint if self._engine else None
-        if hint:
-            size = min(size, max(50, hint // 20))
-        return size
+        if self._online is None:
+            raise NotFittedError("call start_online or fit_online before partial_fit")
+        self._online.ingest(batch)
+        self._online.step()
+        return self
 
     # ---------------------------------------------------------------- predicting
 
     @property
     def is_fitted(self) -> bool:
-        return self._state is not None and self._answers is not None
+        return self._online is not None or self._state is not None
 
     def _require_fitted(self) -> tuple[CPAState, ClusterConsensus, AnswerMatrix]:
-        if self._state is None or self._answers is None:
+        if self._online is not None:
+            state, consensus = self._online.refreshed()
+            return state, consensus, self._online.answers
+        if self._state is None or self._consensus is None or self._answers is None:
             raise NotFittedError("model is not fitted")
-        if self._consensus is None:
-            self._consensus = estimate_consensus(self._state, self.config, self._answers)
         return self._state, self._consensus, self._answers
 
     def predict(
@@ -291,6 +264,12 @@ class CPAModel:
     def inference_result_(self) -> Optional[InferenceResult]:
         """Batch-VI convergence record (``None`` after online fitting)."""
         return self._result
+
+    @property
+    def online_engine_(self) -> Optional[ConsensusEngine]:
+        """The online engine behind :meth:`partial_fit` (``None`` unless
+        :meth:`start_online` or :meth:`fit_online` built one)."""
+        return self._online
 
     def worker_communities(self) -> List[int]:
         """MAP community index per worker."""

@@ -241,8 +241,9 @@ class StochasticInference:
         self._widen_to(n_items, n_workers, n_labels)
 
     def _widen_to(self, n_items: int, n_workers: int, n_labels: int) -> None:
-        """Adopt grown index-space sizes: pad the supervision arrays with
-        unobserved rows and labels, and drop the per-batch caches."""
+        """Adopt grown index-space sizes: pad the supervision arrays (and
+        the truth :meth:`refreshed_state` passes on) with unobserved rows
+        and labels, and drop the per-batch caches."""
         if n_items > self.n_items or n_labels > self.n_labels:
             indicator = np.zeros((n_items, n_labels), dtype=np.float64)
             indicator[: self.n_items, : self.n_labels] = self.truth_indicator
@@ -250,6 +251,10 @@ class StochasticInference:
             mask = np.zeros(n_items, dtype=bool)
             mask[: self.n_items] = self.truth_mask
             self.truth_mask = mask
+            if self._truth is not None:
+                self._truth = GroundTruth.from_mapping(
+                    n_items, n_labels, dict(self._truth.items())
+                )
         self.n_items = n_items
         self.n_workers = n_workers
         self.n_labels = n_labels
@@ -344,43 +349,34 @@ class StochasticInference:
             worker_scale=worker_scale,
             item_scale=item_scale,
         )
-        if self.config.svi_coverage_correction:
-            # Scale each component's step by the share of its answer mass
-            # this batch observed: components absent from the batch keep
-            # their parameters instead of decaying to the prior (see
-            # CPAConfig.svi_coverage_correction).
-            eps = 1e-9
-            cell_cov = np.minimum(
-                1.0, worker_scale * mass / np.maximum(state.cell_mass, eps)
-            )  # (T, M)
-            cluster_cov = np.minimum(
-                1.0,
-                worker_scale * mass.sum(axis=1)
-                / np.maximum(state.cell_mass.sum(axis=1), eps),
-            )  # (T,)
-            community_cov = np.minimum(
-                1.0,
-                worker_scale * mass.sum(axis=0)
-                / np.maximum(state.cell_mass.sum(axis=0), eps),
-            )  # (M,)
-            lam_rate = rate * cell_cov[:, :, None]
-            state.lam = (1.0 - lam_rate) * state.lam + lam_rate * targets.lam
-            cm_rate = rate * cell_cov
-            state.cell_mass = (
-                (1.0 - cm_rate) * state.cell_mass + cm_rate * targets.cell_mass
-            )
-            rho_rate = rate * community_cov[:-1, None]
-            state.rho = (1.0 - rho_rate) * state.rho + rho_rate * targets.rho
-            ups_rate = rate * cluster_cov[:-1, None]
-            state.ups = (1.0 - ups_rate) * state.ups + ups_rate * targets.ups
-            zeta_rate = rate * cluster_cov[:, None, None]
-            state.zeta = (1.0 - zeta_rate) * state.zeta + zeta_rate * targets.zeta
-        else:
-            state.lam = interpolate(state.lam, targets.lam, rate)
-            state.cell_mass = interpolate(state.cell_mass, targets.cell_mass, rate)
-            state.rho = interpolate(state.rho, targets.rho, rate)
-            state.ups = interpolate(state.ups, targets.ups, rate)
-            state.zeta = interpolate(state.zeta, targets.zeta, rate)
+        # Scale each component's step by the share of its answer mass this
+        # batch observed: components absent from the batch keep their
+        # parameters instead of decaying to the prior (DESIGN.md §4.4
+        # "Coverage correction").
+        eps = 1e-9
+        cell_cov = np.minimum(
+            1.0, worker_scale * mass / np.maximum(state.cell_mass, eps)
+        )  # (T, M)
+        cluster_cov = np.minimum(
+            1.0,
+            worker_scale * mass.sum(axis=1)
+            / np.maximum(state.cell_mass.sum(axis=1), eps),
+        )  # (T,)
+        community_cov = np.minimum(
+            1.0,
+            worker_scale * mass.sum(axis=0)
+            / np.maximum(state.cell_mass.sum(axis=0), eps),
+        )  # (M,)
+        lam_rate = rate * cell_cov[:, :, None]
+        state.lam = (1.0 - lam_rate) * state.lam + lam_rate * targets.lam
+        cm_rate = rate * cell_cov
+        state.cell_mass = (1.0 - cm_rate) * state.cell_mass + cm_rate * targets.cell_mass
+        rho_rate = rate * community_cov[:-1, None]
+        state.rho = (1.0 - rho_rate) * state.rho + rho_rate * targets.rho
+        ups_rate = rate * cluster_cov[:-1, None]
+        state.ups = (1.0 - ups_rate) * state.ups + ups_rate * targets.ups
+        zeta_rate = rate * cluster_cov[:, None, None]
+        state.zeta = (1.0 - zeta_rate) * state.zeta + zeta_rate * targets.zeta
         return rate
 
     def _gradient_scale(self, data: _BatchData) -> float:

@@ -309,7 +309,7 @@ class AnswerMatrix:
         """A copy over grown index spaces (each size ≥ the current one).
 
         The serving layer uses this when new items/workers/labels appear
-        mid-stream (see :meth:`repro.serve.ConsensusEngine.grow`): all
+        mid-stream (see :meth:`repro.core.online.ConsensusEngine.grow`): all
         recorded answers keep their coordinates, the spaces just widen.
         """
         if any(new < old for new, old in zip((n_items, n_workers, n_labels), self._sizes)):

@@ -18,7 +18,7 @@ Three pieces:
   child process, refreshes every replica via
   :func:`~repro.serve.ship_checkpoint` chunk deltas, and runs a background
   snapshot thread on a timer (``refresh_interval``).  Only this
-  refresh path calls :meth:`~repro.serve.ConsensusEngine.mark_snapshot`,
+  refresh path calls :meth:`~repro.core.online.ConsensusEngine.mark_snapshot`,
   so the writer's ``snapshot_age_*`` metrics measure real durability.
 * :class:`FleetRouter` — client-side routing policy over the replica set:
   ``round_robin`` or ``least_staleness`` (per-replica ``answers_behind``
@@ -61,9 +61,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import CPAConfig
+from repro.core.online import ConsensusEngine
 from repro.errors import CheckpointError, ConfigurationError, ReproError, TransportError
 from repro.serve import (
-    ConsensusEngine,
     ConsensusServer,
     ServeClient,
     ShipReport,
@@ -166,7 +166,7 @@ class FleetManager:
 
     Replicas start at the writer's construction sizes; when the writer's
     index spaces grow mid-stream, the next refresh widens each replica to
-    the snapshot's sizes (:meth:`~repro.serve.ConsensusEngine.restore`).
+    the snapshot's sizes (:meth:`~repro.core.online.ConsensusEngine.restore`).
     A replica rebuilds its ``CPAConfig`` from its command line (seed,
     dtype, step size), so the manager refuses, with a
     :class:`~repro.errors.ConfigurationError` naming the fields, any
@@ -967,7 +967,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--step-answers",
         type=int,
         default=100,
-        help="SVI step size in answers (default %(default)s)",
+        help="SVI step size: arrival batches are split into steps of at most "
+        "this many answers; a --total-answers-hint under 20× this lowers it, "
+        "never below 50 (default %(default)s)",
     )
     parser.add_argument(
         "--total-answers-hint",

@@ -247,10 +247,10 @@ class TestStreamingShardedSVI:
             dataset, {"backend": "sharded", "n_shards": 3, "dtype": "float64"}
         )
         np.testing.assert_allclose(
-            sharded_model._state.phi, fused_model._state.phi, atol=1e-9, rtol=0
+            sharded_model.state_.phi, fused_model.state_.phi, atol=1e-9, rtol=0
         )
         np.testing.assert_allclose(
-            sharded_model._state.kappa, fused_model._state.kappa, atol=1e-9, rtol=0
+            sharded_model.state_.kappa, fused_model.state_.kappa, atol=1e-9, rtol=0
         )
         assert sharded_model.predict() == fused_model.predict()
         assert sharded_eval.precision == pytest.approx(fused_eval.precision, abs=1e-12)
@@ -282,5 +282,5 @@ class TestStreamingShardedSVI:
         )
         # the engine saw exactly one SVI step per sub-batch — nothing was
         # dropped or double-fed by the identity scheme
-        assert model._engine.state.batches_seen == len(subs)
+        assert model.online_engine_.metrics()["batches_seen"] == len(subs)
         assert model.predict()  # and the fitted model is usable end-to-end

@@ -468,6 +468,24 @@ class TestBenchRegressionGate:
         assert json.loads(out.read_text()) == payload
         assert perf_main(["--check", "--out", str(out)]) == 1
 
+    def test_run_perf_check_without_a_baseline_fails_before_measuring(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """No payload at --out: nothing to gate against, so the check
+        fails by name instead of recording a fresh run and passing."""
+        import benchmarks.bench_kernels as bench_kernels
+        from benchmarks.run_perf import main as perf_main
+
+        def measure(*args, **kwargs):
+            raise AssertionError("measured with no baseline to check against")
+
+        monkeypatch.setattr(bench_kernels, "run_suite", measure)
+        out = tmp_path / "missing" / "BENCH_core.json"
+        assert perf_main(["--check", "--out", str(out)]) == 2
+        captured = capsys.readouterr().out
+        assert "FAIL" in captured and str(out) in captured
+        assert not out.exists()
+
     def test_run_perf_check_retry_absorbs_one_noisy_run(
         self, tmp_path, monkeypatch, capsys
     ):
